@@ -1,13 +1,21 @@
 //! Event-throughput gate: how much does `--obs` cost?
 //!
-//! Runs a fixed pair of quick fig3 cells (CrystalRouter at scale 0.25,
-//! cont-min and rand-adp, seed 0x5EED) with telemetry off and on,
-//! interleaved A/B so machine drift hits both sides equally, and reports
-//! the median events/sec of each side. Two artifacts:
+//! Runs three fixed cells (CrystalRouter at scale 0.25, seed 0x5EED) with
+//! telemetry off and on, interleaved A/B so machine drift hits both sides
+//! equally, and reports the median events/sec of each side:
+//!
+//! * `cont-min` and `rand-adp`: quick fig3 cells on the 768-node machine;
+//! * `canonic-131k`: the 131,584-node canonic (16,32,16,257) machine with
+//!   a 512-rank probe placed contiguously (one group), adaptive routing —
+//!   the scale where telemetry cost used to follow machine size. Its
+//!   on/off ratio is reported against the 1.15x full-scale target.
+//!
+//! Events/sec covers the whole run, network construction included. Two
+//! artifacts:
 //!
 //! * `obs_sampling_delta.csv` — one row per cell with the off/on medians
-//!   and their ratio (the ISSUE 6 acceptance number: on/off <= 1.15x at
-//!   the default stride).
+//!   and their ratio (on/off <= 1.15x at the default stride is the
+//!   target).
 //! * `BENCH_event_rate.json` — the same numbers in the machine-readable
 //!   form CI archives per commit.
 //!
@@ -18,11 +26,12 @@
 //! (same comm times), so the gate doubles as a determinism smoke test.
 
 use dfly_bench::harness::{Mode, RunArgs};
-use dfly_core::config::RoutingPolicy;
+use dfly_core::config::{AppSelection, ExperimentConfig, RoutingPolicy};
 use dfly_core::report::ConfigLabel;
 use dfly_core::runner::{execute_experiment_with_arena, prepare_topology};
 use dfly_network::SimArena;
 use dfly_placement::PlacementPolicy;
+use dfly_topology::TopologyConfig;
 use dfly_workloads::AppKind;
 use std::time::Instant;
 
@@ -30,6 +39,10 @@ use std::time::Instant;
 /// clock, the knobs under test) so the JSON is comparable across commits.
 const SEED: u64 = 0x5EED;
 const SCALE: f64 = 0.25;
+/// Label of the full-scale cell.
+const FULL_SCALE: &str = "canonic-131k";
+/// The obs-on/off ratio telemetry should stay within at full scale.
+const FULL_SCALE_TARGET: f64 = 1.15;
 
 struct Cli {
     args: RunArgs,
@@ -91,6 +104,7 @@ fn median(samples: &mut [f64]) -> f64 {
 
 struct CellOutcome {
     label: String,
+    nodes: u32,
     off_evps: f64,
     on_evps: f64,
     events: u64,
@@ -102,9 +116,22 @@ impl CellOutcome {
     }
 }
 
+/// The full-scale cell: `base`'s app, scale and seed on the 131,584-node
+/// canonic machine, 512 ranks placed contiguously, adaptive routing.
+fn full_scale_cell(base: &ExperimentConfig) -> ExperimentConfig {
+    let mut cfg = base.clone();
+    // 257 groups x 32 routers x 16 nodes; the probe fills one group.
+    cfg.topology = TopologyConfig::canonical(16, 32, 16, 257);
+    cfg.app = AppSelection::CrystalRouter { ranks: 512 };
+    cfg.placement = PlacementPolicy::Contiguous;
+    cfg.routing = RoutingPolicy::Adaptive;
+    cfg.validate().expect("invalid full-scale cell");
+    cfg
+}
+
 fn main() {
     let cli = parse_cli();
-    let cells = [
+    let quick_cells = [
         ConfigLabel {
             placement: PlacementPolicy::Contiguous,
             routing: RoutingPolicy::Minimal,
@@ -123,18 +150,26 @@ fn main() {
         probe.base_config(AppKind::CrystalRouter).network.obs_stride
     };
     println!(
-        "Event-rate A/B: CrystalRouter quick, scale {SCALE}, seed {SEED:#x}, \
+        "Event-rate A/B: CrystalRouter quick + {FULL_SCALE}, scale {SCALE}, seed {SEED:#x}, \
          stride {stride}, coarse clock {}, {} trials/side",
         cli.args.obs_coarse, cli.trials
     );
 
-    let topo = prepare_topology(&base);
+    let mut cells: Vec<(String, ExperimentConfig)> = quick_cells
+        .iter()
+        .map(|cell| {
+            let mut cfg = base.clone();
+            cfg.placement = cell.placement;
+            cfg.routing = cell.routing;
+            (cell.to_string(), cfg)
+        })
+        .collect();
+    cells.push((FULL_SCALE.to_string(), full_scale_cell(&base)));
+
     let mut arena = SimArena::new();
     let mut outcomes = Vec::new();
-    for cell in cells {
-        let mut off_cfg = base.clone();
-        off_cfg.placement = cell.placement;
-        off_cfg.routing = cell.routing;
+    for (label, off_cfg) in cells {
+        let topo = prepare_topology(&off_cfg);
         let mut on_cfg = off_cfg.clone();
         on_cfg.network.obs = true;
         if let Some(s) = cli.args.obs_stride {
@@ -163,7 +198,8 @@ fn main() {
             assert_eq!(on.events, warm_off.events, "obs-on changed the event count");
         }
         let outcome = CellOutcome {
-            label: cell.to_string(),
+            label,
+            nodes: off_cfg.topology.total_nodes(),
             off_evps: median(&mut off_rates),
             on_evps: median(&mut on_rates),
             events: warm_off.events,
@@ -183,6 +219,7 @@ fn main() {
         "obs_sampling_delta.csv",
         &[
             "scenario",
+            "nodes",
             "trials",
             "obs_off_median_evps",
             "obs_on_median_evps",
@@ -193,6 +230,7 @@ fn main() {
     for o in &outcomes {
         csv.row(&[
             o.label.clone(),
+            o.nodes.to_string(),
             cli.trials.to_string(),
             format!("{:.0}", o.off_evps),
             format!("{:.0}", o.on_evps),
@@ -207,7 +245,8 @@ fn main() {
     // three flat fields per scenario.
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"workload\": \"crystalrouter quick scale {SCALE} seed {SEED:#x}\",\n"
+        "  \"workload\": \"crystalrouter scale {SCALE} seed {SEED:#x}; quick cells on the \
+         768-node machine, {FULL_SCALE}: canonic (16,32,16,257), 512 contiguous ranks, adaptive\",\n"
     ));
     json.push_str(&format!("  \"stride\": {stride},\n"));
     json.push_str(&format!("  \"coarse_clock\": {},\n", cli.args.obs_coarse));
@@ -215,9 +254,10 @@ fn main() {
     json.push_str("  \"scenarios\": [\n");
     for (i, o) in outcomes.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"events\": {}, \"obs_off_evps\": {:.0}, \
+            "    {{\"scenario\": \"{}\", \"nodes\": {}, \"events\": {}, \"obs_off_evps\": {:.0}, \
              \"obs_on_evps\": {:.0}, \"obs_on_over_off\": {:.4}}}{}\n",
             o.label,
+            o.nodes,
             o.events,
             o.off_evps,
             o.on_evps,
@@ -225,9 +265,21 @@ fn main() {
             if i + 1 < outcomes.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ],\n");
+    let full = outcomes
+        .iter()
+        .find(|o| o.label == FULL_SCALE)
+        .expect("full-scale cell ran");
+    json.push_str(&format!(
+        "  \"full_scale_target\": {FULL_SCALE_TARGET},\n  \"full_scale_within_target\": {}\n}}\n",
+        full.ratio() <= FULL_SCALE_TARGET
+    ));
     let json_path = cli.args.out_dir.join("BENCH_event_rate.json");
     std::fs::write(&json_path, json).unwrap_or_else(|e| panic!("cannot write {json_path:?}: {e}"));
+    println!(
+        "{FULL_SCALE} on/off {:.3}x against the {FULL_SCALE_TARGET}x full-scale target",
+        full.ratio()
+    );
     println!(
         "Wrote {} and {}",
         cli.args.out_dir.join("obs_sampling_delta.csv").display(),

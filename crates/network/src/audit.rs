@@ -15,7 +15,9 @@
 //!   sweep — every intrusive list is walked (cycle-bounded), every live
 //!   packet sits in exactly one queue, head/tail agree, per-VC occupancy
 //!   equals queued bytes plus in-flight reservations, waitlist membership
-//!   is consistent, bytes are conserved per message, and at drain every
+//!   is consistent, bytes are conserved per message, the per-class
+//!   running totals and live-state channel lists that telemetry reads
+//!   ([`ChannelActivity`]) agree with a recount, and at drain every
 //!   buffer is empty and every saturation interval is closed.
 //!
 //! Violations never panic: they accumulate in an [`AuditReport`]
@@ -29,7 +31,8 @@
 //! [`NetworkParams::audit`](crate::params::NetworkParams::audit) and off
 //! in release builds.
 
-use crate::channel::{ChannelState, PacketList};
+use crate::channel::{ChannelActivity, ChannelState, PacketList, ON_OCCUPIED, ON_OPEN_FULL};
+use crate::metrics::class_index;
 use crate::packet::{MessageId, Packet, PacketId, MAX_ROUTE_LEN};
 use dfly_engine::{Bytes, Ns};
 use dfly_topology::ChannelId;
@@ -61,6 +64,13 @@ pub enum AuditKind {
     /// Saturation accounting: `full_vcs` vs the count of `full` VC flags,
     /// or an interval still open at drain.
     Saturation,
+    /// A per-class running total of [`ChannelActivity`] (busy time,
+    /// closed saturated time, queued bytes) disagrees with the sum over
+    /// the class's channels.
+    ClassTotals,
+    /// A [`ChannelActivity`] list misses a channel with live state, lists
+    /// one twice, or disagrees with the channel's `listed` bit.
+    ActivityList,
 }
 
 impl AuditKind {
@@ -72,6 +82,8 @@ impl AuditKind {
             AuditKind::ListIntegrity => "list-integrity",
             AuditKind::Waitlist => "waitlist",
             AuditKind::Saturation => "saturation",
+            AuditKind::ClassTotals => "class-totals",
+            AuditKind::ActivityList => "activity-list",
         }
     }
 }
@@ -959,10 +971,11 @@ impl Auditor {
         packets: &[Packet],
         free_packets: &[PacketId],
         landing: &[VecDeque<PacketId>],
-        engine_total_queued: Bytes,
+        activity: &ChannelActivity,
         at: Ns,
         drained: bool,
     ) {
+        let engine_total_queued = activity.queued();
         self.report.full_sweeps += 1;
         self.events_since_sweep = 0;
         let n = packets.len();
@@ -1167,6 +1180,7 @@ impl Auditor {
                 &format!("{ctx}: injected + imported != delivered + exported + resident"),
             );
         }
+        self.check_activity(channels, activity, at, ctx);
         if drained {
             if resident != 0 {
                 self.violate(
@@ -1207,6 +1221,84 @@ impl Auditor {
                     at,
                     "drain: queued-bytes gauge not zero",
                 );
+            }
+        }
+    }
+
+    /// Recount the [`ChannelActivity`] totals and lists from the channels.
+    fn check_activity(
+        &mut self,
+        channels: &[ChannelState],
+        activity: &ChannelActivity,
+        at: Ns,
+        ctx: &str,
+    ) {
+        let mut busy = [0u64; 5];
+        let mut saturated = [0u64; 5];
+        let mut occupancy = [0u64; 5];
+        for ch in channels {
+            let ci = class_index(ch.class);
+            busy[ci] += ch.busy_time.as_nanos();
+            saturated[ci] += ch.saturated.as_nanos();
+            occupancy[ci] += ch.total_occupancy;
+        }
+        let totals = [
+            ("busy time", busy, activity.busy_ns),
+            ("closed saturated time", saturated, activity.saturated_ns),
+            ("queued bytes", occupancy, activity.occupancy),
+        ];
+        for (what, recount, kept) in totals {
+            for ci in 0..5 {
+                if recount[ci] != kept[ci] {
+                    self.violate(
+                        AuditKind::ClassTotals,
+                        None,
+                        None,
+                        recount[ci],
+                        kept[ci],
+                        at,
+                        &format!("{ctx}: class {ci} {what} total"),
+                    );
+                }
+            }
+        }
+        type Live = fn(&ChannelState) -> bool;
+        let lists: [(&str, u8, &[ChannelId], Live); 2] = [
+            ("occupied", ON_OCCUPIED, &activity.occupied, |ch| {
+                ch.total_occupancy > 0
+            }),
+            ("open-full", ON_OPEN_FULL, &activity.open_full, |ch| {
+                ch.full_vcs > 0
+            }),
+        ];
+        for (name, bit, list, is_live) in lists {
+            let mut seen = vec![0u32; channels.len()];
+            for id in list {
+                seen[id.index()] += 1;
+            }
+            for (i, ch) in channels.iter().enumerate() {
+                let live = is_live(ch);
+                let flagged = ch.listed & bit != 0;
+                let problem = if seen[i] > 1 {
+                    Some("listed more than once")
+                } else if flagged != (seen[i] == 1) {
+                    Some("listed bit disagrees with list membership")
+                } else if live && seen[i] == 0 {
+                    Some("live channel missing from list")
+                } else {
+                    None
+                };
+                if let Some(problem) = problem {
+                    self.violate(
+                        AuditKind::ActivityList,
+                        Some(ChannelId(i as u32)),
+                        None,
+                        live as u64,
+                        seen[i] as u64,
+                        at,
+                        &format!("{ctx}: {name} list: {problem}"),
+                    );
+                }
             }
         }
     }

@@ -12,6 +12,7 @@
 //! push, pop, and front are all O(1) on the arena the event loop already
 //! has hot.
 
+use crate::metrics::class_index;
 use crate::packet::{Packet, PacketId, MAX_ROUTE_LEN, NO_PACKET};
 use dfly_engine::{Bandwidth, Bytes, Ns};
 use dfly_topology::{ChannelClass, ChannelId};
@@ -158,6 +159,10 @@ pub(crate) struct ChannelState {
     /// time — any wakeup rescans all VCs — so one bit replaces the
     /// O(waiters) `contains` scan the arbiter used to do per attempt.
     pub(crate) in_waitlist: bool,
+    /// Which [`ChannelActivity`] lists hold this channel
+    /// ([`ON_OCCUPIED`], [`ON_OPEN_FULL`] bits). Sits in the struct's
+    /// padding after the other byte-sized fields.
+    pub(crate) listed: u8,
     // --- metrics ---
     pub(crate) full_vcs: u16,
     pub(crate) full_start: Ns,
@@ -185,6 +190,7 @@ impl ChannelState {
             inflight: VecDeque::new(),
             waiters: Vec::new(),
             in_waitlist: false,
+            listed: 0,
             full_vcs: 0,
             full_start: Ns::ZERO,
             saturated: Ns::ZERO,
@@ -195,26 +201,35 @@ impl ChannelState {
 
     /// Record that a reservation on VC `vc` was refused at `now`: opens
     /// the channel's saturated interval if it wasn't already open.
-    pub(crate) fn mark_full(&mut self, vc: usize, now: Ns) {
-        if !self.vcs[vc].full {
-            self.vcs[vc].full = true;
-            if self.full_vcs == 0 {
-                self.full_start = now;
-            }
-            self.full_vcs += 1;
+    /// Returns true when this call opened it.
+    pub(crate) fn mark_full(&mut self, vc: usize, now: Ns) -> bool {
+        if self.vcs[vc].full {
+            return false;
         }
+        self.vcs[vc].full = true;
+        self.full_vcs += 1;
+        if self.full_vcs == 1 {
+            self.full_start = now;
+            return true;
+        }
+        false
     }
 
     /// Record that VC `vc` freed space at `now`: closes the saturated
     /// interval once no VC is full, accumulating it exactly once.
-    pub(crate) fn clear_full(&mut self, vc: usize, now: Ns) {
-        if self.vcs[vc].full {
-            self.vcs[vc].full = false;
-            self.full_vcs -= 1;
-            if self.full_vcs == 0 {
-                self.saturated += now - self.full_start;
-            }
+    /// Returns the length of the interval this call closed, if any.
+    pub(crate) fn clear_full(&mut self, vc: usize, now: Ns) -> Option<Ns> {
+        if !self.vcs[vc].full {
+            return None;
         }
+        self.vcs[vc].full = false;
+        self.full_vcs -= 1;
+        if self.full_vcs > 0 {
+            return None;
+        }
+        let closed = now - self.full_start;
+        self.saturated += closed;
+        Some(closed)
     }
 
     /// Saturated time including a still-open full interval at `now`.
@@ -228,6 +243,128 @@ impl ChannelState {
             s += now.saturating_sub(self.full_start);
         }
         s
+    }
+}
+
+/// [`ChannelState::listed`] bit: the channel is on
+/// [`ChannelActivity::occupied`].
+pub(crate) const ON_OCCUPIED: u8 = 1;
+/// [`ChannelState::listed`] bit: the channel is on
+/// [`ChannelActivity::open_full`].
+pub(crate) const ON_OPEN_FULL: u8 = 2;
+
+/// Running per-class totals of every channel's metric counters, plus
+/// the channels that hold live state, kept current at each mutation
+/// site. A telemetry window reads the totals and walks the two lists,
+/// so its cost follows the occupied and saturated channels rather than
+/// the machine size.
+///
+/// Both lists are lazily compacted: an entry whose state has emptied
+/// stays (with its [`ChannelState::listed`] bit set) until the next
+/// telemetry window drops it, so a channel is never listed twice and
+/// leaving costs nothing on the simulation path. Without telemetry the
+/// lists are never compacted and hold at most every channel once.
+#[derive(Debug, Default)]
+pub(crate) struct ChannelActivity {
+    /// Σ `busy_time` per class (ns), indexed by [`class_index`].
+    pub(crate) busy_ns: [u64; 5],
+    /// Σ closed `saturated` intervals per class (ns).
+    pub(crate) saturated_ns: [u64; 5],
+    /// Σ `total_occupancy` per class (bytes).
+    pub(crate) occupancy: [Bytes; 5],
+    /// Every channel with `full_vcs > 0`, plus any closed since the last
+    /// compaction.
+    pub(crate) open_full: Vec<ChannelId>,
+    /// Every channel with `total_occupancy > 0`, plus any emptied since
+    /// the last compaction.
+    pub(crate) occupied: Vec<ChannelId>,
+}
+
+impl ChannelActivity {
+    /// Reserve or enqueue `size` bytes in VC `vc` of channel `id`.
+    #[inline]
+    pub(crate) fn fill(&mut self, id: ChannelId, ch: &mut ChannelState, vc: usize, size: Bytes) {
+        if ch.listed & ON_OCCUPIED == 0 {
+            ch.listed |= ON_OCCUPIED;
+            self.occupied.push(id);
+        }
+        ch.vcs[vc].occupancy += size;
+        ch.total_occupancy += size;
+        self.occupancy[class_index(ch.class)] += size;
+    }
+
+    /// Release `size` bytes from VC `vc` (the packet's last byte left).
+    #[inline]
+    pub(crate) fn drain(&mut self, ch: &mut ChannelState, vc: usize, size: Bytes) {
+        ch.vcs[vc].occupancy -= size;
+        ch.total_occupancy -= size;
+        self.occupancy[class_index(ch.class)] -= size;
+    }
+
+    /// Credit `ser` of transmission time to the channel.
+    #[inline]
+    pub(crate) fn add_busy(&mut self, ch: &mut ChannelState, ser: Ns) {
+        ch.busy_time += ser;
+        self.busy_ns[class_index(ch.class)] += ser.as_nanos();
+    }
+
+    /// [`ChannelState::mark_full`], listing the channel when its
+    /// saturated interval opens.
+    #[inline]
+    pub(crate) fn mark_full(&mut self, id: ChannelId, ch: &mut ChannelState, vc: usize, now: Ns) {
+        if ch.mark_full(vc, now) && ch.listed & ON_OPEN_FULL == 0 {
+            ch.listed |= ON_OPEN_FULL;
+            self.open_full.push(id);
+        }
+    }
+
+    /// [`ChannelState::clear_full`], banking a closed interval into the
+    /// class total.
+    #[inline]
+    pub(crate) fn clear_full(&mut self, ch: &mut ChannelState, vc: usize, now: Ns) {
+        if let Some(closed) = ch.clear_full(vc, now) {
+            self.saturated_ns[class_index(ch.class)] += closed.as_nanos();
+        }
+    }
+
+    /// Bytes queued or reserved in every channel buffer.
+    pub(crate) fn queued(&self) -> Bytes {
+        self.occupancy.iter().sum()
+    }
+
+    /// Per-class Σ [`ChannelState::saturated_until`]`(at)`: the closed
+    /// totals plus every open interval up to `at`. Drops channels whose
+    /// interval has closed from `open_full`.
+    pub(crate) fn saturated_until(&mut self, channels: &mut [ChannelState], at: Ns) -> [u64; 5] {
+        let mut out = self.saturated_ns;
+        self.open_full.retain(|&id| {
+            let ch = &mut channels[id.index()];
+            if ch.full_vcs == 0 {
+                ch.listed &= !ON_OPEN_FULL;
+                return false;
+            }
+            out[class_index(ch.class)] += at.saturating_sub(ch.full_start).as_nanos();
+            true
+        });
+        out
+    }
+
+    /// Visit every channel with queued bytes, dropping emptied channels
+    /// from `occupied`.
+    pub(crate) fn for_each_occupied(
+        &mut self,
+        channels: &mut [ChannelState],
+        mut visit: impl FnMut(ChannelId, &ChannelState),
+    ) {
+        self.occupied.retain(|&id| {
+            let ch = &mut channels[id.index()];
+            if ch.total_occupancy == 0 {
+                ch.listed &= !ON_OCCUPIED;
+                return false;
+            }
+            visit(id, ch);
+            true
+        });
     }
 }
 
@@ -298,6 +435,15 @@ mod tests {
         // Clearing an already-clear VC is a no-op.
         ch.clear_full(1, Ns(500));
         assert_eq!(ch.saturated, Ns(350));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn activity_bits_fit_in_existing_padding() {
+        // 400 bytes of 8-byte fields plus 8 single bytes (class, busy,
+        // tx_vc, rr_next, in_waitlist, listed, full_vcs): `listed`
+        // took the last padding byte, so per-channel memory is unchanged.
+        assert_eq!(std::mem::size_of::<ChannelState>(), 408);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 use crate::arbiter;
 use crate::arena::SimArena;
 use crate::audit::{AuditReport, Auditor};
-use crate::channel::{ChannelState, InFlight, PacketList};
+use crate::channel::{ChannelActivity, ChannelState, InFlight, PacketList};
 use crate::metrics::{class_index, ChannelSnapshot, NetworkMetrics, TrafficTimeline};
-use crate::obs::ObsCollector;
+use crate::obs::{self, ObsCollector};
 use crate::packet::{MessageId, MessageKind, MessageState, Packet, PacketId, Route, MAX_ROUTE_LEN};
 use crate::params::NetworkParams;
 use crate::routing::{RouteComputer, Routing};
@@ -113,7 +113,9 @@ pub struct Network {
     /// skipping the heap push+pop their `Arrive` entry would have cost.
     arrivals_coalesced: u64,
     wakeup_fired: bool,
-    total_queued: Bytes,
+    /// Per-class running totals and live-state channel lists (see
+    /// [`ChannelActivity`]); also the source of the queued-bytes gauge.
+    activity: ChannelActivity,
     traffic_timeline: Option<TrafficTimeline>,
     /// Streaming-mode replacement for `traffic_timeline`: fixed bin
     /// count, geometrically coarsening width. At most one of the two is
@@ -188,6 +190,7 @@ impl Network {
                 params.obs_coarse_clock,
                 params.metrics,
                 obs_seed,
+                obs::class_counts(&topo),
                 arena.take_sample_buffer(),
             ))
         });
@@ -224,7 +227,7 @@ impl Network {
             packets_delivered: 0,
             arrivals_coalesced: 0,
             wakeup_fired: false,
-            total_queued: 0,
+            activity: ChannelActivity::default(),
             traffic_timeline: None,
             coarse_timeline: None,
             obs_seed,
@@ -368,6 +371,7 @@ impl Network {
             self.params.obs_coarse_clock,
             self.params.metrics,
             self.obs_seed,
+            obs::class_counts(&self.topo),
             buf,
         )));
     }
@@ -382,12 +386,29 @@ impl Network {
     pub fn obs_report(&mut self) -> Option<ObsReport> {
         let now = self.queue.now();
         if let Some(obs) = self.obs.as_mut() {
-            obs.close(now, &self.channels, &self.params, self.router.stats());
+            obs.close(
+                now,
+                &mut self.channels,
+                &mut self.activity,
+                &self.params,
+                self.router.stats(),
+            );
         }
         let high_water = self.queue.high_water();
         self.obs
             .as_ref()
             .map(|o| o.report(high_water, self.router.stats()))
+    }
+
+    /// [`Network::obs_report`]'s report with the windows the full-sweep
+    /// oracle computed (see [`crate::obs::oracle`]). Call it after a
+    /// report closed the series.
+    #[cfg(test)]
+    pub(crate) fn obs_oracle_report(&self) -> Option<ObsReport> {
+        let high_water = self.queue.high_water();
+        self.obs
+            .as_ref()
+            .map(|o| o.oracle_report(high_water, self.router.stats()))
     }
 
     /// Current simulated time.
@@ -691,7 +712,13 @@ impl Network {
         };
         obs.note_event(kind, started, depth);
         if obs.sample_due(now) {
-            obs.sample(now, &self.channels, &self.params, self.router.stats());
+            obs.sample(
+                now,
+                &mut self.channels,
+                &mut self.activity,
+                &self.params,
+                self.router.stats(),
+            );
         }
     }
 
@@ -705,7 +732,7 @@ impl Network {
             a.check_channel(
                 ch,
                 &self.channels[ch.index()],
-                self.total_queued,
+                self.activity.queued(),
                 self.queue.now(),
                 context,
             );
@@ -737,7 +764,7 @@ impl Network {
                 &self.packets,
                 &self.free_packets,
                 landing,
-                self.total_queued,
+                &self.activity,
                 self.queue.now(),
                 drained,
             );
@@ -817,13 +844,11 @@ impl Network {
             let cap = self.params.vc_capacity(ch.class);
             if ch.vcs[0].occupancy + size > cap {
                 // NIC blocked: the injection buffer is full.
-                ch.mark_full(0, now);
+                self.activity.mark_full(ch_id, ch, 0, now);
                 self.audit_check_channel(ch_id, "nic blocked");
                 return;
             }
-            ch.vcs[0].occupancy += size;
-            ch.total_occupancy += size;
-            self.total_queued += size;
+            self.activity.fill(ch_id, ch, 0, size);
             self.nic[node.index()].pop_front(&self.packets);
             self.channels[ch_id.index()].vcs[0]
                 .queue
@@ -903,7 +928,7 @@ impl Network {
                 let ncs = &mut self.channels[nc.index()];
                 let cap = self.params.vc_capacity(ncs.class);
                 if ncs.vcs[next_vc].occupancy + size > cap {
-                    ncs.mark_full(next_vc, now);
+                    self.activity.mark_full(nc, ncs, next_vc, now);
                     let registered = arbiter::park_waiter(&mut self.channels, nc, ch_id);
                     if let Some(a) = self.audit.as_mut() {
                         a.on_park(ch_id, nc, registered, now);
@@ -911,9 +936,7 @@ impl Network {
                     self.audit_check_channel(nc, "reserve refused");
                     continue;
                 }
-                ncs.vcs[next_vc].occupancy += size;
-                ncs.total_occupancy += size;
-                self.total_queued += size;
+                self.activity.fill(nc, ncs, next_vc, size);
                 if let Some(a) = self.audit.as_mut() {
                     a.on_reserve(pid, nc, next_vc, now);
                 }
@@ -926,7 +949,7 @@ impl Network {
             ch.rr_next = ((v + 1) % MAX_ROUTE_LEN) as u8;
             ch.traffic += size;
             let ser = ch.bandwidth.serialization_time(size);
-            ch.busy_time += ser;
+            self.activity.add_busy(ch, ser);
             let extra = ch.arrival_extra;
             if let Some(tl) = &mut self.traffic_timeline {
                 tl.record(ch.class, self.queue.now(), size);
@@ -976,11 +999,9 @@ impl Network {
                 .pop_front(&self.packets)
                 .expect("tx_vc queue cannot be empty at TxDone");
             let size = self.packets[pid.0 as usize].size as u64;
-            ch.vcs[v].occupancy -= size;
-            ch.total_occupancy -= size;
-            self.total_queued -= size;
+            self.activity.drain(ch, v, size);
             ch.busy = false;
-            ch.clear_full(v, now);
+            self.activity.clear_full(ch, v, now);
             let node = if ch.class == ChannelClass::TerminalUp {
                 // terminal-up channel id == node id by construction
                 Some(NodeId(ch_id.0))
@@ -1252,9 +1273,7 @@ impl Network {
             }
             return;
         }
-        ch.vcs[v].occupancy += size;
-        ch.total_occupancy += size;
-        self.total_queued += size;
+        self.activity.fill(ch_id, ch, v, size);
         self.channels[ch_id.index()].vcs[v]
             .queue
             .push_back(&mut self.packets, pid);
@@ -1288,9 +1307,7 @@ impl Network {
             if ch.vcs[v].occupancy + size > cap {
                 return;
             }
-            ch.vcs[v].occupancy += size;
-            ch.total_occupancy += size;
-            self.total_queued += size;
+            self.activity.fill(ch_id, ch, v, size);
             self.shard.as_mut().unwrap().landing[ch_id.index()].pop_front();
             self.channels[ch_id.index()].vcs[v]
                 .queue
@@ -1401,7 +1418,13 @@ impl Network {
     pub(crate) fn obs_report_closed_at(&mut self, global_end: Ns) -> Option<ObsReport> {
         let end = self.queue.now().max(global_end);
         if let Some(obs) = self.obs.as_mut() {
-            obs.close(end, &self.channels, &self.params, self.router.stats());
+            obs.close(
+                end,
+                &mut self.channels,
+                &mut self.activity,
+                &self.params,
+                self.router.stats(),
+            );
         }
         let high_water = self.queue.high_water();
         self.obs
@@ -1468,7 +1491,7 @@ impl Network {
     /// Total bytes currently queued or reserved in every channel buffer —
     /// an O(1) instantaneous network-load gauge for time-series sampling.
     pub fn total_queued_bytes(&self) -> Bytes {
-        self.total_queued
+        self.activity.queued()
     }
 
     /// Packets currently alive (injected or in flight, not yet delivered).
@@ -1965,7 +1988,7 @@ mod tests {
 
     // ----- audit layer -----------------------------------------------------
 
-    use crate::audit::AuditKind;
+    use crate::audit::{AuditKind, AuditViolation};
 
     /// A network with audits forced on (not just debug-default), mid-run
     /// under enough load that queues, waitlists, and full flags are live.
@@ -2099,6 +2122,69 @@ mod tests {
                 .iter()
                 .any(|v| v.kind == AuditKind::VcOccupancy && v.channel == Some(up)),
             "{report}"
+        );
+    }
+
+    fn activity_violations(n: &mut Network, kind: AuditKind) -> Vec<AuditViolation> {
+        let report = n.audit_report().expect("audit on");
+        report
+            .violations
+            .into_iter()
+            .filter(|v| v.kind == kind)
+            .collect()
+    }
+
+    #[test]
+    fn audit_detects_class_total_corruption() {
+        let mut n = audited_congested_net();
+        n.activity.busy_ns[class_index(ChannelClass::TerminalUp)] += 1;
+        let found = activity_violations(&mut n, AuditKind::ClassTotals);
+        assert!(
+            found.iter().any(|v| v.context.contains("busy time")),
+            "{found:?}"
+        );
+    }
+
+    #[test]
+    fn audit_detects_missing_open_full_entry() {
+        let mut n = audited_congested_net();
+        let at = n
+            .activity
+            .open_full
+            .iter()
+            .position(|id| n.channels[id.index()].full_vcs > 0)
+            .expect("the hotspot saturates a channel");
+        let id = n.activity.open_full.swap_remove(at);
+        n.channels[id.index()].listed &= !crate::channel::ON_OPEN_FULL;
+        let found = activity_violations(&mut n, AuditKind::ActivityList);
+        assert!(
+            found
+                .iter()
+                .any(|v| v.channel == Some(id) && v.context.contains("missing")),
+            "{found:?}"
+        );
+    }
+
+    #[test]
+    fn audit_detects_stale_occupied_flag() {
+        // The bit stays set after the entry is gone: the channel could
+        // never re-enter the list and telemetry would stop seeing it.
+        let mut n = audited_congested_net();
+        let id = n
+            .activity
+            .occupied
+            .pop()
+            .expect("mid-run buffers are occupied");
+        assert_ne!(
+            n.channels[id.index()].listed & crate::channel::ON_OCCUPIED,
+            0
+        );
+        let found = activity_violations(&mut n, AuditKind::ActivityList);
+        assert!(
+            found
+                .iter()
+                .any(|v| v.channel == Some(id) && v.context.contains("occupied list")),
+            "{found:?}"
         );
     }
 

@@ -1,12 +1,23 @@
 //! The telemetry collector: the mutating half of the `dfly-obs` layer.
 //!
 //! `dfly-obs` holds the passive data structures (profiles, sample series,
-//! histograms, reports); this module owns the periodic sweep that fills
-//! them from live [`ChannelState`], the same privileged view the audit
-//! layer uses. Collection is strictly read-only with respect to the
-//! simulation: no event is scheduled, no counter of the engine is
-//! touched, so obs-on and obs-off runs are bit-identical
-//! (`tests/determinism.rs` enforces it).
+//! histograms, reports); this module turns live network state into them.
+//! Collection never perturbs the simulation: no event is scheduled and
+//! no simulated counter is touched, so obs-on and obs-off runs are
+//! bit-identical (`tests/determinism.rs` enforces it).
+//!
+//! **Cost model.** A sample window does not sweep the machine. The
+//! network keeps per-class running totals of busy time, closed saturated
+//! time and queued bytes, plus lists of the channels that are saturated
+//! or hold queued bytes ([`ChannelActivity`]), all updated where the
+//! simulation already mutates that state. A window reads the totals,
+//! adds the open saturation intervals of the saturated channels, and
+//! records the non-empty VCs of the occupied channels into the occupancy
+//! histogram; every other VC is an exact bulk credit to the empty
+//! bucket. Per-window work is therefore proportional to the occupied plus
+//! saturated channels, not to the channel count. Only the streaming link
+//! digest, rebuilt once per report at [`ObsCollector::close`], still
+//! walks every channel.
 //!
 //! Event timing is stride-sampled (see [`ObsCollector::timing_due`]):
 //! every event is counted, every Nth per kind is timed, so the obs-on
@@ -16,14 +27,21 @@
 //! emits one catch-up window per crossed boundary instead of a single
 //! oversized one, so `SampleSeries` spacing stays uniform.
 
-use crate::channel::ChannelState;
+use crate::channel::{ChannelActivity, ChannelState};
 use crate::metrics::class_index;
+use crate::packet::MAX_ROUTE_LEN;
 use crate::params::NetworkParams;
 use dfly_engine::Ns;
 use dfly_obs::{
     EventKind, EventLoopProfile, LinkDigest, MetricsMode, NetSample, ObsClock, ObsReport,
     OccupancyHistogram, RouteStats, SampleSeries, OBS_CLASSES,
 };
+use dfly_topology::Topology;
+
+/// Channels per [`class_index`] class of `topo`.
+pub(crate) fn class_counts(topo: &Topology) -> [u64; 5] {
+    OBS_CLASSES.map(|(class, _)| topo.class_channel_count(class) as u64)
+}
 
 /// Collects telemetry for one network over its lifetime.
 pub(crate) struct ObsCollector {
@@ -44,25 +62,87 @@ pub(crate) struct ObsCollector {
     stride: u32,
     /// Per-kind countdown until the next timed event.
     until_timed: [u32; 4],
-    /// Next aligned simulation time at which a sweep is due.
+    /// Next aligned simulation time at which a window is due.
     next_sample: Ns,
-    /// Start of the current sampling window.
-    last_sample_at: Ns,
-    /// Cumulative per-class busy time at the last sweep (delta base).
-    prev_busy_ns: [u64; 5],
-    /// Cumulative per-class saturated time at the last sweep.
-    prev_stall_ns: [u64; 5],
-    /// Cumulative UGAL counters at the last sweep.
-    prev_minimal: u64,
-    prev_nonminimal: u64,
-    /// Channels per class, computed on the first sweep (0 = unknown).
+    /// Window delta bookkeeping.
+    window: WindowDeltas,
+    /// Channels per class (the utilization denominators).
     class_counts: [u64; 5],
     /// Shard mode: which channels this replica owns. Occupancy histogram
     /// readings are restricted to owned channels so a sharded run's merged
-    /// histogram matches a serial sweep (unowned channels are always empty
-    /// here and would flood bucket zero). Busy/stall/queued sums need no
+    /// histogram matches a serial run (unowned channels are always empty
+    /// here and would flood bucket zero). Busy/stall/queued totals need no
     /// mask — unowned channels contribute zeros.
     owned: Option<Vec<bool>>,
+    /// Channels whose VCs the histogram reads each window (all channels,
+    /// or the owned ones in shard mode).
+    owned_channels: u64,
+    /// The full-sweep reference the incremental windows are checked
+    /// against (see [`oracle`]).
+    #[cfg(test)]
+    oracle: oracle::FullSweep,
+}
+
+/// Cumulative class totals at the previous window, turning the next
+/// window's totals into per-window deltas.
+#[derive(Debug, Clone, Copy, Default)]
+struct WindowDeltas {
+    /// Start of the current sampling window.
+    last_sample_at: Ns,
+    prev_busy_ns: [u64; 5],
+    prev_stall_ns: [u64; 5],
+    prev_minimal: u64,
+    prev_nonminimal: u64,
+}
+
+impl WindowDeltas {
+    /// The sample for the non-empty window `(last_sample_at, at]` from
+    /// cumulative per-class `busy_ns`/`stall_ns` and instantaneous
+    /// `queued` bytes.
+    fn sample(
+        &mut self,
+        at: Ns,
+        busy_ns: [u64; 5],
+        stall_ns: [u64; 5],
+        queued: [u64; 5],
+        class_counts: &[u64; 5],
+        route: Option<&RouteStats>,
+    ) -> NetSample {
+        let window = (at - self.last_sample_at).as_nanos() as f64;
+        let mut sample = NetSample {
+            at,
+            ..NetSample::default()
+        };
+        for i in 0..OBS_CLASSES.len() {
+            // Mean utilization across the class's channels. Transmission
+            // time is credited in full at tx start, so the window quotient
+            // can transiently exceed 1 — clamp.
+            let denom = window * class_counts[i].max(1) as f64;
+            let busy_delta = busy_ns[i].saturating_sub(self.prev_busy_ns[i]) as f64;
+            sample.util[i] = (busy_delta / denom).min(1.0);
+            sample.stall_ns[i] = stall_ns[i].saturating_sub(self.prev_stall_ns[i]);
+            sample.queued_bytes[i] = queued[i];
+            self.prev_busy_ns[i] = busy_ns[i];
+            self.prev_stall_ns[i] = stall_ns[i];
+        }
+        if let Some(r) = route {
+            sample.minimal_taken = r.minimal_taken - self.prev_minimal;
+            sample.nonminimal_taken = r.nonminimal_taken - self.prev_nonminimal;
+            self.prev_minimal = r.minimal_taken;
+            self.prev_nonminimal = r.nonminimal_taken;
+        }
+        self.last_sample_at = at;
+        sample
+    }
+}
+
+/// The sample series `mode` keeps: exact, or bounded and coarsening.
+fn new_series(interval: Ns, mode: MetricsMode, buf: Vec<NetSample>) -> SampleSeries {
+    if mode.is_streaming() {
+        SampleSeries::bounded_with_buffer(interval, ObsCollector::STREAM_SERIES_CAP, buf)
+    } else {
+        SampleSeries::with_buffer(interval, buf)
+    }
 }
 
 impl ObsCollector {
@@ -80,25 +160,23 @@ impl ObsCollector {
     /// timing every `stride`th event per kind with a precise or `coarse`
     /// clock, reusing `sample_buf`'s capacity for the series. `mode`
     /// picks dense (exact, historical) or streaming (bounded) metric
-    /// storage; `digest_seed` seeds the streaming reservoirs.
+    /// storage; `digest_seed` seeds the streaming reservoirs;
+    /// `class_counts` is the machine's channels per class (see
+    /// [`class_counts`]).
     pub(crate) fn new(
         interval: Ns,
         stride: u32,
         coarse_clock: bool,
         mode: MetricsMode,
         digest_seed: u64,
+        class_counts: [u64; 5],
         sample_buf: Vec<NetSample>,
     ) -> ObsCollector {
         assert!(stride >= 1, "obs stride must be at least 1");
         let clock = ObsClock::new(coarse_clock);
-        let series = if mode.is_streaming() {
-            SampleSeries::bounded_with_buffer(interval, Self::STREAM_SERIES_CAP, sample_buf)
-        } else {
-            SampleSeries::with_buffer(interval, sample_buf)
-        };
         ObsCollector {
             profile: EventLoopProfile::new(),
-            series,
+            series: new_series(interval, mode, sample_buf),
             vc_occupancy: OccupancyHistogram::new(),
             mode,
             digest_seed,
@@ -110,19 +188,19 @@ impl ObsCollector {
             // short runs still get a cost estimate for every kind.
             until_timed: [0; 4],
             next_sample: interval,
-            last_sample_at: Ns::ZERO,
-            prev_busy_ns: [0; 5],
-            prev_stall_ns: [0; 5],
-            prev_minimal: 0,
-            prev_nonminimal: 0,
-            class_counts: [0; 5],
+            window: WindowDeltas::default(),
+            class_counts,
             owned: None,
+            owned_channels: class_counts.iter().sum(),
+            #[cfg(test)]
+            oracle: oracle::FullSweep::new(interval, mode),
         }
     }
 
     /// Restrict occupancy-histogram readings to the channels marked true
     /// (shard mode; see the `owned` field).
     pub(crate) fn set_owned_mask(&mut self, owned: Vec<bool>) {
+        self.owned_channels = owned.iter().filter(|&&o| o).count() as u64;
         self.owned = Some(owned);
     }
 
@@ -170,7 +248,7 @@ impl ObsCollector {
         }
     }
 
-    /// True once simulation time has reached the next sweep boundary.
+    /// True once simulation time has reached the next window boundary.
     #[inline]
     pub(crate) fn sample_due(&self, now: Ns) -> bool {
         now >= self.next_sample
@@ -180,16 +258,18 @@ impl ObsCollector {
     /// traffic that jumps several intervals between events gets uniform
     /// catch-up windows (saturation interpolates via its interval
     /// bookkeeping; busy/queued state cannot change without events).
+    /// `channels` is mutable only for the activity lists' membership bits.
     pub(crate) fn sample(
         &mut self,
         now: Ns,
-        channels: &[ChannelState],
+        channels: &mut [ChannelState],
+        activity: &mut ChannelActivity,
         params: &NetworkParams,
         route: Option<&RouteStats>,
     ) {
         while self.next_sample <= now {
             let at = self.next_sample;
-            self.push_window(at, channels, params, route);
+            self.push_window(at, channels, activity, params, route);
             self.next_sample = at + self.series.interval();
         }
     }
@@ -201,13 +281,16 @@ impl ObsCollector {
     pub(crate) fn close(
         &mut self,
         now: Ns,
-        channels: &[ChannelState],
+        channels: &mut [ChannelState],
+        activity: &mut ChannelActivity,
         params: &NetworkParams,
         route: Option<&RouteStats>,
     ) {
-        self.sample(now, channels, params, route);
-        self.push_window(now, channels, params, route);
+        self.sample(now, channels, activity, params, route);
+        self.push_window(now, channels, activity, params, route);
         self.series.finalize_tail();
+        #[cfg(test)]
+        self.oracle.series.finalize_tail();
         if let Some(k) = self.mode.reservoir_k() {
             // Rebuild from scratch: channel counters are cumulative, so
             // a repeated close must not double-count. In shard mode only
@@ -225,68 +308,51 @@ impl ObsCollector {
         }
     }
 
-    /// Sweep the channel state and push one sample covering the window
-    /// `(last_sample_at, at]`. A zero-width window is skipped — there is
-    /// nothing to attribute to it.
+    /// Push one sample covering the window `(last_sample_at, at]` from
+    /// the activity totals, and record the window's VC occupancy. A
+    /// zero-width window is skipped — there is nothing to attribute to it.
     fn push_window(
         &mut self,
         at: Ns,
-        channels: &[ChannelState],
+        channels: &mut [ChannelState],
+        activity: &mut ChannelActivity,
         params: &NetworkParams,
         route: Option<&RouteStats>,
     ) {
-        if at <= self.last_sample_at {
+        if at <= self.window.last_sample_at {
             return;
         }
-        if self.class_counts == [0; 5] {
-            for ch in channels {
-                self.class_counts[class_index(ch.class)] += 1;
-            }
-        }
+        #[cfg(test)]
+        self.oracle
+            .push_window(at, channels, params, route, self.owned.as_deref());
 
-        let mut busy_ns = [0u64; 5];
-        let mut stall_ns = [0u64; 5];
-        let mut queued = [0u64; 5];
+        let stall_ns = activity.saturated_until(channels, at);
+        // Every owned VC gives one reading per window: the non-empty ones
+        // live on occupied channels, the rest are empty (bucket 0).
         let owned = self.owned.as_deref();
-        for (i, ch) in channels.iter().enumerate() {
-            let ci = class_index(ch.class);
-            busy_ns[ci] += ch.busy_time.as_nanos();
-            stall_ns[ci] += ch.saturated_until(at).as_nanos();
-            queued[ci] += ch.total_occupancy;
-            if owned.is_some_and(|m| !m[i]) {
-                continue;
+        let hist = &mut self.vc_occupancy;
+        let mut recorded = 0u64;
+        activity.for_each_occupied(channels, |id, ch| {
+            if owned.is_some_and(|m| !m[id.index()]) {
+                return;
             }
             let cap = params.vc_capacity(ch.class) as f64;
-            for vc in &ch.vcs {
-                self.vc_occupancy.record(vc.occupancy as f64 / cap);
+            for vc in ch.vcs.iter().filter(|vc| vc.occupancy > 0) {
+                hist.record(vc.occupancy as f64 / cap);
+                recorded += 1;
             }
-        }
+        });
+        hist.record_empty(self.owned_channels * MAX_ROUTE_LEN as u64 - recorded);
 
-        let window = (at - self.last_sample_at).as_nanos() as f64;
-        let mut sample = NetSample {
+        let sample = self.window.sample(
             at,
-            ..NetSample::default()
-        };
-        for (i, _) in OBS_CLASSES.iter().enumerate() {
-            // Mean utilization across the class's channels. Transmission
-            // time is credited in full at tx start, so the window quotient
-            // can transiently exceed 1 — clamp.
-            let denom = window * self.class_counts[i].max(1) as f64;
-            let busy_delta = busy_ns[i].saturating_sub(self.prev_busy_ns[i]) as f64;
-            sample.util[i] = (busy_delta / denom).min(1.0);
-            sample.stall_ns[i] = stall_ns[i].saturating_sub(self.prev_stall_ns[i]);
-            sample.queued_bytes[i] = queued[i];
-            self.prev_busy_ns[i] = busy_ns[i];
-            self.prev_stall_ns[i] = stall_ns[i];
-        }
-        if let Some(r) = route {
-            sample.minimal_taken = r.minimal_taken - self.prev_minimal;
-            sample.nonminimal_taken = r.nonminimal_taken - self.prev_nonminimal;
-            self.prev_minimal = r.minimal_taken;
-            self.prev_nonminimal = r.nonminimal_taken;
-        }
+            activity.busy_ns,
+            stall_ns,
+            activity.occupancy,
+            &self.class_counts,
+            route,
+        );
         self.series.push(sample);
-        self.last_sample_at = at;
     }
 
     /// Approximate heap bytes of the collector's metric structures (the
@@ -310,43 +376,176 @@ impl ObsCollector {
             coarse_unavailable: self.coarse_unavailable,
         }
     }
+
+    /// [`ObsCollector::report`] with the sample series and occupancy
+    /// histogram the full-sweep oracle computed over the same windows.
+    #[cfg(test)]
+    pub(crate) fn oracle_report(
+        &self,
+        queue_high_water: usize,
+        route: Option<&RouteStats>,
+    ) -> ObsReport {
+        ObsReport {
+            series: self.oracle.series.clone(),
+            vc_occupancy: self.oracle.vc_occupancy,
+            ..self.report(queue_high_water, route)
+        }
+    }
+}
+
+/// The full-machine sweep that produced every telemetry window before
+/// the activity totals existed, kept as the reference the incremental
+/// windows must equal sample for sample and reading for reading. It
+/// walks every channel and every VC each window, and counts channels per
+/// class on its first window rather than asking the topology.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    pub(crate) struct FullSweep {
+        pub(crate) series: SampleSeries,
+        pub(crate) vc_occupancy: OccupancyHistogram,
+        window: WindowDeltas,
+        class_counts: [u64; 5],
+    }
+
+    impl FullSweep {
+        pub(crate) fn new(interval: Ns, mode: MetricsMode) -> FullSweep {
+            FullSweep {
+                series: new_series(interval, mode, Vec::new()),
+                vc_occupancy: OccupancyHistogram::new(),
+                window: WindowDeltas::default(),
+                class_counts: [0; 5],
+            }
+        }
+
+        pub(crate) fn push_window(
+            &mut self,
+            at: Ns,
+            channels: &[ChannelState],
+            params: &NetworkParams,
+            route: Option<&RouteStats>,
+            owned: Option<&[bool]>,
+        ) {
+            if at <= self.window.last_sample_at {
+                return;
+            }
+            if self.class_counts == [0; 5] {
+                for ch in channels {
+                    self.class_counts[class_index(ch.class)] += 1;
+                }
+            }
+            let mut busy_ns = [0u64; 5];
+            let mut stall_ns = [0u64; 5];
+            let mut queued = [0u64; 5];
+            for (i, ch) in channels.iter().enumerate() {
+                let ci = class_index(ch.class);
+                busy_ns[ci] += ch.busy_time.as_nanos();
+                stall_ns[ci] += ch.saturated_until(at).as_nanos();
+                queued[ci] += ch.total_occupancy;
+                if owned.is_some_and(|m| !m[i]) {
+                    continue;
+                }
+                let cap = params.vc_capacity(ch.class) as f64;
+                for vc in &ch.vcs {
+                    self.vc_occupancy.record(vc.occupancy as f64 / cap);
+                }
+            }
+            let sample =
+                self.window
+                    .sample(at, busy_ns, stall_ns, queued, &self.class_counts, route);
+            self.series.push(sample);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dfly_engine::Bandwidth;
-    use dfly_topology::ChannelClass;
+    use dfly_topology::{ChannelClass, ChannelId};
 
-    fn collector(interval: Ns) -> ObsCollector {
-        ObsCollector::new(interval, 1, false, MetricsMode::Dense, 0, Vec::new())
+    /// One channel each of three classes, kept consistent with their
+    /// activity totals by mutating through [`ChannelActivity`].
+    struct Chans {
+        chans: Vec<ChannelState>,
+        act: ChannelActivity,
     }
 
-    fn channels() -> Vec<ChannelState> {
-        let mut out = Vec::new();
-        for class in [
+    impl Chans {
+        fn sample(&mut self, c: &mut ObsCollector, now: Ns, route: Option<&RouteStats>) {
+            let params = NetworkParams::default();
+            c.sample(now, &mut self.chans, &mut self.act, &params, route);
+        }
+
+        fn close(&mut self, c: &mut ObsCollector, now: Ns) {
+            let params = NetworkParams::default();
+            c.close(now, &mut self.chans, &mut self.act, &params, None);
+        }
+
+        fn busy(&mut self, i: usize, t: Ns) {
+            self.act.add_busy(&mut self.chans[i], t);
+        }
+
+        fn mark_full(&mut self, i: usize, vc: usize, at: Ns) {
+            let id = ChannelId(i as u32);
+            self.act.mark_full(id, &mut self.chans[i], vc, at);
+        }
+
+        fn clear_full(&mut self, i: usize, vc: usize, at: Ns) {
+            self.act.clear_full(&mut self.chans[i], vc, at);
+        }
+    }
+
+    const CLASS_COUNTS: [u64; 5] = [1, 0, 1, 0, 1];
+
+    fn collector(interval: Ns) -> ObsCollector {
+        ObsCollector::new(
+            interval,
+            1,
+            false,
+            MetricsMode::Dense,
+            0,
+            CLASS_COUNTS,
+            Vec::new(),
+        )
+    }
+
+    fn channels() -> Chans {
+        let mut out = Chans {
+            chans: Vec::new(),
+            act: ChannelActivity::default(),
+        };
+        for (i, class) in [
             ChannelClass::TerminalUp,
             ChannelClass::LocalRow,
             ChannelClass::Global,
-        ] {
+        ]
+        .into_iter()
+        .enumerate()
+        {
             let mut ch = ChannelState::new(class, Bandwidth::from_gib_per_sec(1), Ns(0));
-            ch.busy_time = Ns(10_000);
-            ch.total_occupancy = 512;
-            ch.vcs[0].occupancy = 512;
-            out.push(ch);
+            out.act.add_busy(&mut ch, Ns(10_000));
+            out.act.fill(ChannelId(i as u32), &mut ch, 0, 512);
+            out.chans.push(ch);
         }
         out
     }
 
+    /// The incremental windows equal the full-sweep oracle's.
+    fn assert_matches_oracle(c: &ObsCollector) {
+        assert_eq!(c.series, c.oracle.series);
+        assert_eq!(c.vc_occupancy, c.oracle.vc_occupancy);
+    }
+
     #[test]
     fn sweep_produces_window_deltas() {
-        let params = NetworkParams::default();
         let mut c = collector(Ns(50_000));
         assert!(!c.sample_due(Ns(49_999)));
         assert!(c.sample_due(Ns(50_000)));
 
-        let chans = channels();
-        c.sample(Ns(50_000), &chans, &params, None);
+        let mut chans = channels();
+        chans.sample(&mut c, Ns(50_000), None);
         let report = c.report(0, None);
         let samples = report.series.samples();
         assert_eq!(samples.len(), 1);
@@ -355,24 +554,21 @@ mod tests {
         assert!((samples[0].util[ci] - 0.2).abs() < 1e-9);
         assert_eq!(samples[0].queued_bytes[ci], 512);
         // Every VC of every channel contributes one occupancy reading.
-        assert_eq!(
-            report.vc_occupancy.readings as usize,
-            chans[0].vcs.len() * 3
-        );
+        assert_eq!(report.vc_occupancy.readings as usize, MAX_ROUTE_LEN * 3);
 
         // Second sweep with unchanged busy time: utilization drops to 0.
-        c.sample(Ns(100_000), &chans, &params, None);
+        chans.sample(&mut c, Ns(100_000), None);
         let report = c.report(0, None);
         assert_eq!(report.series.samples()[1].util[ci], 0.0);
+        assert_matches_oracle(&c);
     }
 
     #[test]
     fn zero_width_window_is_skipped() {
-        let params = NetworkParams::default();
         let mut c = collector(Ns(1_000));
-        let chans = channels();
-        c.sample(Ns(1_000), &chans, &params, None);
-        c.sample(Ns(1_000), &chans, &params, None);
+        let mut chans = channels();
+        chans.sample(&mut c, Ns(1_000), None);
+        chans.sample(&mut c, Ns(1_000), None);
         assert_eq!(c.report(0, None).series.samples().len(), 1);
     }
 
@@ -380,11 +576,10 @@ mod tests {
     fn time_jump_emits_aligned_catchup_windows() {
         // A jump over five boundaries yields five uniformly spaced
         // windows, not one oversized window at the jump's end.
-        let params = NetworkParams::default();
         let mut c = collector(Ns(1_000));
         let mut chans = channels();
-        chans[2].mark_full(0, Ns(500)); // global channel saturates mid-gap
-        c.sample(Ns(5_200), &chans, &params, None);
+        chans.mark_full(2, 0, Ns(500)); // global channel saturates mid-gap
+        chans.sample(&mut c, Ns(5_200), None);
         let report = c.report(0, None);
         let samples = report.series.samples();
         assert_eq!(samples.len(), 5, "one window per crossed boundary");
@@ -400,45 +595,90 @@ mod tests {
         // The 200 ns remainder stays open for the next window.
         assert!(!c.sample_due(Ns(5_900)));
         assert!(c.sample_due(Ns(6_000)));
+        assert_matches_oracle(&c);
+    }
+
+    #[test]
+    fn interval_opened_by_the_triggering_event_adds_nothing_to_backfilled_windows() {
+        // The event at 3_400 both opens a saturation interval and
+        // triggers windows at 1_000..3_000: those windows end before
+        // the interval starts and must not see it. A second interval
+        // opened and closed inside the gap is banked whole.
+        let mut c = collector(Ns(1_000));
+        let mut chans = channels();
+        chans.mark_full(1, 2, Ns(3_400));
+        chans.mark_full(0, 0, Ns(100));
+        chans.clear_full(0, 0, Ns(300));
+        chans.sample(&mut c, Ns(3_400), None);
+        let report = c.report(0, None);
+        let samples = report.series.samples();
+        let local = class_index(ChannelClass::LocalRow);
+        let up = class_index(ChannelClass::TerminalUp);
+        assert!(samples.iter().all(|s| s.stall_ns[local] == 0));
+        assert_eq!(samples[0].stall_ns[up], 200);
+        chans.sample(&mut c, Ns(4_000), None);
+        assert_eq!(c.report(0, None).series.samples()[3].stall_ns[local], 600);
+        assert_matches_oracle(&c);
+    }
+
+    #[test]
+    fn emptied_channels_leave_the_lists_at_the_next_window() {
+        let mut c = collector(Ns(1_000));
+        let mut chans = channels();
+        chans.mark_full(2, 1, Ns(10));
+        chans.clear_full(2, 1, Ns(20));
+        let size = chans.chans[0].total_occupancy;
+        chans.act.drain(&mut chans.chans[0], 0, size);
+        assert_eq!(chans.act.occupied.len(), 3);
+        assert_eq!(chans.act.open_full.len(), 1);
+        chans.sample(&mut c, Ns(1_000), None);
+        assert_eq!(chans.act.occupied, [ChannelId(1), ChannelId(2)]);
+        assert!(chans.act.open_full.is_empty());
+        assert_eq!(chans.chans[0].listed, 0);
+        assert_eq!(chans.chans[2].listed, crate::channel::ON_OCCUPIED);
+        // Re-filling the emptied channel lists it again, once.
+        chans.act.fill(ChannelId(0), &mut chans.chans[0], 3, 64);
+        chans.act.fill(ChannelId(0), &mut chans.chans[0], 4, 64);
+        assert_eq!(chans.act.occupied.len(), 3);
+        chans.sample(&mut c, Ns(2_000), None);
+        assert_matches_oracle(&c);
     }
 
     #[test]
     fn close_emits_partial_tail_window_once() {
-        let params = NetworkParams::default();
         let mut c = collector(Ns(1_000));
-        let chans = channels();
-        c.close(Ns(2_500), &chans, &params, None);
+        let mut chans = channels();
+        chans.close(&mut c, Ns(2_500));
         let report = c.report(0, None);
         let at: Vec<Ns> = report.series.samples().iter().map(|s| s.at).collect();
         assert_eq!(at, vec![Ns(1_000), Ns(2_000), Ns(2_500)]);
         // Closing again at the same instant adds nothing.
-        c.close(Ns(2_500), &chans, &params, None);
+        chans.close(&mut c, Ns(2_500));
         assert_eq!(c.report(0, None).series.samples().len(), 3);
+        assert_matches_oracle(&c);
     }
 
     #[test]
     fn utilization_clamped_even_with_txstart_credit() {
         // busy_time credited at tx start can exceed the window.
-        let params = NetworkParams::default();
         let mut c = collector(Ns(100));
         let mut chans = channels();
-        chans[0].busy_time = Ns(1_000_000);
-        c.sample(Ns(100), &chans, &params, None);
+        chans.busy(0, Ns(1_000_000));
+        chans.sample(&mut c, Ns(100), None);
         let s = c.report(0, None).series.samples()[0];
         assert!(s.util.iter().all(|&u| u <= 1.0), "unclamped: {:?}", s.util);
     }
 
     #[test]
     fn route_deltas_per_window() {
-        let params = NetworkParams::default();
-        let chans = channels();
+        let mut chans = channels();
         let mut c = collector(Ns(1_000));
         let mut route = RouteStats::new();
         route.record(false, 10);
         route.record(true, 20);
-        c.sample(Ns(1_000), &chans, &params, Some(&route));
+        chans.sample(&mut c, Ns(1_000), Some(&route));
         route.record(true, 30);
-        c.sample(Ns(2_000), &chans, &params, Some(&route));
+        chans.sample(&mut c, Ns(2_000), Some(&route));
         let report = c.report(7, Some(&route));
         let s = report.series.samples();
         assert_eq!((s[0].minimal_taken, s[0].nonminimal_taken), (1, 1));
@@ -450,7 +690,15 @@ mod tests {
 
     #[test]
     fn stride_times_first_then_every_nth_per_kind() {
-        let mut c = ObsCollector::new(Ns(1_000), 4, false, MetricsMode::Dense, 0, Vec::new());
+        let mut c = ObsCollector::new(
+            Ns(1_000),
+            4,
+            false,
+            MetricsMode::Dense,
+            0,
+            CLASS_COUNTS,
+            Vec::new(),
+        );
         let timed: Vec<bool> = (0..9).map(|_| c.timing_due(EventKind::Arrive)).collect();
         assert_eq!(
             timed,
@@ -463,13 +711,13 @@ mod tests {
 
     #[test]
     fn streaming_collector_builds_digest_and_bounded_series() {
-        let params = NetworkParams::default();
         let mode = MetricsMode::Streaming { reservoir_k: 8 };
-        let mut c = ObsCollector::new(Ns(1_000), 1, false, mode, 42, Vec::new());
+        let mut c = ObsCollector::new(Ns(1_000), 1, false, mode, 42, CLASS_COUNTS, Vec::new());
         let mut chans = channels();
-        chans[2].traffic = 5_000_000;
-        chans[2].saturated = Ns(2_000_000);
-        c.close(Ns(10_500), &chans, &params, None);
+        chans.chans[2].traffic = 5_000_000;
+        chans.mark_full(2, 0, Ns(0));
+        chans.clear_full(2, 0, Ns(2_000_000));
+        chans.close(&mut c, Ns(10_500));
         let report = c.report(0, None);
         let digest = report.link_digest.as_ref().expect("streaming digest");
         let gi = class_index(ChannelClass::Global);
@@ -477,7 +725,7 @@ mod tests {
         assert_eq!(digest.class(gi).traffic_bytes.sum(), 5_000_000.0);
         assert_eq!(digest.class(gi).saturated_ms.max(), Some(2.0));
         // Closing again must not double-count the cumulative counters.
-        c.close(Ns(10_500), &chans, &params, None);
+        chans.close(&mut c, Ns(10_500));
         let again = c.report(0, None);
         assert_eq!(
             again.link_digest.as_ref().unwrap().channels(gi),
@@ -485,20 +733,28 @@ mod tests {
             "repeated close double-counts"
         );
         assert!(report.series.samples().len() <= ObsCollector::STREAM_SERIES_CAP);
+        assert_matches_oracle(&c);
     }
 
     #[test]
     fn dense_collector_has_no_digest() {
-        let params = NetworkParams::default();
         let mut c = collector(Ns(1_000));
-        let chans = channels();
-        c.close(Ns(2_000), &chans, &params, None);
+        let mut chans = channels();
+        chans.close(&mut c, Ns(2_000));
         assert!(c.report(0, None).link_digest.is_none());
     }
 
     #[test]
     fn sampled_profile_counts_all_events_but_times_a_subset() {
-        let mut c = ObsCollector::new(Ns(1_000), 8, false, MetricsMode::Dense, 0, Vec::new());
+        let mut c = ObsCollector::new(
+            Ns(1_000),
+            8,
+            false,
+            MetricsMode::Dense,
+            0,
+            CLASS_COUNTS,
+            Vec::new(),
+        );
         for _ in 0..100 {
             let started = c.timing_due(EventKind::TxDone).then(|| c.clock_now());
             c.note_event(EventKind::TxDone, started, 3);
@@ -506,5 +762,142 @@ mod tests {
         let report = c.report(0, None);
         assert_eq!(report.profile.counts[EventKind::TxDone.index()], 100);
         assert_eq!(report.profile.timed[EventKind::TxDone.index()], 13);
+    }
+
+    // ----- oracle equivalence over whole runs ------------------------------
+
+    use crate::net::Network;
+    use crate::routing::Routing;
+    use crate::shard::ShardedNetwork;
+    use dfly_engine::Xoshiro256;
+    use dfly_topology::{GlobalArrangement, NodeId, TopologyConfig};
+    use std::sync::Arc;
+
+    /// Uniform random traffic over 600 µs plus a 16-sender hotspot at
+    /// t=0 (saturation), then two messages after a quiet gap of many
+    /// windows (catch-up windows).
+    fn oracle_traffic(nodes: u32) -> Vec<(Ns, NodeId, NodeId, u64)> {
+        let mut rng = Xoshiro256::seed_from(0x0AC1E);
+        let mut out: Vec<_> = (1..=16)
+            .map(|s| (Ns::ZERO, NodeId(s), NodeId(0), 48 * 1024))
+            .collect();
+        for i in 0..300u64 {
+            let s = NodeId(rng.next_below(nodes as u64) as u32);
+            let d = NodeId(rng.next_below(nodes as u64) as u32);
+            out.push((Ns(i * 2_000), s, d, rng.range_inclusive(1, 20_000)));
+        }
+        out.push((Ns(2_000_000), NodeId(3), NodeId(nodes - 1), 4_096));
+        out.push((Ns(2_400_000), NodeId(nodes - 2), NodeId(5), 4_096));
+        out
+    }
+
+    fn oracle_params(mode: MetricsMode) -> NetworkParams {
+        NetworkParams {
+            obs: true,
+            metrics: mode,
+            ..NetworkParams::default()
+        }
+    }
+
+    /// (incremental, oracle) reports of one run; `shards` = None is the
+    /// serial loop, Some(n) group-sharded PDES on n workers.
+    fn oracle_run(
+        cfg: &TopologyConfig,
+        mode: MetricsMode,
+        shards: Option<usize>,
+    ) -> (ObsReport, ObsReport) {
+        let topo = Arc::new(Topology::build(cfg.clone()));
+        let traffic = oracle_traffic(cfg.total_nodes());
+        let params = oracle_params(mode);
+        match shards {
+            None => {
+                let mut n = Network::new(topo, params, Routing::Adaptive, 11);
+                for (i, &(at, s, d, b)) in traffic.iter().enumerate() {
+                    n.send(at, s, d, b, i as u64);
+                }
+                n.run_to_idle();
+                let report = n.obs_report().expect("obs on");
+                (report, n.obs_oracle_report().expect("obs on"))
+            }
+            Some(workers) => {
+                let mut n = ShardedNetwork::new(topo, params, Routing::Adaptive, 11, workers);
+                for (i, &(at, s, d, b)) in traffic.iter().enumerate() {
+                    n.send(at, s, d, b, i as u64);
+                }
+                while n.poll().is_some() {}
+                let mut parts = n.finish();
+                let report = parts.obs_report().expect("obs on");
+                (report, parts.obs_oracle_report().expect("obs on"))
+            }
+        }
+    }
+
+    /// Field-for-field equality of two reports, wall-clock profile fields
+    /// excepted.
+    fn assert_same_report(got: &ObsReport, want: &ObsReport, what: &str) {
+        assert_eq!(got.series, want.series, "{what}: sample series");
+        assert_eq!(got.vc_occupancy, want.vc_occupancy, "{what}: VC histogram");
+        assert_eq!(got.route, want.route, "{what}: route ledger");
+        assert_eq!(got.profile.counts, want.profile.counts, "{what}: counts");
+        assert_eq!(got.profile.timed, want.profile.timed, "{what}: timed");
+        assert_eq!(
+            got.profile.queue_high_water, want.profile.queue_high_water,
+            "{what}: queue high water"
+        );
+        assert_eq!(
+            format!("{:?}", got.link_digest),
+            format!("{:?}", want.link_digest),
+            "{what}: link digest"
+        );
+        assert_eq!(got.coarse_unavailable, want.coarse_unavailable);
+    }
+
+    fn check_oracle(cfg: TopologyConfig, name: &str) {
+        let streaming = MetricsMode::Streaming { reservoir_k: 64 };
+        for mode in [MetricsMode::Dense, streaming] {
+            for shards in [None, Some(1), Some(4)] {
+                let what = format!("{name} {mode:?} shards {shards:?}");
+                let (got, want) = oracle_run(&cfg, mode, shards);
+                assert_same_report(&got, &want, &what);
+                // Not vacuous: the run saturated links, queued bytes and
+                // put readings above the empty bucket.
+                let samples = got.series.samples();
+                assert!(samples.len() > 10, "{what}: {} windows", samples.len());
+                assert!(samples.iter().any(|s| s.stall_ns.iter().sum::<u64>() > 0));
+                assert!(samples
+                    .iter()
+                    .any(|s| s.queued_bytes.iter().sum::<u64>() > 0));
+                assert!(got.vc_occupancy.buckets[1..].iter().sum::<u64>() > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_windows_equal_the_full_sweep_on_quick_theta() {
+        check_oracle(TopologyConfig::quick(), "quick theta");
+    }
+
+    #[test]
+    fn incremental_windows_equal_the_full_sweep_on_canonic_palm_tree() {
+        let mut cfg = TopologyConfig::canonical(2, 8, 4, 17);
+        cfg.arrangement = GlobalArrangement::PalmTree;
+        check_oracle(cfg, "canonic 2,8,4,17 palm-tree");
+    }
+
+    #[test]
+    fn incremental_windows_equal_the_full_sweep_with_fine_catchup_windows() {
+        // 1 µs windows: most windows are back-filled by the event that
+        // crosses them, many by events that open a saturation interval.
+        let topo = Arc::new(Topology::build(TopologyConfig::small_test()));
+        let mut n = Network::new(topo, oracle_params(MetricsMode::Dense), Routing::Minimal, 3);
+        n.set_obs_interval(Ns(1_000));
+        for (i, &(at, s, d, b)) in oracle_traffic(64).iter().enumerate() {
+            n.send(at, s, d, b, i as u64);
+        }
+        n.run_to_idle();
+        let got = n.obs_report().expect("obs on");
+        let want = n.obs_oracle_report().expect("obs on");
+        assert_same_report(&got, &want, "small 1 µs windows");
+        assert!(got.series.samples().len() > 2_000);
     }
 }

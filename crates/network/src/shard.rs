@@ -668,6 +668,21 @@ impl ShardParts {
         merged
     }
 
+    /// [`ShardParts::obs_report`] merged from the full-sweep oracle's
+    /// windows (see [`crate::obs::oracle`]). Call it after the report.
+    #[cfg(test)]
+    pub(crate) fn obs_oracle_report(&self) -> Option<ObsReport> {
+        let mut merged: Option<ObsReport> = None;
+        for net in &self.nets {
+            let report = net.obs_oracle_report()?;
+            match merged.as_mut() {
+                None => merged = Some(report),
+                Some(m) => merge_obs(m, &report),
+            }
+        }
+        merged
+    }
+
     /// Approximate metric-structure bytes summed over every replica (see
     /// [`Network::metric_bytes_approx`]).
     pub fn metric_bytes_approx(&self) -> usize {

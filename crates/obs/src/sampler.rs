@@ -340,6 +340,14 @@ impl OccupancyHistogram {
         self.readings += 1;
     }
 
+    /// Record `n` readings of an empty VC at once (fill 0, bucket 0) —
+    /// identical to `n` calls of `record(0.0)`.
+    #[inline]
+    pub fn record_empty(&mut self, n: u64) {
+        self.buckets[0] += n;
+        self.readings += n;
+    }
+
     /// Fraction of readings in bucket `idx` (0 if nothing recorded).
     pub fn share(&self, idx: usize) -> f64 {
         if self.readings == 0 {
@@ -658,6 +666,19 @@ mod tests {
         assert_eq!(h.buckets[4], 1);
         assert_eq!(h.buckets[7], 2);
         assert!((h.high_fill_share() - 3.0 / 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bulk_empty_readings_equal_single_zero_records() {
+        let mut one_by_one = OccupancyHistogram::new();
+        let mut bulk = OccupancyHistogram::new();
+        for _ in 0..5 {
+            one_by_one.record(0.0);
+        }
+        one_by_one.record(0.6);
+        bulk.record(0.6);
+        bulk.record_empty(5);
+        assert_eq!(one_by_one, bulk);
     }
 
     #[test]

@@ -198,6 +198,19 @@ impl Topology {
         self.channels.len()
     }
 
+    /// Number of directed channels of `class` (O(1): channel ids are
+    /// numbered in contiguous per-class ranges).
+    pub fn class_channel_count(&self, class: ChannelClass) -> usize {
+        let (lo, hi) = match class {
+            ChannelClass::TerminalUp => (0, self.base_term_down),
+            ChannelClass::TerminalDown => (self.base_term_down, self.base_row),
+            ChannelClass::LocalRow => (self.base_row, self.base_col),
+            ChannelClass::LocalCol => (self.base_col, self.base_global),
+            ChannelClass::Global => (self.base_global, self.channels.len() as u32),
+        };
+        (hi - lo) as usize
+    }
+
     /// Static info for a channel.
     #[inline]
     pub fn channel(&self, id: ChannelId) -> &ChannelInfo {
@@ -425,6 +438,23 @@ mod tests {
             + r * (cfg.rows - 1)                     // cols
             + cfg.groups * (cfg.groups - 1) / 2 * cfg.links_per_group_pair() * 2; // global
         assert_eq!(t.channel_count(), expected as usize);
+    }
+
+    #[test]
+    fn class_channel_counts_match_a_channel_walk() {
+        let canonic = Topology::build(TopologyConfig::canonical(2, 8, 4, 17));
+        for t in [theta(), small(), canonic] {
+            for class in [
+                ChannelClass::TerminalUp,
+                ChannelClass::TerminalDown,
+                ChannelClass::LocalRow,
+                ChannelClass::LocalCol,
+                ChannelClass::Global,
+            ] {
+                let walked = t.channels().filter(|(_, c)| c.class == class).count();
+                assert_eq!(t.class_channel_count(class), walked, "{class:?}");
+            }
+        }
     }
 
     #[test]
