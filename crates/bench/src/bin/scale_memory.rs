@@ -16,8 +16,20 @@
 //!
 //! * `scale_memory.csv` — one row per mode with events, wall time,
 //!   per-subsystem metric bytes (telemetry series + link digest, figure
-//!   CDFs), peak RSS, and traffic-CDF quantiles for the dense-vs-
-//!   streaming accuracy comparison.
+//!   CDFs), peak RSS, the channel-state footprint (allocated channel
+//!   records, channels that carried traffic, channel-state bytes and
+//!   bytes per machine channel), and traffic-CDF quantiles for the
+//!   dense-vs-streaming accuracy comparison.
+//!
+//! The network allocates channel records in aligned runs of
+//! `CHANNEL_RUN_LEN` (64) ids, only where packets go: once a run drains,
+//! every allocated run holds a channel that carried traffic. The bench
+//! asserts `records <= 64 x (runs holding a traffic channel)`, which
+//! implies `records <= 64 x traffic channels`. The tighter form is the
+//! one that can fail on the quick machine: there the probe's traffic
+//! touches 5,718 of 11,960 channels, so even a record per machine
+//! channel stays under 64 x traffic channels, but 84 of the 187 runs
+//! carry no traffic, and eager allocation would fill them.
 //!
 //! The accuracy quantiles are taken over the links that carried traffic
 //! among the probe job's own routers (`ExperimentResult::app_filter`, the
@@ -42,7 +54,7 @@
 use dfly_bench::harness::scaled_ranks;
 use dfly_core::config::{AppSelection, ExperimentConfig, RoutingPolicy};
 use dfly_core::runner::{execute_experiment, prepare_topology};
-use dfly_network::{MetricsFilter, MetricsMode};
+use dfly_network::{ChannelFootprint, MetricsFilter, MetricsMode, CHANNEL_RUN_LEN};
 use dfly_placement::PlacementPolicy;
 use dfly_stats::Cdf;
 use dfly_topology::TopologyConfig;
@@ -130,6 +142,10 @@ struct ModeOutcome {
     /// Figure-pipeline bytes: retained samples of the four channel CDFs.
     cdf_bytes: usize,
     peak_rss_kb: u64,
+    /// Channel state the network held at the end of the run.
+    footprint: ChannelFootprint,
+    /// Channels that carried at least one byte.
+    traffic_channels: usize,
     /// Per-channel traffic CDFs over the probe job's routers' busy links.
     local_cdf: Cdf,
     global_cdf: Cdf,
@@ -165,6 +181,26 @@ fn run_mode(cfg: &ExperimentConfig) -> ModeOutcome {
     .map(|c| c.len() * std::mem::size_of::<f64>())
     .sum();
     let app = r.app_filter();
+    let footprint = r.metrics.footprint();
+    let busy: Vec<usize> = r
+        .metrics
+        .channels()
+        .filter(|c| c.traffic_bytes > 0)
+        .map(|c| c.id.index())
+        .collect();
+    let traffic_channels = busy.len();
+    // Snapshots come in id order, so equal runs are adjacent.
+    let mut traffic_runs: Vec<usize> = busy.iter().map(|i| i / CHANNEL_RUN_LEN).collect();
+    traffic_runs.dedup();
+    assert_eq!(footprint.channels, r.metrics.channels().count());
+    assert!(
+        footprint.records <= CHANNEL_RUN_LEN * traffic_runs.len(),
+        "{} channel records, but only {} runs of {CHANNEL_RUN_LEN} ids hold the \
+         {traffic_channels} channels that carried traffic: channel state is no longer \
+         allocated where packets go",
+        footprint.records,
+        traffic_runs.len()
+    );
     ModeOutcome {
         mode: cfg.network.metrics,
         events: r.events,
@@ -174,6 +210,8 @@ fn run_mode(cfg: &ExperimentConfig) -> ModeOutcome {
         obs_samples: obs.series.samples().len(),
         cdf_bytes,
         peak_rss_kb: peak_rss_kb(),
+        footprint,
+        traffic_channels,
         local_cdf: busy_links(r.local_traffic_mb_cdf(&app)),
         global_cdf: busy_links(r.global_traffic_mb_cdf(&app)),
     }
@@ -276,7 +314,8 @@ fn main() {
     let outcomes = [&streaming, &dense];
     for o in outcomes {
         println!(
-            "{:>14}: {} events in {:.1}s, telemetry {} B ({} samples), CDFs {} B, peak RSS {} MiB",
+            "{:>14}: {} events in {:.1}s, telemetry {} B ({} samples), CDFs {} B, peak RSS {} MiB, \
+             {} channel records for {} traffic channels of {} ({:.1} B/channel)",
             o.mode.label(),
             o.events,
             o.wall_s,
@@ -284,6 +323,10 @@ fn main() {
             o.obs_samples,
             o.cdf_bytes,
             o.peak_rss_kb / 1024,
+            o.footprint.records,
+            o.traffic_channels,
+            o.footprint.channels,
+            o.footprint.bytes_per_channel(),
         );
     }
     let dl = quantiles(&dense.local_cdf);
@@ -328,6 +371,11 @@ fn main() {
             "cdf_bytes",
             "metric_bytes_total",
             "peak_rss_kb",
+            "channels",
+            "channel_records",
+            "traffic_channels",
+            "channel_state_bytes",
+            "bytes_per_channel",
             "local_mb_p50",
             "local_mb_p90",
             "local_mb_p99",
@@ -353,6 +401,11 @@ fn main() {
             o.cdf_bytes.to_string(),
             o.metric_bytes().to_string(),
             o.peak_rss_kb.to_string(),
+            o.footprint.channels.to_string(),
+            o.footprint.records.to_string(),
+            o.traffic_channels.to_string(),
+            o.footprint.bytes.to_string(),
+            format!("{:.3}", o.footprint.bytes_per_channel()),
             format!("{:.6}", l[0]),
             format!("{:.6}", l[1]),
             format!("{:.6}", l[2]),
@@ -386,6 +439,8 @@ fn main() {
             "    {{\"mode\": \"{}\", \"events\": {}, \"wall_s\": {:.2}, \
              \"obs_metric_bytes\": {}, \"obs_samples\": {}, \"cdf_bytes\": {}, \
              \"metric_bytes_total\": {}, \"peak_rss_kb\": {}, \
+             \"channels\": {}, \"channel_records\": {}, \"traffic_channels\": {}, \
+             \"channel_state_bytes\": {}, \"bytes_per_channel\": {:.3}, \
              \"local_mb_p50\": {:.6}, \"local_mb_p90\": {:.6}, \"local_mb_p99\": {:.6}}}{}\n",
             o.mode.label(),
             o.events,
@@ -395,6 +450,11 @@ fn main() {
             o.cdf_bytes,
             o.metric_bytes(),
             o.peak_rss_kb,
+            o.footprint.channels,
+            o.footprint.records,
+            o.traffic_channels,
+            o.footprint.bytes,
+            o.footprint.bytes_per_channel(),
             l[0],
             l[1],
             l[2],

@@ -9,57 +9,76 @@
 //! registration is enough: a woken channel rescans **all** of its VCs, and
 //! every full channel fires `TxDone` eventually (the ascending-VC
 //! discipline makes the buffer dependency graph acyclic), so progress is
-//! never lost. The `in_waitlist` bit on
+//! never lost. Only the VCs with a queued packet are scanned: each channel
+//! keeps a `queued_mask` bit per non-empty VC queue. The `in_waitlist` bit on
 //! [`ChannelState`](crate::channel::ChannelState) makes the duplicate
 //! check O(1) where the old `waiters.contains` scan was O(#waiters) — on
 //! a hot channel under congestion, that list is long exactly when
 //! `try_start` runs most often.
 
-use crate::channel::ChannelState;
+use crate::channel::ChannelStore;
 use crate::packet::MAX_ROUTE_LEN;
 use dfly_topology::ChannelId;
 
-/// The VC scan order for one arbitration round: all `MAX_ROUTE_LEN`
-/// levels, starting at `start` (the VC after the last one served).
+/// The VC scan order for one arbitration round: the VCs whose bit is
+/// set in `queued` (the non-empty queues), in round-robin order starting
+/// at `start` (the VC after the last one served). Skipping the empty
+/// queues visits exactly the VCs a full scan of all `MAX_ROUTE_LEN`
+/// levels would act on, in the same order.
 #[inline]
-pub(crate) fn rr_scan(start: u8) -> impl Iterator<Item = usize> {
-    let start = start as usize;
-    (0..MAX_ROUTE_LEN).map(move |k| (start + k) % MAX_ROUTE_LEN)
+pub(crate) fn rr_queued(queued: u16, start: u8) -> impl Iterator<Item = usize> {
+    const N: u32 = MAX_ROUTE_LEN as u32;
+    let start = start as u32;
+    debug_assert!(start < N);
+    let mask = queued as u32 & ((1 << N) - 1);
+    // Rotate right by `start` within N bits: bit k is VC (start + k) % N.
+    let mut rotated = ((mask >> start) | (mask << (N - start))) & ((1 << N) - 1);
+    std::iter::from_fn(move || {
+        if rotated == 0 {
+            return None;
+        }
+        let k = rotated.trailing_zeros();
+        rotated &= rotated - 1;
+        Some(((start + k) % N) as usize)
+    })
 }
 
 /// Register `waiter` on `blocked_on`'s wait list, unless `waiter` is
 /// already parked somewhere. Returns true if it registered.
 #[inline]
 pub(crate) fn park_waiter(
-    channels: &mut [ChannelState],
+    channels: &mut ChannelStore,
     blocked_on: ChannelId,
     waiter: ChannelId,
 ) -> bool {
-    if channels[waiter.index()].in_waitlist {
+    let w = channels.get_mut(waiter);
+    if w.in_waitlist {
         return false;
     }
-    channels[waiter.index()].in_waitlist = true;
-    channels[blocked_on.index()].waiters.push(waiter);
+    w.in_waitlist = true;
+    channels.get_mut(blocked_on).waiters.push(waiter);
     true
 }
 
-/// Take every channel parked on `ch`, clearing their `in_waitlist` bits.
-/// The caller retries each returned channel (`try_start`), in
-/// registration order — FIFO service keeps wakeups deterministic.
-pub(crate) fn take_waiters(channels: &mut [ChannelState], ch: ChannelId) -> Vec<ChannelId> {
-    let waiters = std::mem::take(&mut channels[ch.index()].waiters);
-    for w in &waiters {
-        channels[w.index()].in_waitlist = false;
+/// Move every channel parked on `ch` into `woken` (cleared first),
+/// clearing their `in_waitlist` bits. The caller retries each woken
+/// channel (`try_start`), in registration order — FIFO service keeps
+/// wakeups deterministic. `ch`'s wait list keeps its capacity, so a hot
+/// channel's next park does not allocate again.
+pub(crate) fn take_waiters(channels: &mut ChannelStore, ch: ChannelId, woken: &mut Vec<ChannelId>) {
+    woken.clear();
+    woken.append(&mut channels.get_mut(ch).waiters);
+    for &w in woken.iter() {
+        channels.get_mut(w).in_waitlist = false;
     }
-    waiters
 }
 
 /// How many `waiters` lists each channel currently appears on. The audit
 /// sweep checks this census against the `in_waitlist` bits: a channel is
 /// parked on at most one blocker, exactly when its bit is set.
-pub(crate) fn waitlist_census(channels: &[ChannelState]) -> Vec<u32> {
+pub(crate) fn waitlist_census(channels: &ChannelStore) -> Vec<u32> {
     let mut counts = vec![0u32; channels.len()];
-    for ch in channels {
+    for (_, ch) in channels.iter() {
         for w in &ch.waiters {
             counts[w.index()] += 1;
         }
@@ -70,53 +89,82 @@ pub(crate) fn waitlist_census(channels: &[ChannelState]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfly_engine::{Bandwidth, Ns};
-    use dfly_topology::ChannelClass;
 
-    fn channels(n: usize) -> Vec<ChannelState> {
-        (0..n)
-            .map(|_| {
-                ChannelState::new(
-                    ChannelClass::LocalRow,
-                    Bandwidth::from_gib_per_sec(1),
-                    Ns(0),
-                )
-            })
-            .collect()
+    fn channels() -> ChannelStore {
+        ChannelStore::new([8, 0, 0, 0, 0])
     }
 
     #[test]
-    fn rr_scan_covers_all_vcs_once_from_start() {
-        let order: Vec<usize> = rr_scan(3).collect();
-        assert_eq!(order.len(), MAX_ROUTE_LEN);
-        assert_eq!(order[0], 3);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..MAX_ROUTE_LEN).collect::<Vec<_>>());
+    fn rr_queued_matches_a_full_scan_skipping_empty_queues() {
+        // The full scan it replaces: every level from `start`, wrapping.
+        let full_scan = |queued: u16, start: u8| -> Vec<usize> {
+            (0..MAX_ROUTE_LEN)
+                .map(|k| (start as usize + k) % MAX_ROUTE_LEN)
+                .filter(|&v| queued & (1 << v) != 0)
+                .collect()
+        };
+        for queued in 0..(1u16 << MAX_ROUTE_LEN) {
+            for start in 0..MAX_ROUTE_LEN as u8 {
+                let got: Vec<usize> = rr_queued(queued, start).collect();
+                assert_eq!(
+                    got,
+                    full_scan(queued, start),
+                    "mask {queued:#b} start {start}"
+                );
+            }
+        }
     }
 
     #[test]
     fn park_is_idempotent_while_parked() {
-        let mut chs = channels(3);
+        let mut chs = channels();
         assert!(park_waiter(&mut chs, ChannelId(0), ChannelId(2)));
         // Second attempt (even on a different blocker) is a no-op: one
         // wakeup rescans every VC.
         assert!(!park_waiter(&mut chs, ChannelId(1), ChannelId(2)));
-        assert_eq!(chs[0].waiters, vec![ChannelId(2)]);
-        assert!(chs[1].waiters.is_empty());
+        assert_eq!(chs.get(ChannelId(0)).unwrap().waiters, vec![ChannelId(2)]);
+        assert!(chs.get(ChannelId(1)).unwrap().waiters.is_empty());
     }
 
     #[test]
     fn take_waiters_clears_bits_and_allows_reparking() {
-        let mut chs = channels(4);
+        let mut chs = channels();
+        let mut woken = Vec::new();
         park_waiter(&mut chs, ChannelId(0), ChannelId(2));
         park_waiter(&mut chs, ChannelId(0), ChannelId(3));
-        let woken = take_waiters(&mut chs, ChannelId(0));
+        take_waiters(&mut chs, ChannelId(0), &mut woken);
         assert_eq!(woken, vec![ChannelId(2), ChannelId(3)]);
-        assert!(chs[0].waiters.is_empty());
-        assert!(!chs[2].in_waitlist && !chs[3].in_waitlist);
+        assert!(chs.get(ChannelId(0)).unwrap().waiters.is_empty());
+        assert!(!chs.get(ChannelId(2)).unwrap().in_waitlist);
+        assert!(!chs.get(ChannelId(3)).unwrap().in_waitlist);
         // A woken channel that is still blocked can park again.
         assert!(park_waiter(&mut chs, ChannelId(1), ChannelId(2)));
-        assert_eq!(chs[1].waiters, vec![ChannelId(2)]);
+        assert_eq!(chs.get(ChannelId(1)).unwrap().waiters, vec![ChannelId(2)]);
+    }
+
+    #[test]
+    fn wait_list_capacity_survives_a_wake_and_repark_cycle() {
+        let mut chs = channels();
+        let mut woken = Vec::new();
+        for w in 2..6 {
+            park_waiter(&mut chs, ChannelId(0), ChannelId(w));
+        }
+        let cap = chs.get(ChannelId(0)).unwrap().waiters.capacity();
+        assert!(cap >= 4);
+        take_waiters(&mut chs, ChannelId(0), &mut woken);
+        assert_eq!(woken.len(), 4);
+        let woken_cap = woken.capacity();
+        assert_eq!(chs.get(ChannelId(0)).unwrap().waiters.capacity(), cap);
+        for w in 2..6 {
+            park_waiter(&mut chs, ChannelId(0), ChannelId(w));
+        }
+        assert_eq!(
+            chs.get(ChannelId(0)).unwrap().waiters.capacity(),
+            cap,
+            "re-parking the same waiters must not reallocate"
+        );
+        take_waiters(&mut chs, ChannelId(0), &mut woken);
+        assert_eq!(woken, (2..6).map(ChannelId).collect::<Vec<_>>());
+        assert_eq!(woken.capacity(), woken_cap, "the scratch list is reused");
     }
 }

@@ -15,7 +15,8 @@
 //!   sweep — every intrusive list is walked (cycle-bounded), every live
 //!   packet sits in exactly one queue, head/tail agree, per-VC occupancy
 //!   equals queued bytes plus in-flight reservations, waitlist membership
-//!   is consistent, bytes are conserved per message, the per-class
+//!   is consistent, a channel with no allocated record holds no shadow
+//!   bytes and sits on no list, bytes are conserved per message, the per-class
 //!   running totals and live-state channel lists that telemetry reads
 //!   ([`ChannelActivity`]) agree with a recount, and at drain every
 //!   buffer is empty and every saturation interval is closed.
@@ -31,12 +32,14 @@
 //! [`NetworkParams::audit`](crate::params::NetworkParams::audit) and off
 //! in release builds.
 
-use crate::channel::{ChannelActivity, ChannelState, PacketList, ON_OCCUPIED, ON_OPEN_FULL};
+use crate::channel::{
+    ChannelActivity, ChannelState, ChannelStore, PacketList, ON_OCCUPIED, ON_OPEN_FULL,
+};
 use crate::metrics::class_index;
 use crate::packet::{MessageId, Packet, PacketId, MAX_ROUTE_LEN};
 use dfly_engine::{Bytes, Ns};
 use dfly_topology::ChannelId;
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Run a full structural sweep every this many events (the per-event
@@ -56,20 +59,24 @@ pub enum AuditKind {
     /// global queued-bytes gauge) disagrees with the shadow ledger.
     VcOccupancy,
     /// Intrusive-list corruption: a `next`-link cycle, a packet in zero
-    /// or two queues, head/tail disagreement, or arena state mismatch.
+    /// or two queues, head/tail disagreement, arena state mismatch, or a
+    /// channel's `queued_mask` disagreeing with which VC queues hold
+    /// packets.
     ListIntegrity,
     /// Waitlist discipline: `in_waitlist` bit vs actual membership on
-    /// blockers' `waiters` lists (must be on at most one).
+    /// blockers' `waiters` lists (must be on at most one), or a channel
+    /// with no record on a wait list.
     Waitlist,
-    /// Saturation accounting: `full_vcs` vs the count of `full` VC flags,
-    /// or an interval still open at drain.
+    /// Saturation accounting: `full_vcs` vs the bits of `full_mask`, or
+    /// an interval still open at drain.
     Saturation,
     /// A per-class running total of [`ChannelActivity`] (busy time,
     /// closed saturated time, queued bytes) disagrees with the sum over
     /// the class's channels.
     ClassTotals,
     /// A [`ChannelActivity`] list misses a channel with live state, lists
-    /// one twice, or disagrees with the channel's `listed` bit.
+    /// one twice, lists a channel with no record, or disagrees with the
+    /// channel's `listed` bit.
     ActivityList,
 }
 
@@ -904,7 +911,21 @@ impl Auditor {
                 &format!("{context} (traffic counter)"),
             );
         }
-        let full_count = ch.vcs.iter().filter(|v| v.full).count() as u64;
+        let queued_mask = (0..MAX_ROUTE_LEN)
+            .filter(|&vc| ch.vcs[vc].queue.front().is_some())
+            .fold(0u16, |m, vc| m | 1 << vc);
+        if ch.queued_mask != queued_mask {
+            self.violate(
+                AuditKind::ListIntegrity,
+                Some(id),
+                None,
+                queued_mask as u64,
+                ch.queued_mask as u64,
+                at,
+                &format!("{context} (queued mask vs non-empty VC queues)"),
+            );
+        }
+        let full_count = ch.full_mask.count_ones() as u64;
         if ch.full_vcs as u64 != full_count {
             self.violate(
                 AuditKind::Saturation,
@@ -966,11 +987,10 @@ impl Auditor {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn full_sweep(
         &mut self,
-        channels: &[ChannelState],
+        channels: &ChannelStore,
         nic: &[PacketList],
         packets: &[Packet],
         free_packets: &[PacketId],
-        landing: &[VecDeque<PacketId>],
         activity: &ChannelActivity,
         at: Ns,
         drained: bool,
@@ -982,20 +1002,21 @@ impl Auditor {
         let mut visited = vec![false; n];
         // Aggregate in-flight reservations per (channel, VC): a VC's
         // engine occupancy must equal its queued bytes plus these.
-        let mut reserved = vec![[0u64; MAX_ROUTE_LEN]; channels.len()];
+        let mut reserved: HashMap<ChannelId, [u64; MAX_ROUTE_LEN]> = HashMap::new();
         for ps in self.packets.iter() {
             if ps.loc != Loc::Free {
                 if let Some((c, v)) = ps.reserved {
-                    reserved[c.index()][v as usize] += ps.size as u64;
+                    reserved.entry(c).or_default()[v as usize] += ps.size as u64;
                 }
             }
         }
         let ctx = if drained { "drain" } else { "full sweep" };
 
-        // Every VC queue: walk, occupancy, head/tail, membership.
-        for (ci, ch) in channels.iter().enumerate() {
-            let id = ChannelId(ci as u32);
-            for vc in 0..MAX_ROUTE_LEN {
+        // Every record: VC queues (walk, occupancy, head/tail,
+        // membership) and the landing queue.
+        for (id, ch) in channels.iter() {
+            let held = reserved.get(&id).copied().unwrap_or_default();
+            for (vc, held) in held.into_iter().enumerate() {
                 let queued = self.walk_list(
                     &ch.vcs[vc].queue,
                     packets,
@@ -1006,7 +1027,7 @@ impl Auditor {
                     at,
                     ctx,
                 );
-                let expect = queued + reserved[ci][vc];
+                let expect = queued + held;
                 if ch.vcs[vc].occupancy != expect {
                     self.violate(
                         AuditKind::VcOccupancy,
@@ -1019,8 +1040,30 @@ impl Auditor {
                     );
                 }
             }
+            // Shard mode only; the list is empty in serial runs.
+            let landed = self.walk_list(
+                &ch.landing,
+                packets,
+                &mut visited,
+                Loc::Landing(id),
+                Some(id),
+                None,
+                at,
+                ctx,
+            );
             self.check_channel(id, ch, engine_total_queued, at, ctx);
             if drained {
+                if ch.landing.front().is_some() {
+                    self.violate(
+                        AuditKind::ListIntegrity,
+                        Some(id),
+                        None,
+                        0,
+                        landed,
+                        at,
+                        "drain: landing queue not empty",
+                    );
+                }
                 if ch.total_occupancy != 0 {
                     self.violate(
                         AuditKind::VcOccupancy,
@@ -1057,6 +1100,28 @@ impl Auditor {
             }
         }
 
+        // A channel without a record is empty: the shadow must agree.
+        for ci in 0..self.channels.len() {
+            let id = ChannelId(ci as u32);
+            if channels.get(id).is_some() {
+                continue;
+            }
+            let shadow = &self.channels[ci];
+            let held = reserved.get(&id).map_or(0, |r| r.iter().sum());
+            let shadow_live = shadow.total + shadow.traffic + held;
+            if shadow_live != 0 {
+                self.violate(
+                    AuditKind::VcOccupancy,
+                    Some(id),
+                    None,
+                    shadow_live,
+                    0,
+                    at,
+                    &format!("{ctx}: shadow bytes on a channel with no record"),
+                );
+            }
+        }
+
         // NIC queues.
         for (node, list) in nic.iter().enumerate() {
             self.walk_list(
@@ -1071,41 +1136,25 @@ impl Auditor {
             );
         }
 
-        // Landing queues (shard mode; the slice is empty in serial runs).
-        for (ci, q) in landing.iter().enumerate() {
-            let id = ChannelId(ci as u32);
-            for &pid in q {
-                let i = pid.0 as usize;
-                if i < n {
-                    if visited[i] {
-                        self.report_list(at, ctx, "landing packet also in a queue");
-                    }
-                    visited[i] = true;
-                }
-                let shadow = self.packets.get(i).copied().unwrap_or(FREE_SHADOW);
-                if shadow.loc != Loc::Landing(id) {
-                    self.report_list(at, ctx, "landing queue membership mismatch");
-                }
-            }
-            if drained && !q.is_empty() {
-                self.violate(
-                    AuditKind::ListIntegrity,
-                    Some(id),
-                    None,
-                    0,
-                    q.len() as u64,
-                    at,
-                    "drain: landing queue not empty",
-                );
-            }
-        }
-
         // Waitlist census: membership across all `waiters` lists must
         // match the `in_waitlist` bits and the shadow's parked state.
         let census = crate::arbiter::waitlist_census(channels);
         for (ci, &count) in census.iter().enumerate() {
             let id = ChannelId(ci as u32);
-            let expected = channels[ci].in_waitlist as u64;
+            let record = channels.get(id);
+            if count > 0 && record.is_none() {
+                self.violate(
+                    AuditKind::Waitlist,
+                    Some(id),
+                    None,
+                    0,
+                    count as u64,
+                    at,
+                    &format!("{ctx}: channel with no record on a wait list"),
+                );
+            }
+            let in_waitlist = record.is_some_and(|ch| ch.in_waitlist);
+            let expected = in_waitlist as u64;
             if count as u64 != expected || count > 1 {
                 self.violate(
                     AuditKind::Waitlist,
@@ -1117,13 +1166,13 @@ impl Auditor {
                     &format!("{ctx}: waiters membership vs in_waitlist bit"),
                 );
             }
-            if (self.channels[ci].parked_on.is_some()) != channels[ci].in_waitlist {
+            if (self.channels[ci].parked_on.is_some()) != in_waitlist {
                 self.violate(
                     AuditKind::Waitlist,
                     Some(id),
                     None,
                     self.channels[ci].parked_on.is_some() as u64,
-                    channels[ci].in_waitlist as u64,
+                    in_waitlist as u64,
                     at,
                     &format!("{ctx}: shadow parked state vs in_waitlist bit"),
                 );
@@ -1225,10 +1274,11 @@ impl Auditor {
         }
     }
 
-    /// Recount the [`ChannelActivity`] totals and lists from the channels.
+    /// Recount the [`ChannelActivity`] totals and lists from the records.
+    /// A channel without a record holds no state and must be on no list.
     fn check_activity(
         &mut self,
-        channels: &[ChannelState],
+        channels: &ChannelStore,
         activity: &ChannelActivity,
         at: Ns,
         ctx: &str,
@@ -1236,7 +1286,7 @@ impl Auditor {
         let mut busy = [0u64; 5];
         let mut saturated = [0u64; 5];
         let mut occupancy = [0u64; 5];
-        for ch in channels {
+        for (_, ch) in channels.iter() {
             let ci = class_index(ch.class);
             busy[ci] += ch.busy_time.as_nanos();
             saturated[ci] += ch.saturated.as_nanos();
@@ -1273,10 +1323,22 @@ impl Auditor {
         ];
         for (name, bit, list, is_live) in lists {
             let mut seen = vec![0u32; channels.len()];
-            for id in list {
+            for &id in list {
                 seen[id.index()] += 1;
+                if channels.get(id).is_none() {
+                    self.violate(
+                        AuditKind::ActivityList,
+                        Some(id),
+                        None,
+                        0,
+                        1,
+                        at,
+                        &format!("{ctx}: {name} list: channel with no record"),
+                    );
+                }
             }
-            for (i, ch) in channels.iter().enumerate() {
+            for (id, ch) in channels.iter() {
+                let i = id.index();
                 let live = is_live(ch);
                 let flagged = ch.listed & bit != 0;
                 let problem = if seen[i] > 1 {
@@ -1291,7 +1353,7 @@ impl Auditor {
                 if let Some(problem) = problem {
                     self.violate(
                         AuditKind::ActivityList,
-                        Some(ChannelId(i as u32)),
+                        Some(id),
                         None,
                         live as u64,
                         seen[i] as u64,

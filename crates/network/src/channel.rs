@@ -1,21 +1,21 @@
 //! Per-channel state: virtual-channel buffers, credit/occupancy
-//! bookkeeping, and full-interval (saturation) accounting.
+//! bookkeeping, full-interval (saturation) accounting, and the
+//! [`ChannelStore`] that allocates it only where packets go.
 //!
 //! A VC buffer is an intrusive FIFO over the network's packet arena: the
 //! queue itself is just a head/tail pair of arena indices, and each
 //! [`Packet`](crate::packet::Packet) carries the index of the packet
 //! behind it. A packet sits in at most one queue at a time (its current
-//! channel's VC, or the source NIC), so one link per packet suffices.
-//! Compared to the previous `VecDeque<PacketId>` per VC, this removes
-//! `MAX_ROUTE_LEN` heap allocations per channel (thousands of channels x
-//! twelve VCs on the Theta machine) and the pointer chase per operation —
-//! push, pop, and front are all O(1) on the arena the event loop already
-//! has hot.
+//! channel's VC, a landing queue, or the source NIC), so one link per
+//! packet suffices. Compared to a `VecDeque<PacketId>` per VC, this
+//! removes `MAX_ROUTE_LEN` heap allocations per channel and the pointer
+//! chase per operation — push, pop, and front are all O(1) on the arena
+//! the event loop already has hot.
 
 use crate::metrics::class_index;
 use crate::packet::{Packet, PacketId, MAX_ROUTE_LEN, NO_PACKET};
 use dfly_engine::{Bandwidth, Bytes, Ns};
-use dfly_topology::{ChannelClass, ChannelId};
+use dfly_topology::{ChannelClass, ChannelId, Topology};
 use std::collections::VecDeque;
 
 /// One packet in flight on a channel's wire: it left the transmitter
@@ -124,24 +124,25 @@ impl Iterator for PacketListIter<'_> {
     }
 }
 
-/// One virtual-channel buffer: its queued packets, how many bytes they
-/// (plus inbound reservations) occupy, and whether a reservation was
-/// refused since space last freed.
+/// One virtual-channel buffer: its queued packets and how many bytes
+/// they (plus inbound reservations) occupy. Whether a reservation was
+/// refused since space last freed lives in the channel's
+/// [`ChannelState::full_mask`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct VcState {
     pub(crate) queue: PacketList,
     pub(crate) occupancy: Bytes,
-    /// True once a reservation was refused; cleared when space frees.
-    pub(crate) full: bool,
 }
 
+// One bit per VC level in the `u16` masks below.
+const _: () = assert!(MAX_ROUTE_LEN <= 16);
+
 /// Mutable per-channel simulation state. The immutable half (endpoints,
-/// class wiring) stays in the shared [`Topology`](dfly_topology::Topology).
+/// class wiring) stays in the shared [`Topology`]; the per-class link
+/// constants live in the network's [`LinkTable`]. Records are allocated
+/// lazily by [`ChannelStore`], so only channels near traffic pay for one.
 pub(crate) struct ChannelState {
     pub(crate) class: ChannelClass,
-    pub(crate) bandwidth: Bandwidth,
-    /// Link propagation latency plus downstream router traversal latency.
-    pub(crate) arrival_extra: Ns,
     /// One buffer per VC level; VC index = hop index, so `MAX_ROUTE_LEN`
     /// covers every reachable level. Fixed-size: no per-channel heap.
     pub(crate) vcs: [VcState; MAX_ROUTE_LEN],
@@ -149,21 +150,32 @@ pub(crate) struct ChannelState {
     pub(crate) busy: bool,
     pub(crate) tx_vc: u8,
     pub(crate) rr_next: u8,
+    /// Bit `v` set exactly when `vcs[v].queue` is non-empty: arbitration
+    /// scans only these VCs (see [`crate::arbiter::rr_queued`]).
+    pub(crate) queued_mask: u16,
     /// Packets transmitted but not yet landed, in arrival order. Only
     /// the front has an `Arrive` entry in the event heap.
     pub(crate) inflight: VecDeque<InFlight>,
     /// Channels whose head packet is waiting for space in our buffers.
     pub(crate) waiters: Vec<ChannelId>,
+    /// Shard mode: imports refused at ingress (no cross-shard credit is
+    /// reserved), a head-blocking FIFO drained as the channel frees
+    /// space. Intrusive like the VC queues: a landed packet sits in no
+    /// other list.
+    pub(crate) landing: PacketList,
     /// True while this channel sits on some other channel's `waiters`
     /// list. A blocked channel registers on at most one blocker at a
     /// time — any wakeup rescans all VCs — so one bit replaces the
     /// O(waiters) `contains` scan the arbiter used to do per attempt.
     pub(crate) in_waitlist: bool,
     /// Which [`ChannelActivity`] lists hold this channel
-    /// ([`ON_OCCUPIED`], [`ON_OPEN_FULL`] bits). Sits in the struct's
-    /// padding after the other byte-sized fields.
+    /// ([`ON_OCCUPIED`], [`ON_OPEN_FULL`] bits).
     pub(crate) listed: u8,
     // --- metrics ---
+    /// Bit `v` set once a reservation on VC `v` was refused; cleared
+    /// when that VC frees space.
+    pub(crate) full_mask: u16,
+    /// Number of set bits of `full_mask` (the audit recounts it).
     pub(crate) full_vcs: u16,
     pub(crate) full_start: Ns,
     pub(crate) saturated: Ns,
@@ -173,24 +185,21 @@ pub(crate) struct ChannelState {
 
 impl ChannelState {
     /// Fresh state for a channel of `class`.
-    pub(crate) fn new(
-        class: ChannelClass,
-        bandwidth: Bandwidth,
-        arrival_extra: Ns,
-    ) -> ChannelState {
+    pub(crate) fn new(class: ChannelClass) -> ChannelState {
         ChannelState {
             class,
-            bandwidth,
-            arrival_extra,
             vcs: [VcState::default(); MAX_ROUTE_LEN],
             total_occupancy: 0,
             busy: false,
             tx_vc: 0,
             rr_next: 0,
+            queued_mask: 0,
             inflight: VecDeque::new(),
             waiters: Vec::new(),
+            landing: PacketList::default(),
             in_waitlist: false,
             listed: 0,
+            full_mask: 0,
             full_vcs: 0,
             full_start: Ns::ZERO,
             saturated: Ns::ZERO,
@@ -199,14 +208,32 @@ impl ChannelState {
         }
     }
 
+    /// Append `pid` to VC `vc`'s queue.
+    #[inline]
+    pub(crate) fn push_vc(&mut self, packets: &mut [Packet], vc: usize, pid: PacketId) {
+        self.vcs[vc].queue.push_back(packets, pid);
+        self.queued_mask |= 1 << vc;
+    }
+
+    /// Detach VC `vc`'s head packet.
+    #[inline]
+    pub(crate) fn pop_vc(&mut self, packets: &[Packet], vc: usize) -> Option<PacketId> {
+        let pid = self.vcs[vc].queue.pop_front(packets);
+        if self.vcs[vc].queue.front().is_none() {
+            self.queued_mask &= !(1 << vc);
+        }
+        pid
+    }
+
     /// Record that a reservation on VC `vc` was refused at `now`: opens
     /// the channel's saturated interval if it wasn't already open.
     /// Returns true when this call opened it.
     pub(crate) fn mark_full(&mut self, vc: usize, now: Ns) -> bool {
-        if self.vcs[vc].full {
+        let bit = 1 << vc;
+        if self.full_mask & bit != 0 {
             return false;
         }
-        self.vcs[vc].full = true;
+        self.full_mask |= bit;
         self.full_vcs += 1;
         if self.full_vcs == 1 {
             self.full_start = now;
@@ -219,10 +246,11 @@ impl ChannelState {
     /// interval once no VC is full, accumulating it exactly once.
     /// Returns the length of the interval this call closed, if any.
     pub(crate) fn clear_full(&mut self, vc: usize, now: Ns) -> Option<Ns> {
-        if !self.vcs[vc].full {
+        let bit = 1 << vc;
+        if self.full_mask & bit == 0 {
             return None;
         }
-        self.vcs[vc].full = false;
+        self.full_mask &= !bit;
         self.full_vcs -= 1;
         if self.full_vcs > 0 {
             return None;
@@ -243,6 +271,237 @@ impl ChannelState {
             s += now.saturating_sub(self.full_start);
         }
         s
+    }
+}
+
+/// log2 of [`RUN_LEN`].
+const RUN_SHIFT: u32 = 6;
+/// Channel ids per allocation run of a [`ChannelStore`].
+pub const RUN_LEN: usize = 1 << RUN_SHIFT;
+
+/// The [`ChannelState`] records of one aligned run of channel ids.
+type Run = Box<[ChannelState; RUN_LEN]>;
+
+/// The channel classes in [`class_index`] order — also the order of the
+/// topology's contiguous per-class channel-id ranges.
+const CLASSES: [ChannelClass; 5] = [
+    ChannelClass::TerminalUp,
+    ChannelClass::TerminalDown,
+    ChannelClass::LocalRow,
+    ChannelClass::LocalCol,
+    ChannelClass::Global,
+];
+
+/// Per-channel state for a whole machine, allocated only where packets
+/// go. Records come in aligned runs of [`RUN_LEN`] channel ids, each run
+/// in its own fixed-size block, allocated the first time any of its
+/// channels is mutated ([`ChannelStore::get_mut`]). A channel whose run
+/// was never allocated reads as empty: no queued bytes, every counter
+/// zero. Within each class, channel ids follow node and router order, so
+/// a job placed on a few routers touches few runs, and a run keeps its
+/// records in id order.
+pub(crate) struct ChannelStore {
+    /// End of each class's channel-id range, in [`CLASSES`] order.
+    class_ends: [u32; 5],
+    runs: Vec<Option<Run>>,
+    allocated_runs: usize,
+}
+
+impl ChannelStore {
+    /// An empty store for a machine with `class_counts[class_index(c)]`
+    /// channels of class `c`, numbered in contiguous per-class ranges in
+    /// [`class_index`] order (as [`Topology`] numbers them). No record is
+    /// allocated yet.
+    pub(crate) fn new(class_counts: [u64; 5]) -> ChannelStore {
+        let mut class_ends = [0u32; 5];
+        let mut end = 0u64;
+        for (k, count) in class_counts.iter().enumerate() {
+            end += count;
+            class_ends[k] = u32::try_from(end).expect("channel ids fit in u32");
+        }
+        ChannelStore {
+            class_ends,
+            runs: (0..(end as usize).div_ceil(RUN_LEN))
+                .map(|_| None)
+                .collect(),
+            allocated_runs: 0,
+        }
+    }
+
+    /// The store for `topo`'s channels.
+    pub(crate) fn for_topology(topo: &Topology) -> ChannelStore {
+        ChannelStore::new(CLASSES.map(|c| topo.class_channel_count(c) as u64))
+    }
+
+    /// Channels in the machine.
+    pub(crate) fn len(&self) -> usize {
+        self.class_ends[4] as usize
+    }
+
+    /// The channel's record, or `None` if its run was never allocated
+    /// (the channel is empty).
+    #[inline]
+    pub(crate) fn get(&self, id: ChannelId) -> Option<&ChannelState> {
+        let i = id.index();
+        self.runs[i >> RUN_SHIFT]
+            .as_deref()
+            .map(|run| &run[i & (RUN_LEN - 1)])
+    }
+
+    /// The channel's record, allocating its run on first use.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, id: ChannelId) -> &mut ChannelState {
+        let i = id.index();
+        let r = i >> RUN_SHIFT;
+        if self.runs[r].is_none() {
+            self.allocate(r);
+        }
+        match self.runs[r].as_deref_mut() {
+            Some(run) => &mut run[i & (RUN_LEN - 1)],
+            None => unreachable!("run {r} was just allocated"),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn allocate(&mut self, r: usize) {
+        let run: Vec<ChannelState> = (r * RUN_LEN..(r + 1) * RUN_LEN)
+            // The machine's last run may be partial; its tail records
+            // belong to no channel and are never reached.
+            .map(|i| ChannelState::new(self.class_at(i).unwrap_or(ChannelClass::Global)))
+            .collect();
+        self.runs[r] = Some(match run.into_boxed_slice().try_into() {
+            Ok(run) => run,
+            Err(_) => unreachable!("a run holds RUN_LEN records"),
+        });
+        self.allocated_runs += 1;
+    }
+
+    /// The class of channel index `i`, or `None` past the machine.
+    fn class_at(&self, i: usize) -> Option<ChannelClass> {
+        let k = self.class_ends.iter().position(|&end| i < end as usize)?;
+        Some(CLASSES[k])
+    }
+
+    /// Total queued bytes at a channel (0 if it has no record).
+    #[inline]
+    pub(crate) fn occupancy(&self, id: ChannelId) -> Bytes {
+        self.get(id).map_or(0, |ch| ch.total_occupancy)
+    }
+
+    /// Allocated records, counting every record of every allocated run.
+    pub(crate) fn records(&self) -> usize {
+        self.allocated_runs * RUN_LEN
+    }
+
+    /// Every machine channel that has a record, in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ChannelId, &ChannelState)> {
+        let n = self.len();
+        self.runs
+            .iter()
+            .enumerate()
+            .filter_map(|(r, run)| Some((r * RUN_LEN, run.as_deref()?)))
+            .flat_map(move |(base, run)| {
+                run.iter()
+                    .take(n - base)
+                    .enumerate()
+                    .map(move |(k, ch)| (ChannelId((base + k) as u32), ch))
+            })
+    }
+
+    /// Every machine channel in id order with its class and record, if
+    /// any. Full-machine views (metric digests, test oracles) read an
+    /// absent record as an empty channel.
+    pub(crate) fn each_channel(
+        &self,
+    ) -> impl Iterator<Item = (ChannelId, ChannelClass, Option<&ChannelState>)> {
+        CLASSES.into_iter().enumerate().flat_map(move |(k, class)| {
+            let start = if k == 0 { 0 } else { self.class_ends[k - 1] };
+            (start..self.class_ends[k]).map(move |i| {
+                let id = ChannelId(i);
+                (id, class, self.get(id))
+            })
+        })
+    }
+
+    /// Heap bytes the store holds: the run table, the allocated runs, and
+    /// the in-flight FIFOs and wait lists of their records.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let table = self.runs.capacity() * std::mem::size_of::<Option<Run>>();
+        let runs = self.allocated_runs * std::mem::size_of::<[ChannelState; RUN_LEN]>();
+        let lists: usize = self
+            .iter()
+            .map(|(_, ch)| {
+                ch.inflight.capacity() * std::mem::size_of::<InFlight>()
+                    + ch.waiters.capacity() * std::mem::size_of::<ChannelId>()
+            })
+            .sum();
+        table + runs + lists
+    }
+}
+
+impl Drop for ChannelStore {
+    /// Frees the runs and hands their pages back to the OS. Runs are
+    /// 20 KB heap blocks allocated during the run, interleaved with
+    /// smaller allocations that outlive the network (results, driver
+    /// state); the allocator alone would keep a finished machine's
+    /// channel state resident below them.
+    fn drop(&mut self) {
+        self.runs = Vec::new();
+        heap::release_free_pages();
+    }
+}
+
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+mod heap {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+
+    /// Return every whole free page of the heap to the OS.
+    pub(super) fn release_free_pages() {
+        // SAFETY: `malloc_trim` only reads allocator state and releases
+        // pages no live allocation uses; any `pad` is valid.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+mod heap {
+    /// No portable way to release free heap pages: a no-op.
+    pub(super) fn release_free_pages() {}
+}
+
+/// Per-class link constants, indexed by [`class_index`]: every channel
+/// of a class shares its bandwidth and arrival latency, so records need
+/// not carry them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LinkTable {
+    /// Serialization bandwidth.
+    pub(crate) bandwidth: [Bandwidth; 5],
+    /// Transmission end to landing in the next buffer: the class's link
+    /// latency, plus the downstream router's traversal latency for every
+    /// class that ends at a router (all but terminal-down).
+    pub(crate) arrival_extra: [Ns; 5],
+}
+
+impl LinkTable {
+    /// The table for `topo`.
+    pub(crate) fn new(topo: &Topology) -> LinkTable {
+        let router_latency = topo.config().router_latency;
+        LinkTable {
+            bandwidth: CLASSES.map(|c| topo.class_bandwidth(c)),
+            arrival_extra: CLASSES.map(|c| {
+                topo.class_latency(c)
+                    + if c == ChannelClass::TerminalDown {
+                        Ns::ZERO
+                    } else {
+                        router_latency
+                    }
+            }),
+        }
     }
 }
 
@@ -335,10 +594,10 @@ impl ChannelActivity {
     /// Per-class Σ [`ChannelState::saturated_until`]`(at)`: the closed
     /// totals plus every open interval up to `at`. Drops channels whose
     /// interval has closed from `open_full`.
-    pub(crate) fn saturated_until(&mut self, channels: &mut [ChannelState], at: Ns) -> [u64; 5] {
+    pub(crate) fn saturated_until(&mut self, channels: &mut ChannelStore, at: Ns) -> [u64; 5] {
         let mut out = self.saturated_ns;
         self.open_full.retain(|&id| {
-            let ch = &mut channels[id.index()];
+            let ch = channels.get_mut(id);
             if ch.full_vcs == 0 {
                 ch.listed &= !ON_OPEN_FULL;
                 return false;
@@ -353,11 +612,11 @@ impl ChannelActivity {
     /// from `occupied`.
     pub(crate) fn for_each_occupied(
         &mut self,
-        channels: &mut [ChannelState],
+        channels: &mut ChannelStore,
         mut visit: impl FnMut(ChannelId, &ChannelState),
     ) {
         self.occupied.retain(|&id| {
-            let ch = &mut channels[id.index()];
+            let ch = channels.get_mut(id);
             if ch.total_occupancy == 0 {
                 ch.listed &= !ON_OCCUPIED;
                 return false;
@@ -420,11 +679,7 @@ mod tests {
 
     #[test]
     fn full_interval_accounting_is_exactly_once() {
-        let mut ch = ChannelState::new(
-            ChannelClass::LocalRow,
-            Bandwidth::from_gib_per_sec(1),
-            Ns(0),
-        );
+        let mut ch = ChannelState::new(ChannelClass::LocalRow);
         ch.mark_full(0, Ns(100));
         ch.mark_full(0, Ns(150)); // repeated refusal: no double-open
         ch.mark_full(2, Ns(200)); // second VC joins the open interval
@@ -435,20 +690,131 @@ mod tests {
         // Clearing an already-clear VC is a no-op.
         ch.clear_full(1, Ns(500));
         assert_eq!(ch.saturated, Ns(350));
+        assert_eq!((ch.full_mask, ch.full_vcs), (0, 0));
     }
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn activity_bits_fit_in_existing_padding() {
-        // 400 bytes of 8-byte fields plus 8 single bytes (class, busy,
-        // tx_vc, rr_next, in_waitlist, listed, full_vcs): `listed`
-        // took the last padding byte, so per-channel memory is unchanged.
-        assert_eq!(std::mem::size_of::<ChannelState>(), 408);
+    fn channel_record_size_is_pinned() {
+        // 12 VCs x 16 B (queue head/tail + occupancy; the full flags are
+        // `full_mask`), the in-flight FIFO (32), the wait list (24), the
+        // landing list (8), five 8-byte counters (40), and 12 bytes of
+        // flags and masks padded to 16.
+        assert_eq!(std::mem::size_of::<VcState>(), 16);
+        assert_eq!(std::mem::size_of::<ChannelState>(), 312);
+    }
+
+    #[test]
+    fn push_and_pop_keep_the_queued_mask() {
+        let mut packets = arena(3);
+        let mut ch = ChannelState::new(ChannelClass::LocalRow);
+        ch.push_vc(&mut packets, 3, PacketId(0));
+        ch.push_vc(&mut packets, 3, PacketId(1));
+        ch.push_vc(&mut packets, 7, PacketId(2));
+        assert_eq!(ch.queued_mask, (1 << 3) | (1 << 7));
+        assert_eq!(ch.pop_vc(&packets, 3), Some(PacketId(0)));
+        assert_eq!(ch.queued_mask, (1 << 3) | (1 << 7), "VC 3 still holds one");
+        assert_eq!(ch.pop_vc(&packets, 3), Some(PacketId(1)));
+        assert_eq!(ch.queued_mask, 1 << 7);
+    }
+
+    #[test]
+    fn store_allocates_one_aligned_run_on_first_mutation() {
+        let mut store = ChannelStore::new([100, 100, 50, 0, 20]);
+        assert_eq!(store.records(), 0);
+        let id = ChannelId(RUN_LEN as u32 + 5);
+        assert!(store.get(id).is_none());
+        assert_eq!(store.occupancy(id), 0, "an absent record reads as empty");
+        assert_eq!(store.records(), 0, "reads never allocate");
+        store.get_mut(id).total_occupancy = 7;
+        assert_eq!(store.records(), RUN_LEN);
+        assert_eq!(store.occupancy(id), 7);
+        // The whole aligned run exists now, each record with its class.
+        let run: Vec<ChannelId> = store.iter().map(|(c, _)| c).collect();
+        let want: Vec<ChannelId> = (RUN_LEN..2 * RUN_LEN)
+            .map(|i| ChannelId(i as u32))
+            .collect();
+        assert_eq!(run, want);
+        for (c, ch) in store.iter() {
+            let want = if c.0 < 100 {
+                ChannelClass::TerminalUp
+            } else {
+                ChannelClass::TerminalDown
+            };
+            assert_eq!(ch.class, want);
+        }
+        assert!(store.get(ChannelId(0)).is_none());
+    }
+
+    #[test]
+    fn store_iterates_a_partial_last_run_without_padding() {
+        let mut store = ChannelStore::new([100, 100, 50, 0, 20]);
+        let n = store.len();
+        assert_eq!(n, 270);
+        assert_ne!(n % RUN_LEN, 0, "test wants a partial last run");
+        store.get_mut(ChannelId(n as u32 - 1)).traffic = 1;
+        store.get_mut(ChannelId(0)).traffic = 1;
+        let ids: Vec<usize> = store.iter().map(|(c, _)| c.index()).collect();
+        assert_eq!(ids.len(), RUN_LEN + n % RUN_LEN);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "id order");
+        assert_eq!(*ids.last().unwrap(), n - 1);
+        assert_eq!(
+            store.get(ChannelId(n as u32 - 1)).unwrap().class,
+            ChannelClass::Global
+        );
+        let all: Vec<_> = store.each_channel().collect();
+        assert_eq!(all.len(), n);
+        assert!(all.iter().enumerate().all(|(i, (c, _, _))| c.index() == i));
+        assert_eq!(
+            all.iter().filter(|(_, _, ch)| ch.is_some()).count(),
+            ids.len()
+        );
+    }
+
+    #[test]
+    fn store_classes_match_the_topology() {
+        for cfg in [
+            dfly_topology::TopologyConfig::small_test(),
+            dfly_topology::TopologyConfig::quick(),
+            dfly_topology::TopologyConfig::canonical(2, 8, 4, 17),
+        ] {
+            let topo = Topology::build(cfg);
+            let store = ChannelStore::for_topology(&topo);
+            assert_eq!(store.len(), topo.channel_count());
+            for ((id, class, _), (tid, info)) in store.each_channel().zip(topo.channels()) {
+                assert_eq!((id, class), (tid, info.class));
+            }
+        }
+    }
+
+    #[test]
+    fn link_table_matches_per_channel_constants() {
+        // The per-class table reproduces what every record used to carry:
+        // the class latency, plus router latency when the far end is a
+        // router.
+        for cfg in [
+            dfly_topology::TopologyConfig::small_test(),
+            dfly_topology::TopologyConfig::canonical(2, 8, 4, 17),
+        ] {
+            let topo = Topology::build(cfg);
+            let links = LinkTable::new(&topo);
+            for (_, info) in topo.channels() {
+                let ci = class_index(info.class);
+                let extra = topo.class_latency(info.class)
+                    + if info.dst.router().is_some() {
+                        topo.config().router_latency
+                    } else {
+                        Ns::ZERO
+                    };
+                assert_eq!(links.arrival_extra[ci], extra, "{:?}", info.class);
+                assert_eq!(links.bandwidth[ci], topo.class_bandwidth(info.class));
+            }
+        }
     }
 
     #[test]
     fn saturated_until_closes_open_interval() {
-        let mut ch = ChannelState::new(ChannelClass::Global, Bandwidth::from_gib_per_sec(1), Ns(0));
+        let mut ch = ChannelState::new(ChannelClass::Global);
         assert_eq!(ch.saturated_until(Ns(50)), Ns::ZERO);
         ch.mark_full(1, Ns(10));
         assert_eq!(ch.saturated_until(Ns(50)), Ns(40));

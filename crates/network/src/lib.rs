@@ -41,9 +41,11 @@ pub mod shard;
 
 pub use arena::SimArena;
 pub use audit::{AuditKind, AuditReport, AuditViolation};
+pub use channel::RUN_LEN as CHANNEL_RUN_LEN;
 pub use dfly_obs::{CoarseTimeline, MetricsMode, ObsReport};
 pub use metrics::{
-    class_index, ChannelSnapshot, MetricsFilter, NetworkMetrics, TrafficTimeline, TIMELINE_CLASSES,
+    class_index, ChannelFootprint, ChannelSnapshot, MetricsFilter, NetworkMetrics, TrafficTimeline,
+    TIMELINE_CLASSES,
 };
 pub use net::{Delivery, Network, NetworkEvent};
 pub use packet::{MessageId, PacketId};

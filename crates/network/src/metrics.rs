@@ -54,16 +54,54 @@ impl MetricsFilter<'_> {
     }
 }
 
+/// How much per-channel simulation state a network held. Channel
+/// records are allocated in aligned runs of 64 ids, only where packets
+/// go, so on a large machine `records` is far below `channels`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChannelFootprint {
+    /// Channels in the machine.
+    pub channels: usize,
+    /// Channel records allocated (summed over replicas in a sharded run).
+    pub records: usize,
+    /// Heap bytes of per-channel state: records, their run table, and
+    /// their in-flight and wait lists.
+    pub bytes: usize,
+}
+
+impl ChannelFootprint {
+    /// Per-channel state bytes per machine channel.
+    pub fn bytes_per_channel(&self) -> f64 {
+        self.bytes as f64 / self.channels.max(1) as f64
+    }
+}
+
 /// All channel snapshots of a network at one point in time.
 #[derive(Debug, Clone)]
 pub struct NetworkMetrics {
     snapshots: Vec<ChannelSnapshot>,
+    footprint: ChannelFootprint,
 }
 
 impl NetworkMetrics {
     /// Wrap a snapshot list (produced by `Network::metrics`).
     pub fn new(snapshots: Vec<ChannelSnapshot>) -> NetworkMetrics {
-        NetworkMetrics { snapshots }
+        NetworkMetrics {
+            snapshots,
+            footprint: ChannelFootprint::default(),
+        }
+    }
+
+    /// Attach the channel-state footprint of the network the snapshots
+    /// came from.
+    pub fn with_footprint(mut self, footprint: ChannelFootprint) -> NetworkMetrics {
+        self.footprint = footprint;
+        self
+    }
+
+    /// The channel-state footprint at snapshot time (all zero unless the
+    /// producer attached one).
+    pub fn footprint(&self) -> ChannelFootprint {
+        self.footprint
     }
 
     /// All snapshots.

@@ -18,8 +18,10 @@
 use crate::arbiter;
 use crate::arena::SimArena;
 use crate::audit::{AuditReport, Auditor};
-use crate::channel::{ChannelActivity, ChannelState, InFlight, PacketList};
-use crate::metrics::{class_index, ChannelSnapshot, NetworkMetrics, TrafficTimeline};
+use crate::channel::{ChannelActivity, ChannelStore, InFlight, LinkTable, PacketList};
+use crate::metrics::{
+    class_index, ChannelFootprint, ChannelSnapshot, NetworkMetrics, TrafficTimeline,
+};
 use crate::obs::{self, ObsCollector};
 use crate::packet::{MessageId, MessageKind, MessageState, Packet, PacketId, Route, MAX_ROUTE_LEN};
 use crate::params::NetworkParams;
@@ -97,7 +99,10 @@ pub struct Network {
     topo: Arc<Topology>,
     params: NetworkParams,
     router_latency: Ns,
-    channels: Vec<ChannelState>,
+    /// Per-class bandwidth and arrival latency.
+    links: LinkTable,
+    /// Per-channel state, allocated where packets go.
+    channels: ChannelStore,
     packets: Vec<Packet>,
     free_packets: Vec<PacketId>,
     messages: Vec<MessageState>,
@@ -107,6 +112,9 @@ pub struct Network {
     deliveries: VecDeque<Delivery>,
     router: RouteComputer,
     route_scratch: Vec<ChannelId>,
+    /// Channels woken by the current `TxDone`; reused so a wake
+    /// allocates nothing.
+    woken: Vec<ChannelId>,
     events_processed: u64,
     packets_delivered: u64,
     /// Arrivals processed straight off a channel's in-flight FIFO,
@@ -157,22 +165,8 @@ impl Network {
     ) -> Network {
         params.validate().expect("invalid network params");
         let router_latency = topo.config().router_latency;
-        let channels = topo
-            .channels()
-            .map(|(_, info)| {
-                let dst_is_router = info.dst.router().is_some();
-                ChannelState::new(
-                    info.class,
-                    topo.class_bandwidth(info.class),
-                    topo.class_latency(info.class)
-                        + if dst_is_router {
-                            router_latency
-                        } else {
-                            Ns::ZERO
-                        },
-                )
-            })
-            .collect();
+        let links = LinkTable::new(&topo);
+        let channels = ChannelStore::for_topology(&topo);
         let nodes = topo.config().total_nodes() as usize;
         let audit = params
             .audit
@@ -213,6 +207,7 @@ impl Network {
         Network {
             params,
             router_latency,
+            links,
             channels,
             packets,
             free_packets,
@@ -223,6 +218,7 @@ impl Network {
             deliveries,
             router,
             route_scratch,
+            woken: Vec::new(),
             events_processed: 0,
             packets_delivered: 0,
             arrivals_coalesced: 0,
@@ -641,7 +637,9 @@ impl Network {
                 self.event_end(EventKind::Arrive, started);
             }
             NetEvent::Arrive(ch_id) => loop {
-                let rec = self.channels[ch_id.index()]
+                let rec = self
+                    .channels
+                    .get_mut(ch_id)
                     .inflight
                     .pop_front()
                     .expect("Arrive fired for a channel with no packets in flight");
@@ -656,7 +654,8 @@ impl Network {
                 // the record drains inline. A delivery hands control back
                 // to the driver first (it may react by injecting), and
                 // `limit` keeps `run_until`'s contract.
-                let Some(&next) = self.channels[ch_id.index()].inflight.front() else {
+                let Some(&next) = self.channels.get(ch_id).and_then(|ch| ch.inflight.front())
+                else {
                     break;
                 };
                 let precedes_heap = match self.queue.peek_key() {
@@ -731,7 +730,9 @@ impl Network {
         if let Some(a) = self.audit.as_mut() {
             a.check_channel(
                 ch,
-                &self.channels[ch.index()],
+                self.channels
+                    .get(ch)
+                    .expect("checked channels were mutated"),
                 self.activity.queued(),
                 self.queue.now(),
                 context,
@@ -754,16 +755,11 @@ impl Network {
     /// Full structural sweep of every list, counter, and wait list.
     fn audit_full_sweep(&mut self, drained: bool) {
         if let Some(a) = self.audit.as_mut() {
-            let landing: &[VecDeque<PacketId>] = match self.shard.as_ref() {
-                Some(s) => &s.landing,
-                None => &[],
-            };
             a.full_sweep(
                 &self.channels,
                 &self.nic,
                 &self.packets,
                 &self.free_packets,
-                landing,
                 &self.activity,
                 self.queue.now(),
                 drained,
@@ -840,7 +836,7 @@ impl Network {
             };
             let size = self.packets[pid.0 as usize].size as u64;
             let now = self.queue.now();
-            let ch = &mut self.channels[ch_id.index()];
+            let ch = self.channels.get_mut(ch_id);
             let cap = self.params.vc_capacity(ch.class);
             if ch.vcs[0].occupancy + size > cap {
                 // NIC blocked: the injection buffer is full.
@@ -850,9 +846,7 @@ impl Network {
             }
             self.activity.fill(ch_id, ch, 0, size);
             self.nic[node.index()].pop_front(&self.packets);
-            self.channels[ch_id.index()].vcs[0]
-                .queue
-                .push_back(&mut self.packets, pid);
+            ch.push_vc(&mut self.packets, 0, pid);
             if let Some(a) = self.audit.as_mut() {
                 a.on_nic_to_vc(pid, node.0, ch_id, now);
             }
@@ -877,14 +871,8 @@ impl Network {
             let params = &self.params;
             let mut body = Vec::new();
             std::mem::swap(&mut body, &mut self.route_scratch);
-            self.router.compute(
-                topo,
-                params,
-                src,
-                dst,
-                |c| channels[c.index()].total_occupancy,
-                &mut body,
-            );
+            self.router
+                .compute(topo, params, src, dst, |c| channels.occupancy(c), &mut body);
             std::mem::swap(&mut body, &mut self.route_scratch);
         }
         self.route_scratch.push(self.topo.terminal_down(dst));
@@ -896,13 +884,19 @@ impl Network {
     /// Attempt to begin transmitting on `ch_id`: round-robin over VCs with
     /// queued packets whose next buffer can accept them.
     fn try_start(&mut self, ch_id: ChannelId) {
-        if self.channels[ch_id.index()].busy {
+        let ch = self.channels.get_mut(ch_id);
+        if ch.busy {
             return;
         }
-        for v in arbiter::rr_scan(self.channels[ch_id.index()].rr_next) {
-            let Some(pid) = self.channels[ch_id.index()].vcs[v].queue.front() else {
-                continue;
-            };
+        // A refused attempt touches no queue of this channel, so the
+        // mask read up front stays exact for the whole scan.
+        let (queued, class) = (ch.queued_mask, ch.class);
+        for v in arbiter::rr_queued(queued, ch.rr_next) {
+            let pid = self
+                .channels
+                .get(ch_id)
+                .and_then(|ch| ch.vcs[v].queue.front())
+                .expect("queued_mask bit set on an empty VC queue");
             // Route the packet at its source router, with the congestion
             // state at the moment it first reaches the head of the
             // injection buffer.
@@ -920,12 +914,11 @@ impl Network {
             // importer has a landing queue instead), and the arrival is
             // the importer's business — transmission completes locally at
             // TxDone, which exports the packet as a wire record.
-            let exports =
-                self.shard.is_some() && self.channels[ch_id.index()].class == ChannelClass::Global;
+            let exports = self.shard.is_some() && class == ChannelClass::Global;
             // Reserve space downstream (final hops sink into the node).
             if let Some(nc) = next_ch.filter(|_| !exports) {
                 let now = self.queue.now();
-                let ncs = &mut self.channels[nc.index()];
+                let ncs = self.channels.get_mut(nc);
                 let cap = self.params.vc_capacity(ncs.class);
                 if ncs.vcs[next_vc].occupancy + size > cap {
                     self.activity.mark_full(nc, ncs, next_vc, now);
@@ -943,19 +936,20 @@ impl Network {
                 self.audit_check_channel(nc, "reserve");
             }
             // Start transmission.
-            let ch = &mut self.channels[ch_id.index()];
+            let ci = class_index(class);
+            let ser = self.links.bandwidth[ci].serialization_time(size);
+            let extra = self.links.arrival_extra[ci];
+            let ch = self.channels.get_mut(ch_id);
             ch.busy = true;
             ch.tx_vc = v as u8;
             ch.rr_next = ((v + 1) % MAX_ROUTE_LEN) as u8;
             ch.traffic += size;
-            let ser = ch.bandwidth.serialization_time(size);
             self.activity.add_busy(ch, ser);
-            let extra = ch.arrival_extra;
             if let Some(tl) = &mut self.traffic_timeline {
-                tl.record(ch.class, self.queue.now(), size);
+                tl.record(class, self.queue.now(), size);
             }
             if let Some(ct) = &mut self.coarse_timeline {
-                ct.record(class_index(ch.class), self.queue.now(), size);
+                ct.record(ci, self.queue.now(), size);
             }
             if let Some(a) = self.audit.as_mut() {
                 a.on_tx_start(pid, ch_id, v, self.queue.now());
@@ -974,7 +968,7 @@ impl Network {
             // heap entry.
             let at = self.queue.now() + ser + extra;
             let seq = self.queue.reserve_seq();
-            let inflight = &mut self.channels[ch_id.index()].inflight;
+            let inflight = &mut self.channels.get_mut(ch_id).inflight;
             debug_assert!(inflight
                 .back()
                 .is_none_or(|prev| (prev.at, prev.seq) < (at, seq)));
@@ -990,47 +984,43 @@ impl Network {
 
     fn handle_tx_done(&mut self, ch_id: ChannelId) {
         let now = self.queue.now();
-        let (pid, v, node_to_push) = {
-            let ch = &mut self.channels[ch_id.index()];
+        let (pid, v, class) = {
+            let ch = self.channels.get_mut(ch_id);
             debug_assert!(ch.busy);
             let v = ch.tx_vc as usize;
-            let pid = ch.vcs[v]
-                .queue
-                .pop_front(&self.packets)
+            let pid = ch
+                .pop_vc(&self.packets, v)
                 .expect("tx_vc queue cannot be empty at TxDone");
             let size = self.packets[pid.0 as usize].size as u64;
             self.activity.drain(ch, v, size);
             ch.busy = false;
             self.activity.clear_full(ch, v, now);
-            let node = if ch.class == ChannelClass::TerminalUp {
-                // terminal-up channel id == node id by construction
-                Some(NodeId(ch_id.0))
-            } else {
-                None
-            };
-            (pid, v, node)
+            (pid, v, ch.class)
         };
         if let Some(a) = self.audit.as_mut() {
             a.on_tx_done(pid, ch_id, v, now);
         }
         self.audit_check_channel(ch_id, "tx done");
-        if let Some(node) = node_to_push {
-            self.nic_push(node);
+        if class == ChannelClass::TerminalUp {
+            // terminal-up channel id == node id by construction
+            self.nic_push(NodeId(ch_id.0));
         }
         if self.shard.is_some() {
-            if self.channels[ch_id.index()].class == ChannelClass::Global {
+            if class == ChannelClass::Global {
                 self.export_packet(pid, ch_id, now);
             }
             // Freed space may admit imports parked in the landing queue.
             self.drain_landing(ch_id);
         }
-        let waiters = arbiter::take_waiters(&mut self.channels, ch_id);
+        let mut woken = std::mem::take(&mut self.woken);
+        arbiter::take_waiters(&mut self.channels, ch_id, &mut woken);
         if let Some(a) = self.audit.as_mut() {
-            a.on_wake(ch_id, &waiters, now);
+            a.on_wake(ch_id, &woken, now);
         }
-        for w in waiters {
+        for &w in &woken {
             self.try_start(w);
         }
+        self.woken = woken;
         self.try_start(ch_id);
     }
 
@@ -1052,9 +1042,9 @@ impl Network {
                 let p = &self.packets[pid.0 as usize];
                 (p.current_channel(), Packet::vc_at(p.hop))
             };
-            self.channels[ch_id.index()].vcs[v]
-                .queue
-                .push_back(&mut self.packets, pid);
+            self.channels
+                .get_mut(ch_id)
+                .push_vc(&mut self.packets, v, pid);
             if let Some(a) = self.audit.as_mut() {
                 a.on_enqueue(pid, ch_id, v, self.queue.now());
             }
@@ -1105,34 +1095,20 @@ impl Network {
     /// Put a fresh network into shard mode as the replica owning `group`.
     /// The replica simulates only the channels whose transmitting end sits
     /// in its group; packets crossing a global link leave as
-    /// [`WireRecord`]s and enter via [`Network::import_records`].
-    pub(crate) fn enable_shard(&mut self, group: u32) {
+    /// [`WireRecord`]s and enter via [`Network::import_records`]. `owner`
+    /// and `global_dst` are the machine-wide maps every replica shares
+    /// (see [`ShardState`]).
+    pub(crate) fn enable_shard(&mut self, group: u32, owner: Arc<[u32]>, global_dst: Arc<[u32]>) {
         assert!(
             self.events_processed == 0 && self.messages.is_empty(),
             "shard mode can only be enabled on a fresh network"
         );
+        assert_eq!(owner.len(), self.topo.channel_count());
         let groups = self.topo.config().groups as usize;
-        let count = self.topo.channel_count();
-        let mut owner = Vec::with_capacity(count);
-        let mut global_dst = vec![u32::MAX; count];
-        for (id, info) in self.topo.channels() {
-            let src_group = match info.src {
-                ChannelEnd::Router(r) => self.topo.router_group(r).0,
-                ChannelEnd::Node(n) => self.topo.node_group(n).0,
-            };
-            owner.push(src_group);
-            if info.class == ChannelClass::Global {
-                if let ChannelEnd::Router(r) = info.dst {
-                    global_dst[id.index()] = self.topo.router_group(r).0;
-                }
-            }
-        }
         if let Some(obs) = self.obs.as_mut() {
-            obs.set_owned_mask(owner.iter().map(|&g| g == group).collect());
+            obs.set_owner(owner.clone(), group);
         }
-        self.shard = Some(Box::new(ShardState::new(
-            group, groups, count, owner, global_dst,
-        )));
+        self.shard = Some(Box::new(ShardState::new(group, groups, owner, global_dst)));
     }
 
     /// The shard state, if this replica runs in shard mode.
@@ -1163,7 +1139,7 @@ impl Network {
         // router can own the next global channel).
         let terminates = !rec.route.as_slice()[hop as usize..]
             .iter()
-            .any(|c| self.channels[c.index()].class == ChannelClass::Global);
+            .any(|&c| self.topo.channel(c).class == ChannelClass::Global);
         let msg = if terminates {
             let shard = self.shard.as_mut().expect("import outside shard mode");
             match shard.remote.get(&rec.gid) {
@@ -1260,23 +1236,18 @@ impl Network {
             let p = &self.packets[pid.0 as usize];
             (p.current_channel(), Packet::vc_at(p.hop), p.size as u64)
         };
-        let ch = &mut self.channels[ch_id.index()];
+        debug_assert!(self.shard.is_some(), "import outside shard mode");
+        let ch = self.channels.get_mut(ch_id);
         let cap = self.params.vc_capacity(ch.class);
         if ch.vcs[v].occupancy + size > cap {
-            self.shard
-                .as_mut()
-                .expect("import outside shard mode")
-                .landing[ch_id.index()]
-            .push_back(pid);
+            ch.landing.push_back(&mut self.packets, pid);
             if let Some(a) = self.audit.as_mut() {
                 a.on_landing(pid, ch_id, now);
             }
             return;
         }
         self.activity.fill(ch_id, ch, v, size);
-        self.channels[ch_id.index()].vcs[v]
-            .queue
-            .push_back(&mut self.packets, pid);
+        ch.push_vc(&mut self.packets, v, pid);
         if let Some(a) = self.audit.as_mut() {
             a.on_ingress_enqueue(pid, ch_id, v, now);
         }
@@ -1288,12 +1259,8 @@ impl Network {
     /// after the channel's TxDone freed occupancy).
     fn drain_landing(&mut self, ch_id: ChannelId) {
         loop {
-            let Some(&pid) = self
-                .shard
-                .as_ref()
-                .expect("landing drain outside shard mode")
-                .landing[ch_id.index()]
-            .front() else {
+            let ch = self.channels.get_mut(ch_id);
+            let Some(pid) = ch.landing.front() else {
                 return;
             };
             let now = self.queue.now();
@@ -1302,16 +1269,13 @@ impl Network {
                 debug_assert_eq!(p.current_channel(), ch_id);
                 (Packet::vc_at(p.hop), p.size as u64)
             };
-            let ch = &mut self.channels[ch_id.index()];
             let cap = self.params.vc_capacity(ch.class);
             if ch.vcs[v].occupancy + size > cap {
                 return;
             }
             self.activity.fill(ch_id, ch, v, size);
-            self.shard.as_mut().unwrap().landing[ch_id.index()].pop_front();
-            self.channels[ch_id.index()].vcs[v]
-                .queue
-                .push_back(&mut self.packets, pid);
+            ch.landing.pop_front(&self.packets);
+            ch.push_vc(&mut self.packets, v, pid);
             if let Some(a) = self.audit.as_mut() {
                 a.on_landing_to_vc(pid, ch_id, v, now);
             }
@@ -1326,7 +1290,7 @@ impl Network {
             let p = &self.packets[pid.0 as usize];
             (p.msg, p.size, p.hop, p.route)
         };
-        let extra = self.channels[ch_id.index()].arrival_extra;
+        let extra = self.links.arrival_extra[class_index(ChannelClass::Global)];
         let (gid, kind, rec) = {
             let m = &self.messages[msg.0 as usize];
             (
@@ -1436,7 +1400,7 @@ impl Network {
     /// saturation intervals close at the run-wide end time `t_end`.
     pub(crate) fn snapshot_channel(&self, id: ChannelId, t_end: Ns) -> ChannelSnapshot {
         let info = self.topo.channel(id);
-        let ch = &self.channels[id.index()];
+        let ch = self.channels.get(id);
         ChannelSnapshot {
             id,
             class: info.class,
@@ -1444,9 +1408,9 @@ impl Network {
                 ChannelEnd::Router(r) => Some(r),
                 ChannelEnd::Node(n) => Some(self.topo.node_router(n)),
             },
-            traffic_bytes: ch.traffic,
-            saturated_time: ch.saturated_until(t_end),
-            busy_time: ch.busy_time,
+            traffic_bytes: ch.map_or(0, |ch| ch.traffic),
+            saturated_time: ch.map_or(Ns::ZERO, |ch| ch.saturated_until(t_end)),
+            busy_time: ch.map_or(Ns::ZERO, |ch| ch.busy_time),
         }
     }
 
@@ -1459,28 +1423,24 @@ impl Network {
         let snapshots = self
             .topo
             .channels()
-            .map(|(id, info)| {
-                let ch = &self.channels[id.index()];
-                ChannelSnapshot {
-                    id,
-                    class: info.class,
-                    src_router: match info.src {
-                        ChannelEnd::Router(r) => Some(r),
-                        ChannelEnd::Node(n) => Some(self.topo.node_router(n)),
-                    },
-                    traffic_bytes: ch.traffic,
-                    saturated_time: ch.saturated_until(now),
-                    busy_time: ch.busy_time,
-                }
-            })
+            .map(|(id, _)| self.snapshot_channel(id, now))
             .collect();
-        NetworkMetrics::new(snapshots)
+        NetworkMetrics::new(snapshots).with_footprint(self.channel_footprint())
+    }
+
+    /// How much per-channel state this network holds right now.
+    pub(crate) fn channel_footprint(&self) -> ChannelFootprint {
+        ChannelFootprint {
+            channels: self.channels.len(),
+            records: self.channels.records(),
+            bytes: self.channels.heap_bytes(),
+        }
     }
 
     /// Total queued bytes at a channel (all VCs). Exposed for tests and
     /// congestion-aware workloads.
     pub fn channel_occupancy(&self, ch: ChannelId) -> Bytes {
-        self.channels[ch.index()].total_occupancy
+        self.channels.occupancy(ch)
     }
 
     /// The fixed per-router traversal latency.
@@ -1553,6 +1513,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::RUN_LEN;
     use dfly_topology::TopologyConfig;
 
     fn net(routing: Routing) -> Network {
@@ -1855,7 +1816,7 @@ mod tests {
         n.run_to_idle();
         assert_eq!(n.drain_deliveries().len(), 15);
         assert_eq!(n.total_queued_bytes(), 0);
-        for ch in &n.channels {
+        for (_, ch) in n.channels.iter() {
             assert!(!ch.in_waitlist, "waitlist bit must clear at drain");
             assert!(ch.waiters.is_empty(), "wait lists must empty at drain");
         }
@@ -2038,7 +1999,7 @@ mod tests {
         let mut n = audited_congested_net();
         // Corrupt one channel's credit counter behind the auditor's back.
         let up = n.topology().terminal_up(NodeId(1));
-        n.channels[up.index()].total_occupancy += 64;
+        n.channels.get_mut(up).total_occupancy += 64;
         let report = n.audit_report().unwrap();
         assert!(!report.is_clean());
         assert!(
@@ -2054,7 +2015,7 @@ mod tests {
     fn audit_detects_saturation_miscount() {
         let mut n = audited_congested_net();
         let up = n.topology().terminal_up(NodeId(2));
-        n.channels[up.index()].full_vcs += 1;
+        n.channels.get_mut(up).full_vcs += 1;
         let report = n.audit_report().unwrap();
         assert!(
             report
@@ -2072,16 +2033,16 @@ mod tests {
         let victim = n
             .channels
             .iter()
-            .position(|c| !c.in_waitlist)
+            .find(|(_, c)| !c.in_waitlist)
+            .map(|(id, _)| id)
             .expect("some channel not parked");
-        n.channels[victim].in_waitlist = true;
+        n.channels.get_mut(victim).in_waitlist = true;
         let report = n.audit_report().unwrap();
         assert!(
             report
                 .violations
                 .iter()
-                .any(|v| v.kind == AuditKind::Waitlist
-                    && v.channel == Some(ChannelId(victim as u32))),
+                .any(|v| v.kind == AuditKind::Waitlist && v.channel == Some(victim)),
             "{report}"
         );
     }
@@ -2091,14 +2052,19 @@ mod tests {
         let mut n = audited_congested_net();
         // Drop a queued packet on the floor: pop it from its list without
         // releasing occupancy or telling the auditor.
-        let victim = (0..n.channels.len())
-            .find(|&i| {
+        let victim = n
+            .channels
+            .iter()
+            .find(|(_, ch)| {
                 // Skip the busy head (TxDone would then pop a packet the
                 // engine no longer has) — take a queue with depth >= 2.
-                n.channels[i].vcs[0].queue.iter(&n.packets).count() >= 2
+                ch.vcs[0].queue.iter(&n.packets).count() >= 2
             })
+            .map(|(id, _)| id)
             .expect("some deep VC queue");
-        n.channels[victim].vcs[0].queue.pop_front(&n.packets);
+        n.channels.get_mut(victim).vcs[0]
+            .queue
+            .pop_front(&n.packets);
         let report = n.audit_report().unwrap();
         assert!(!report.is_clean());
         assert!(
@@ -2114,7 +2080,7 @@ mod tests {
     fn audit_detects_traffic_miscount() {
         let mut n = audited_congested_net();
         let up = n.topology().terminal_up(NodeId(3));
-        n.channels[up.index()].traffic += 1;
+        n.channels.get_mut(up).traffic += 1;
         let report = n.audit_report().unwrap();
         assert!(
             report
@@ -2152,10 +2118,10 @@ mod tests {
             .activity
             .open_full
             .iter()
-            .position(|id| n.channels[id.index()].full_vcs > 0)
+            .position(|&id| n.channels.get(id).is_some_and(|ch| ch.full_vcs > 0))
             .expect("the hotspot saturates a channel");
         let id = n.activity.open_full.swap_remove(at);
-        n.channels[id.index()].listed &= !crate::channel::ON_OPEN_FULL;
+        n.channels.get_mut(id).listed &= !crate::channel::ON_OPEN_FULL;
         let found = activity_violations(&mut n, AuditKind::ActivityList);
         assert!(
             found
@@ -2176,7 +2142,7 @@ mod tests {
             .pop()
             .expect("mid-run buffers are occupied");
         assert_ne!(
-            n.channels[id.index()].listed & crate::channel::ON_OCCUPIED,
+            n.channels.get(id).unwrap().listed & crate::channel::ON_OCCUPIED,
             0
         );
         let found = activity_violations(&mut n, AuditKind::ActivityList);
@@ -2189,9 +2155,115 @@ mod tests {
     }
 
     #[test]
+    fn audit_detects_queued_mask_corruption() {
+        // A mask bit without a queued packet would send arbitration to an
+        // empty queue; a missing bit would strand the queue's packets.
+        let mut n = audited_congested_net();
+        let (id, vc) = n
+            .channels
+            .iter()
+            .find_map(|(id, ch)| {
+                (0..MAX_ROUTE_LEN)
+                    .find(|&vc| ch.queued_mask & (1 << vc) != 0)
+                    .map(|vc| (id, vc))
+            })
+            .expect("mid-run queues hold packets");
+        n.channels.get_mut(id).queued_mask &= !(1 << vc);
+        let found = activity_violations(&mut n, AuditKind::ListIntegrity);
+        assert!(
+            found
+                .iter()
+                .any(|v| v.channel == Some(id) && v.context.contains("queued mask")),
+            "{found:?}"
+        );
+    }
+
+    /// A channel of the congested net whose run was never allocated.
+    fn unallocated_channel(n: &Network) -> ChannelId {
+        (0..n.channels.len() as u32)
+            .map(ChannelId)
+            .rev()
+            .find(|&id| n.channels.get(id).is_none())
+            .expect("a hotspot run leaves most runs unallocated")
+    }
+
+    #[test]
+    fn audit_detects_unallocated_channel_on_an_activity_list() {
+        let mut n = audited_congested_net();
+        let ghost = unallocated_channel(&n);
+        n.activity.occupied.push(ghost);
+        let found = activity_violations(&mut n, AuditKind::ActivityList);
+        assert!(
+            found
+                .iter()
+                .any(|v| v.channel == Some(ghost) && v.context.contains("no record")),
+            "{found:?}"
+        );
+        assert!(
+            n.channels.get(ghost).is_none(),
+            "the sweep must not allocate"
+        );
+    }
+
+    #[test]
+    fn audit_detects_unallocated_channel_on_a_wait_list() {
+        let mut n = audited_congested_net();
+        let ghost = unallocated_channel(&n);
+        let blocker = n.channels.iter().next().map(|(id, _)| id).unwrap();
+        n.channels.get_mut(blocker).waiters.push(ghost);
+        let found = activity_violations(&mut n, AuditKind::Waitlist);
+        assert!(
+            found
+                .iter()
+                .any(|v| v.channel == Some(ghost) && v.context.contains("no record")),
+            "{found:?}"
+        );
+    }
+
+    #[test]
+    fn records_exist_only_for_runs_on_the_message_route() {
+        // 65 groups x 8 routers x 4 nodes: 2,080 nodes, ~13k channels.
+        let topo = Arc::new(Topology::build(TopologyConfig::canonical(4, 8, 8, 65)));
+        let mut n = Network::new(topo, NetworkParams::default(), Routing::Minimal, 5);
+        assert_eq!(
+            n.channel_footprint().records,
+            0,
+            "construction allocates no record"
+        );
+        let last = NodeId(n.topology().config().total_nodes() - 1);
+        n.send(Ns::ZERO, NodeId(0), last, 3 * 4096, 0);
+        n.run_to_idle();
+        assert_eq!(n.drain_deliveries().len(), 1);
+        let m = n.metrics();
+        let route: Vec<ChannelId> = m
+            .channels()
+            .filter(|c| c.traffic_bytes > 0)
+            .map(|c| c.id)
+            .collect();
+        assert!(route
+            .iter()
+            .any(|&c| n.topology().channel(c).class == ChannelClass::Global));
+        let mut route_runs: Vec<usize> = route.iter().map(|c| c.index() / RUN_LEN).collect();
+        route_runs.dedup();
+        route_runs.sort_unstable();
+        route_runs.dedup();
+        let mut allocated: Vec<usize> = n
+            .channels
+            .iter()
+            .map(|(c, _)| c.index() / RUN_LEN)
+            .collect();
+        allocated.dedup();
+        assert_eq!(allocated, route_runs, "records beyond the route's runs");
+        let footprint = m.footprint();
+        assert_eq!(footprint.records, RUN_LEN * route_runs.len());
+        assert_eq!(footprint.channels, n.topology().channel_count());
+        assert!(footprint.records * 20 < footprint.channels, "{footprint:?}");
+    }
+
+    #[test]
     fn audit_report_is_displayable() {
         let mut n = audited_congested_net();
-        n.channels[0].total_occupancy += 1;
+        n.channels.get_mut(ChannelId(0)).total_occupancy += 1;
         let report = n.audit_report().unwrap();
         let text = report.to_string();
         assert!(text.contains("violation"), "{text}");

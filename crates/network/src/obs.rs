@@ -27,7 +27,7 @@
 //! emits one catch-up window per crossed boundary instead of a single
 //! oversized one, so `SampleSeries` spacing stays uniform.
 
-use crate::channel::{ChannelActivity, ChannelState};
+use crate::channel::{ChannelActivity, ChannelStore};
 use crate::metrics::class_index;
 use crate::packet::MAX_ROUTE_LEN;
 use crate::params::NetworkParams;
@@ -36,7 +36,8 @@ use dfly_obs::{
     EventKind, EventLoopProfile, LinkDigest, MetricsMode, NetSample, ObsClock, ObsReport,
     OccupancyHistogram, RouteStats, SampleSeries, OBS_CLASSES,
 };
-use dfly_topology::Topology;
+use dfly_topology::{ChannelId, Topology};
+use std::sync::Arc;
 
 /// Channels per [`class_index`] class of `topo`.
 pub(crate) fn class_counts(topo: &Topology) -> [u64; 5] {
@@ -68,12 +69,13 @@ pub(crate) struct ObsCollector {
     window: WindowDeltas,
     /// Channels per class (the utilization denominators).
     class_counts: [u64; 5],
-    /// Shard mode: which channels this replica owns. Occupancy histogram
-    /// readings are restricted to owned channels so a sharded run's merged
-    /// histogram matches a serial run (unowned channels are always empty
-    /// here and would flood bucket zero). Busy/stall/queued totals need no
-    /// mask — unowned channels contribute zeros.
-    owned: Option<Vec<bool>>,
+    /// Shard mode: the machine's channel -> owning group map and this
+    /// replica's group. Occupancy histogram readings are restricted to
+    /// owned channels so a sharded run's merged histogram matches a
+    /// serial run (unowned channels are always empty here and would
+    /// flood bucket zero). Busy/stall/queued totals need no mask —
+    /// unowned channels contribute zeros.
+    owner: Option<(Arc<[u32]>, u32)>,
     /// Channels whose VCs the histogram reads each window (all channels,
     /// or the owned ones in shard mode).
     owned_channels: u64,
@@ -190,18 +192,18 @@ impl ObsCollector {
             next_sample: interval,
             window: WindowDeltas::default(),
             class_counts,
-            owned: None,
+            owner: None,
             owned_channels: class_counts.iter().sum(),
             #[cfg(test)]
             oracle: oracle::FullSweep::new(interval, mode),
         }
     }
 
-    /// Restrict occupancy-histogram readings to the channels marked true
-    /// (shard mode; see the `owned` field).
-    pub(crate) fn set_owned_mask(&mut self, owned: Vec<bool>) {
-        self.owned_channels = owned.iter().filter(|&&o| o).count() as u64;
-        self.owned = Some(owned);
+    /// Restrict occupancy-histogram readings to the channels `owner`
+    /// maps to `group` (shard mode; see the `owner` field).
+    pub(crate) fn set_owner(&mut self, owner: Arc<[u32]>, group: u32) {
+        self.owned_channels = owner.iter().filter(|&&g| g == group).count() as u64;
+        self.owner = Some((owner, group));
     }
 
     /// The sampling interval.
@@ -262,7 +264,7 @@ impl ObsCollector {
     pub(crate) fn sample(
         &mut self,
         now: Ns,
-        channels: &mut [ChannelState],
+        channels: &mut ChannelStore,
         activity: &mut ChannelActivity,
         params: &NetworkParams,
         route: Option<&RouteStats>,
@@ -281,7 +283,7 @@ impl ObsCollector {
     pub(crate) fn close(
         &mut self,
         now: Ns,
-        channels: &mut [ChannelState],
+        channels: &mut ChannelStore,
         activity: &mut ChannelActivity,
         params: &NetworkParams,
         route: Option<&RouteStats>,
@@ -297,12 +299,13 @@ impl ObsCollector {
             // owned channels are digested; the drain merges per-group
             // digests in fixed group order.
             let mut digest = LinkDigest::new(k as usize, self.digest_seed);
-            let owned = self.owned.as_deref();
-            for (i, ch) in channels.iter().enumerate() {
-                if owned.is_some_and(|m| !m[i]) {
+            for (id, class, ch) in channels.each_channel() {
+                if !owns(self.owner.as_ref(), id) {
                     continue;
                 }
-                digest.observe_channel(class_index(ch.class), ch.traffic, ch.saturated_until(now));
+                let (traffic, saturated) =
+                    ch.map_or((0, Ns::ZERO), |ch| (ch.traffic, ch.saturated_until(now)));
+                digest.observe_channel(class_index(class), traffic, saturated);
             }
             self.digest = Some(digest);
         }
@@ -314,7 +317,7 @@ impl ObsCollector {
     fn push_window(
         &mut self,
         at: Ns,
-        channels: &mut [ChannelState],
+        channels: &mut ChannelStore,
         activity: &mut ChannelActivity,
         params: &NetworkParams,
         route: Option<&RouteStats>,
@@ -324,16 +327,16 @@ impl ObsCollector {
         }
         #[cfg(test)]
         self.oracle
-            .push_window(at, channels, params, route, self.owned.as_deref());
+            .push_window(at, channels, params, route, self.owner.as_ref());
 
         let stall_ns = activity.saturated_until(channels, at);
         // Every owned VC gives one reading per window: the non-empty ones
         // live on occupied channels, the rest are empty (bucket 0).
-        let owned = self.owned.as_deref();
+        let owner = self.owner.as_ref();
         let hist = &mut self.vc_occupancy;
         let mut recorded = 0u64;
         activity.for_each_occupied(channels, |id, ch| {
-            if owned.is_some_and(|m| !m[id.index()]) {
+            if !owns(owner, id) {
                 return;
             }
             let cap = params.vc_capacity(ch.class) as f64;
@@ -393,6 +396,12 @@ impl ObsCollector {
     }
 }
 
+/// True unless `owner` (shard mode's map and group) gives channel `id`
+/// to another replica.
+fn owns(owner: Option<&(Arc<[u32]>, u32)>, id: ChannelId) -> bool {
+    owner.is_none_or(|(map, group)| map[id.index()] == *group)
+}
+
 /// The full-machine sweep that produced every telemetry window before
 /// the activity totals existed, kept as the reference the incremental
 /// windows must equal sample for sample and reading for reading. It
@@ -401,6 +410,8 @@ impl ObsCollector {
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;
+    use crate::channel::ChannelState;
+    use dfly_topology::ChannelClass;
 
     pub(crate) struct FullSweep {
         pub(crate) series: SampleSeries,
@@ -422,31 +433,35 @@ pub(crate) mod oracle {
         pub(crate) fn push_window(
             &mut self,
             at: Ns,
-            channels: &[ChannelState],
+            channels: &ChannelStore,
             params: &NetworkParams,
             route: Option<&RouteStats>,
-            owned: Option<&[bool]>,
+            owner: Option<&(Arc<[u32]>, u32)>,
         ) {
             if at <= self.window.last_sample_at {
                 return;
             }
             if self.class_counts == [0; 5] {
-                for ch in channels {
-                    self.class_counts[class_index(ch.class)] += 1;
+                for (_, class, _) in channels.each_channel() {
+                    self.class_counts[class_index(class)] += 1;
                 }
             }
             let mut busy_ns = [0u64; 5];
             let mut stall_ns = [0u64; 5];
             let mut queued = [0u64; 5];
-            for (i, ch) in channels.iter().enumerate() {
-                let ci = class_index(ch.class);
+            // A channel without a record is empty: it adds nothing to the
+            // totals and reads zero in every VC.
+            let empty = ChannelState::new(ChannelClass::Global);
+            for (id, class, ch) in channels.each_channel() {
+                let ch = ch.unwrap_or(&empty);
+                let ci = class_index(class);
                 busy_ns[ci] += ch.busy_time.as_nanos();
                 stall_ns[ci] += ch.saturated_until(at).as_nanos();
                 queued[ci] += ch.total_occupancy;
-                if owned.is_some_and(|m| !m[i]) {
+                if !owns(owner, id) {
                     continue;
                 }
-                let cap = params.vc_capacity(ch.class) as f64;
+                let cap = params.vc_capacity(class) as f64;
                 for vc in &ch.vcs {
                     self.vc_occupancy.record(vc.occupancy as f64 / cap);
                 }
@@ -462,13 +477,13 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfly_engine::Bandwidth;
-    use dfly_topology::{ChannelClass, ChannelId};
+    use crate::channel::ChannelState;
+    use dfly_topology::ChannelClass;
 
     /// One channel each of three classes, kept consistent with their
     /// activity totals by mutating through [`ChannelActivity`].
     struct Chans {
-        chans: Vec<ChannelState>,
+        chans: ChannelStore,
         act: ChannelActivity,
     }
 
@@ -483,17 +498,23 @@ mod tests {
             c.close(now, &mut self.chans, &mut self.act, &params, None);
         }
 
+        fn ch(&mut self, i: usize) -> &mut ChannelState {
+            self.chans.get_mut(ChannelId(i as u32))
+        }
+
         fn busy(&mut self, i: usize, t: Ns) {
-            self.act.add_busy(&mut self.chans[i], t);
+            let ch = self.chans.get_mut(ChannelId(i as u32));
+            self.act.add_busy(ch, t);
         }
 
         fn mark_full(&mut self, i: usize, vc: usize, at: Ns) {
             let id = ChannelId(i as u32);
-            self.act.mark_full(id, &mut self.chans[i], vc, at);
+            self.act.mark_full(id, self.chans.get_mut(id), vc, at);
         }
 
         fn clear_full(&mut self, i: usize, vc: usize, at: Ns) {
-            self.act.clear_full(&mut self.chans[i], vc, at);
+            let ch = self.chans.get_mut(ChannelId(i as u32));
+            self.act.clear_full(ch, vc, at);
         }
     }
 
@@ -511,24 +532,23 @@ mod tests {
         )
     }
 
+    /// Channels 0, 1, 2 are terminal-up, local-row and global, each
+    /// 10 µs busy with 512 bytes queued.
     fn channels() -> Chans {
         let mut out = Chans {
-            chans: Vec::new(),
+            chans: ChannelStore::new(CLASS_COUNTS),
             act: ChannelActivity::default(),
         };
-        for (i, class) in [
-            ChannelClass::TerminalUp,
-            ChannelClass::LocalRow,
-            ChannelClass::Global,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let mut ch = ChannelState::new(class, Bandwidth::from_gib_per_sec(1), Ns(0));
-            out.act.add_busy(&mut ch, Ns(10_000));
-            out.act.fill(ChannelId(i as u32), &mut ch, 0, 512);
-            out.chans.push(ch);
+        for i in 0..3 {
+            let id = ChannelId(i);
+            let ch = out.chans.get_mut(id);
+            out.act.add_busy(ch, Ns(10_000));
+            out.act.fill(id, ch, 0, 512);
         }
+        assert_eq!(
+            out.chans.get(ChannelId(2)).unwrap().class,
+            ChannelClass::Global
+        );
         out
     }
 
@@ -627,18 +647,22 @@ mod tests {
         let mut chans = channels();
         chans.mark_full(2, 1, Ns(10));
         chans.clear_full(2, 1, Ns(20));
-        let size = chans.chans[0].total_occupancy;
-        chans.act.drain(&mut chans.chans[0], 0, size);
+        let size = chans.ch(0).total_occupancy;
+        chans.act.drain(chans.chans.get_mut(ChannelId(0)), 0, size);
         assert_eq!(chans.act.occupied.len(), 3);
         assert_eq!(chans.act.open_full.len(), 1);
         chans.sample(&mut c, Ns(1_000), None);
         assert_eq!(chans.act.occupied, [ChannelId(1), ChannelId(2)]);
         assert!(chans.act.open_full.is_empty());
-        assert_eq!(chans.chans[0].listed, 0);
-        assert_eq!(chans.chans[2].listed, crate::channel::ON_OCCUPIED);
+        assert_eq!(chans.ch(0).listed, 0);
+        assert_eq!(chans.ch(2).listed, crate::channel::ON_OCCUPIED);
         // Re-filling the emptied channel lists it again, once.
-        chans.act.fill(ChannelId(0), &mut chans.chans[0], 3, 64);
-        chans.act.fill(ChannelId(0), &mut chans.chans[0], 4, 64);
+        chans
+            .act
+            .fill(ChannelId(0), chans.chans.get_mut(ChannelId(0)), 3, 64);
+        chans
+            .act
+            .fill(ChannelId(0), chans.chans.get_mut(ChannelId(0)), 4, 64);
         assert_eq!(chans.act.occupied.len(), 3);
         chans.sample(&mut c, Ns(2_000), None);
         assert_matches_oracle(&c);
@@ -714,7 +738,7 @@ mod tests {
         let mode = MetricsMode::Streaming { reservoir_k: 8 };
         let mut c = ObsCollector::new(Ns(1_000), 1, false, mode, 42, CLASS_COUNTS, Vec::new());
         let mut chans = channels();
-        chans.chans[2].traffic = 5_000_000;
+        chans.ch(2).traffic = 5_000_000;
         chans.mark_full(2, 0, Ns(0));
         chans.clear_full(2, 0, Ns(2_000_000));
         chans.close(&mut c, Ns(10_500));

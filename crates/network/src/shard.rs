@@ -44,15 +44,15 @@
 
 use crate::arena::SimArena;
 use crate::audit::{AuditKind, AuditReport, AuditViolation};
-use crate::metrics::NetworkMetrics;
+use crate::metrics::{ChannelFootprint, NetworkMetrics};
 use crate::net::{Delivery, Network, NetworkEvent};
-use crate::packet::{MessageId, PacketId, Route};
+use crate::packet::{MessageId, Route};
 use crate::params::NetworkParams;
 use crate::routing::Routing;
 use dfly_engine::shard::{min_horizon, Mailbox, ShardClock, Windows, IDLE};
 use dfly_engine::{Bytes, Ns};
 use dfly_obs::ObsReport;
-use dfly_topology::{ChannelClass, NodeId, Topology};
+use dfly_topology::{ChannelClass, ChannelEnd, NodeId, Topology};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,10 +98,11 @@ pub(crate) struct ShardState {
     /// The group this replica simulates.
     pub(crate) group: u32,
     /// Channel -> owning group (the group of the transmitting end).
-    pub(crate) owner: Vec<u32>,
+    /// Built once per run and shared by every replica.
+    pub(crate) owner: Arc<[u32]>,
     /// For global channels: the receiving end's group (`u32::MAX`
-    /// otherwise).
-    pub(crate) global_dst: Vec<u32>,
+    /// otherwise). Shared like `owner`.
+    pub(crate) global_dst: Arc<[u32]>,
     /// Records exported this window, bucketed by destination group.
     pub(crate) outboxes: Vec<Vec<WireRecord>>,
     /// Per destination group: next emission sequence number.
@@ -109,9 +110,6 @@ pub(crate) struct ShardState {
     /// gid -> local message slot, for attributing further imports (and
     /// detour returns) of an already-seen message.
     pub(crate) remote: HashMap<u64, MessageId>,
-    /// Per-channel queues of imports refused at ingress (no cross-shard
-    /// credit is reserved; head-blocking FIFO drained on TxDone).
-    pub(crate) landing: Vec<VecDeque<PacketId>>,
     /// Conservation ledger: (bytes, packets) exported to each group.
     pub(crate) exported_to: Vec<(u64, u64)>,
     /// Conservation ledger: (bytes, packets) imported from each group.
@@ -122,9 +120,8 @@ impl ShardState {
     pub(crate) fn new(
         group: u32,
         groups: usize,
-        channels: usize,
-        owner: Vec<u32>,
-        global_dst: Vec<u32>,
+        owner: Arc<[u32]>,
+        global_dst: Arc<[u32]>,
     ) -> ShardState {
         ShardState {
             group,
@@ -133,11 +130,32 @@ impl ShardState {
             outboxes: vec![Vec::new(); groups],
             emit_seq: vec![0; groups],
             remote: HashMap::new(),
-            landing: vec![VecDeque::new(); channels],
             exported_to: vec![(0, 0); groups],
             imported_from: vec![(0, 0); groups],
         }
     }
+}
+
+/// The machine-wide shard maps: each channel's owning group (the group
+/// of its transmitting end), and for global channels the receiving end's
+/// group (`u32::MAX` for every other channel).
+fn ownership_maps(topo: &Topology) -> (Arc<[u32]>, Arc<[u32]>) {
+    let mut global_dst = vec![u32::MAX; topo.channel_count()];
+    let owner = topo
+        .channels()
+        .map(|(id, info)| {
+            if info.class == ChannelClass::Global {
+                if let ChannelEnd::Router(r) = info.dst {
+                    global_dst[id.index()] = topo.router_group(r).0;
+                }
+            }
+            match info.src {
+                ChannelEnd::Router(r) => topo.router_group(r).0,
+                ChannelEnd::Node(n) => topo.node_group(n).0,
+            }
+        })
+        .collect();
+    (owner, global_dst.into())
 }
 
 /// A driver injection buffered at the coordinator until the next window.
@@ -318,6 +336,7 @@ impl ShardedNetwork {
             queued_bytes: (0..groups).map(|_| AtomicU64::new(0)).collect(),
             in_flight: (0..groups).map(|_| AtomicU64::new(0)).collect(),
         });
+        let (owner, global_dst) = ownership_maps(&topo);
         let mut per_worker: Vec<Vec<(u32, Network)>> = (0..workers_n).map(|_| Vec::new()).collect();
         for g in 0..groups {
             let mut net = Network::with_arena(
@@ -327,7 +346,7 @@ impl ShardedNetwork {
                 seed.wrapping_add(g as u64),
                 &mut arenas[g],
             );
-            net.enable_shard(g as u32);
+            net.enable_shard(g as u32, owner.clone(), global_dst.clone());
             per_worker[g % workers_n].push((g as u32, net));
         }
         let (done_tx, done_rx) = channel();
@@ -628,7 +647,21 @@ impl ShardParts {
                 self.nets[owner[id.index()] as usize].snapshot_channel(id, self.final_time)
             })
             .collect();
-        NetworkMetrics::new(snapshots)
+        NetworkMetrics::new(snapshots).with_footprint(self.channel_footprint())
+    }
+
+    /// Per-channel state summed over every replica.
+    fn channel_footprint(&self) -> ChannelFootprint {
+        let mut total = ChannelFootprint {
+            channels: self.topo.channel_count(),
+            ..ChannelFootprint::default()
+        };
+        for net in &self.nets {
+            let f = net.channel_footprint();
+            total.records += f.records;
+            total.bytes += f.bytes;
+        }
+        total
     }
 
     /// Merged audit report (None when auditing was off): per-replica
@@ -737,6 +770,7 @@ fn merge_obs(into: &mut ObsReport, from: &ObsReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::RUN_LEN;
     use dfly_engine::Xoshiro256;
     use dfly_topology::TopologyConfig;
 
@@ -805,6 +839,7 @@ mod tests {
     fn merged_metrics_conserve_traffic_and_obs_merges() {
         let mut net = sharded(3, false, true);
         let nodes = net.topology().config().total_nodes();
+        let net_channels = net.topology().channel_count();
         for i in 0..nodes {
             net.send(
                 Ns::ZERO,
@@ -820,6 +855,19 @@ mod tests {
         let metrics = parts.metrics();
         let traffic: u64 = metrics.channels().map(|c| c.traffic_bytes).sum();
         assert!(traffic >= 2 * 4096 * nodes as u64, "traffic {traffic}");
+        // A replica mutates only channels its group owns, so it holds
+        // records just for the runs where its own channels moved traffic.
+        let owner = &parts.nets[0].shard_state().expect("shard mode").owner;
+        let mut runs: Vec<(u32, usize)> = metrics
+            .channels()
+            .filter(|c| c.traffic_bytes > 0)
+            .map(|c| (owner[c.id.index()], c.id.index() / RUN_LEN))
+            .collect();
+        runs.sort_unstable();
+        runs.dedup();
+        let footprint = metrics.footprint();
+        assert_eq!(footprint.records, RUN_LEN * runs.len());
+        assert_eq!(footprint.channels, net_channels);
         let events = parts.events();
         let obs = parts.obs_report().expect("obs on");
         assert_eq!(obs.profile.total_events(), events);
