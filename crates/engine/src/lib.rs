@@ -7,7 +7,11 @@
 //! * an integer-nanosecond simulated clock ([`Ns`]) with exact
 //!   bandwidth/serialization arithmetic ([`Bandwidth`]),
 //! * a total-ordered event queue ([`EventQueue`]) whose tie-breaking is a
-//!   monotone sequence number, so simulations are bit-for-bit reproducible,
+//!   monotone sequence number, so simulations are bit-for-bit reproducible;
+//!   it is a monotone radix queue (nothing is scheduled before the clock,
+//!   so an event is filed in O(1) into one of 64 chunked buckets by the
+//!   highest bit of `time ^ now`), and since a peek scans a bucket,
+//!   bounded loops pop with [`EventQueue::pop_until`] (see [`queue`]),
 //! * a small, self-contained xoshiro256** random number generator
 //!   ([`rng::Xoshiro256`]) so random placement/routing decisions are stable
 //!   across dependency upgrades,

@@ -1,13 +1,39 @@
 //! The discrete-event queue.
 //!
-//! A thin wrapper over a binary heap keyed by `(time, sequence)`. The
-//! sequence number makes the ordering of same-timestamp events the order in
-//! which they were scheduled, which is what makes whole simulations
-//! deterministic and therefore comparable across configurations.
+//! A monotone radix queue keyed by `(time, sequence)`. The sequence number
+//! makes the ordering of same-timestamp events the order in which they
+//! were scheduled, which is what makes whole simulations deterministic
+//! and therefore comparable across configurations.
+//!
+//! The queue relies on one invariant: nothing is ever scheduled before
+//! the clock (`schedule` and `schedule_reserved` assert `time >= now` in
+//! release builds too). Keys therefore only move forward, and an event
+//! can be filed by how far it lies from the clock instead of being
+//! compared against its neighbours:
+//!
+//! * events at exactly `now` form the *current run*, kept in `seq`
+//!   order — an append in the common case, a sorted insert when a
+//!   reserved seq comes back behind queued ties at the same timestamp;
+//! * every later event sits in one of 64 *buckets*, indexed by the
+//!   highest set bit of `time ^ now`, with a `u64` mask of the non-empty
+//!   ones.
+//!
+//! When the current run is empty, a pop scans the lowest non-empty bucket
+//! for its minimum time `m`, moves the clock to `m` and refiles that
+//! bucket: the events at `m` become the current run, the rest land in
+//! strictly lower buckets. An event therefore moves at most 64 times over
+//! its life, and with the narrow scheduling horizon of a packet network
+//! (every delay below 2^12 ns on Theta) only a handful. Buckets are lists
+//! of fixed 64-entry chunks from one shared free list, so the queue's
+//! memory follows its peak population and no bucket keeps capacity of
+//! its own.
+//!
+//! The price is the peek: [`EventQueue::peek_time`] scans one bucket.
+//! Loops that run up to a time bound use [`EventQueue::pop_until`], which
+//! folds the bound check into the pop.
 
 use crate::time::Ns;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// An event drawn from the queue: the firing time plus the user payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,28 +46,43 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-struct HeapEntry<E> {
-    time: Ns,
+struct Entry<E> {
+    time: u64,
     seq: u64,
     event: E,
 }
 
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
+/// Entries per chunk.
+const CHUNK: usize = 64;
+/// "No chunk": the end of a bucket's list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// A fixed-capacity block of bucket entries, linked into one bucket's
+/// list or into the free list. Its allocation lives as long as the
+/// queue, so refiling a bucket allocates nothing.
+struct Chunk<E> {
+    entries: Vec<Entry<E>>,
+    next: u32,
 }
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// First and last chunk of one bucket (`NIL` when empty). Pushes append
+/// to the last chunk; entries inside a bucket are in no particular order.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
 }
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert to pop the earliest event first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
+
+const EMPTY_BUCKET: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
+
+/// Bucket of a key that differs from the clock (`diff = time ^ now != 0`).
+#[inline]
+fn bucket_of(diff: u64) -> usize {
+    debug_assert_ne!(diff, 0);
+    63 - diff.leading_zeros() as usize
 }
 
 /// A deterministic discrete-event queue.
@@ -54,18 +95,28 @@ impl<E> Ord for HeapEntry<E> {
 /// q.schedule(Ns(10), "first");
 /// q.schedule(Ns(20), "third"); // same time: FIFO by schedule order
 /// assert_eq!(q.pop().unwrap().event, "first");
-/// assert_eq!(q.pop().unwrap().event, "second");
+/// assert!(q.pop_until(Ns(19)).is_none()); // the next event fires at 20
+/// assert_eq!(q.pop_until(Ns(20)).unwrap().event, "second");
 /// assert_eq!(q.pop().unwrap().event, "third");
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<HeapEntry<E>>,
+    /// Pending events at exactly `now`, in `seq` order: the next pops.
+    current: VecDeque<Entry<E>>,
+    /// Pending events after `now`, filed by the highest bit of `time ^ now`.
+    buckets: [Bucket; 64],
+    /// Bit `i` is set iff bucket `i` holds an event.
+    occupied: u64,
+    /// Chunk storage shared by all buckets.
+    chunks: Vec<Chunk<E>>,
+    /// First chunk of the list of unused chunks.
+    free: u32,
+    len: usize,
     next_seq: u64,
     now: Ns,
     scheduled_total: u64,
     high_water: usize,
-    /// `(time, seq)` of the most recently processed event — popped, or
-    /// handled out-of-heap via [`EventQueue::advance_to`]. Guards the
+    /// `(time, seq)` of the most recently popped event. Guards the
     /// reserved-sequence protocol: a reserved seq handed back *after* the
     /// clock passed its slot would fire behind later-seq events of the
     /// same timestamp, silently breaking total order.
@@ -81,20 +132,19 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            now: Ns::ZERO,
-            scheduled_total: 0,
-            high_water: 0,
-            last_key: None,
-        }
+        Self::with_capacity(0)
     }
 
-    /// An empty queue with pre-reserved capacity.
+    /// An empty queue whose chunk table has room for about `cap` pending
+    /// events; the chunks themselves are allocated as events arrive.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
+            current: VecDeque::new(),
+            buckets: [EMPTY_BUCKET; 64],
+            occupied: 0,
+            chunks: Vec::with_capacity(cap.div_ceil(CHUNK)),
+            free: NIL,
+            len: 0,
             next_seq: 0,
             now: Ns::ZERO,
             scheduled_total: 0,
@@ -107,21 +157,15 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `time` is before the current simulation time: causality
     /// violations are always a modelling bug and would otherwise silently
-    /// corrupt results.
+    /// corrupt results (and break the queue's monotone filing).
     pub fn schedule(&mut self, time: Ns, event: E) {
         assert!(
             time >= self.now,
             "event scheduled in the past: t={time:?} < now={:?}",
             self.now
         );
-        assert!(self.next_seq != u64::MAX, "event sequence space exhausted");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        self.heap.push(HeapEntry { time, seq, event });
-        if self.heap.len() > self.high_water {
-            self.high_water = self.heap.len();
-        }
+        let seq = self.reserve_seq();
+        self.insert(time, seq, event);
     }
 
     /// Schedule `event` to fire `delay` after the current time.
@@ -130,14 +174,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Reserve the next sequence number for an event the caller will keep
-    /// outside the heap and hand back later via
-    /// [`EventQueue::schedule_reserved`] (or process directly after
-    /// [`EventQueue::advance_to`]).
+    /// outside the queue and hand back later via
+    /// [`EventQueue::schedule_reserved`].
     ///
     /// The reservation counts as one scheduled event: the caller is
     /// promising that the event will eventually be processed in `(time,
-    /// seq)` order, it just does not need a heap entry yet. This is what
-    /// lets per-channel FIFOs hold their tail events out of the heap
+    /// seq)` order, it just does not need a queue entry yet. This is what
+    /// lets per-channel FIFOs hold their tail events out of the queue
     /// without perturbing the global deterministic order.
     pub fn reserve_seq(&mut self) -> u64 {
         assert!(self.next_seq != u64::MAX, "event sequence space exhausted");
@@ -173,67 +216,172 @@ impl<E> EventQueue<E> {
              already-processed key {:?} — equal-timestamp order violated",
             self.last_key
         );
-        self.heap.push(HeapEntry { time, seq, event });
-        if self.heap.len() > self.high_water {
-            self.high_water = self.heap.len();
+        self.insert(time, seq, event);
+    }
+
+    /// File an event with `time >= now`.
+    #[inline]
+    fn insert(&mut self, time: Ns, seq: u64, event: E) {
+        let entry = Entry {
+            time: time.0,
+            seq,
+            event,
+        };
+        let diff = time.0 ^ self.now.0;
+        if diff != 0 {
+            self.push_bucket(bucket_of(diff), entry);
+        } else if self.current.back().is_none_or(|last| last.seq < seq) {
+            self.current.push_back(entry);
+        } else {
+            // A reserved seq coming back behind queued ties.
+            let at = self.current.partition_point(|e| e.seq < seq);
+            self.current.insert(at, entry);
+        }
+        self.len += 1;
+        if self.len > self.high_water {
+            self.high_water = self.len;
         }
     }
 
-    /// The `(time, seq)` ordering key of the earliest pending event.
-    ///
-    /// Lets a caller holding a reserved event decide whether that event
-    /// precedes everything in the heap and can be processed directly.
-    pub fn peek_key(&self) -> Option<(Ns, u64)> {
-        self.heap.peek().map(|e| (e.time, e.seq))
+    #[inline]
+    fn push_bucket(&mut self, b: usize, entry: Entry<E>) {
+        let tail = self.buckets[b].tail;
+        if tail != NIL {
+            let entries = &mut self.chunks[tail as usize].entries;
+            if entries.len() < CHUNK {
+                entries.push(entry);
+                return;
+            }
+        }
+        let c = self.alloc_chunk();
+        self.chunks[c as usize].entries.push(entry);
+        if tail == NIL {
+            self.buckets[b].head = c;
+            self.occupied |= 1 << b;
+        } else {
+            self.chunks[tail as usize].next = c;
+        }
+        self.buckets[b].tail = c;
     }
 
-    /// Advance the clock to `time`, marking the reserved event `(time,
-    /// seq)` as processed without it ever entering the heap — used when
-    /// the caller handles a reserved event directly.
-    ///
-    /// Panics on a backwards move; debug-asserts that no pending heap
-    /// entry precedes `(time, seq)` (skipping one would break causality)
-    /// and that the key advances over the last processed event.
-    pub fn advance_to(&mut self, time: Ns, seq: u64) {
-        assert!(
-            time >= self.now,
-            "clock moved backwards: t={time:?} < now={:?}",
-            self.now
-        );
-        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
-        debug_assert!(
-            self.peek_key().is_none_or(|key| (time, seq) < key),
-            "advance_to(t={time:?}, seq={seq}) would skip a pending heap event"
-        );
-        debug_assert!(
-            self.last_key.is_none_or(|last| (time, seq) > last),
-            "advance_to(t={time:?}, seq={seq}) replays an already-processed key"
-        );
-        self.now = time;
-        self.last_key = Some((time, seq));
+    fn alloc_chunk(&mut self) -> u32 {
+        if self.free != NIL {
+            let c = self.free;
+            let chunk = &mut self.chunks[c as usize];
+            self.free = chunk.next;
+            chunk.next = NIL;
+            return c;
+        }
+        let c = u32::try_from(self.chunks.len())
+            .ok()
+            .filter(|&c| c != NIL)
+            .expect("event queue chunk space exhausted");
+        self.chunks.push(Chunk {
+            entries: Vec::with_capacity(CHUNK),
+            next: NIL,
+        });
+        c
+    }
+
+    /// Earliest time held in bucket `b` (which must be non-empty).
+    fn bucket_min(&self, b: usize) -> u64 {
+        let mut min = u64::MAX;
+        let mut c = self.buckets[b].head;
+        while c != NIL {
+            let chunk = &self.chunks[c as usize];
+            for e in &chunk.entries {
+                min = min.min(e.time);
+            }
+            c = chunk.next;
+        }
+        min
+    }
+
+    /// Advance the clock to `min`, the earliest time in bucket `b` (the
+    /// lowest non-empty bucket, with the current run empty), and refile
+    /// the bucket: its events at `min` become the current run, every
+    /// other one lands in a lower bucket.
+    fn refile(&mut self, b: usize, min: u64) {
+        debug_assert!(self.current.is_empty());
+        debug_assert_eq!(self.occupied.trailing_zeros() as usize, b);
+        self.now = Ns(min);
+        let mut c = self.buckets[b].head;
+        self.buckets[b] = EMPTY_BUCKET;
+        self.occupied &= !(1 << b);
+        let mut in_order = true;
+        while c != NIL {
+            let mut entries = std::mem::take(&mut self.chunks[c as usize].entries);
+            for e in entries.drain(..) {
+                let diff = e.time ^ min;
+                if diff != 0 {
+                    self.push_bucket(bucket_of(diff), e);
+                } else {
+                    in_order &= self.current.back().is_none_or(|last| last.seq < e.seq);
+                    self.current.push_back(e);
+                }
+            }
+            let chunk = &mut self.chunks[c as usize];
+            chunk.entries = entries;
+            let next = chunk.next;
+            chunk.next = self.free;
+            self.free = c;
+            c = next;
+        }
+        if !in_order {
+            self.current
+                .make_contiguous()
+                .sort_unstable_by_key(|e| e.seq);
+        }
     }
 
     /// Pop the earliest event and advance the clock to it.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now);
+        self.pop_until(Ns::MAX)
+    }
+
+    /// Pop the earliest event if it fires no later than `limit`, advancing
+    /// the clock to it; otherwise leave the queue and the clock as they
+    /// are and return `None`.
+    ///
+    /// This is how a bounded loop should drain the queue: the bound check
+    /// costs nothing extra, where a [`EventQueue::peek_time`] before every
+    /// pop would scan a bucket each time.
+    pub fn pop_until(&mut self, limit: Ns) -> Option<ScheduledEvent<E>> {
+        if self.current.is_empty() {
+            if self.occupied == 0 {
+                return None;
+            }
+            let b = self.occupied.trailing_zeros() as usize;
+            let min = self.bucket_min(b);
+            if min > limit.0 {
+                return None;
+            }
+            self.refile(b, min);
+        } else if self.now > limit {
+            return None;
+        }
+        let e = self.current.pop_front()?;
+        debug_assert_eq!(e.time, self.now.0);
         debug_assert!(
-            self.last_key
-                .is_none_or(|last| (entry.time, entry.seq) > last),
-            "heap produced a key at or behind the last processed event"
+            self.last_key.is_none_or(|last| (self.now, e.seq) > last),
+            "queue produced a key at or behind the last processed event"
         );
-        self.now = entry.time;
-        self.last_key = Some((entry.time, entry.seq));
+        self.len -= 1;
+        self.last_key = Some((self.now, e.seq));
         Some(ScheduledEvent {
-            time: entry.time,
-            seq: entry.seq,
-            event: entry.event,
+            time: self.now,
+            seq: e.seq,
+            event: e.event,
         })
     }
 
-    /// The firing time of the earliest pending event.
+    /// The firing time of the earliest pending event. Scans one bucket
+    /// when no event is pending at the current time.
     pub fn peek_time(&self) -> Option<Ns> {
-        self.heap.peek().map(|e| e.time)
+        if !self.current.is_empty() {
+            return Some(self.now);
+        }
+        (self.occupied != 0).then(|| Ns(self.bucket_min(self.occupied.trailing_zeros() as usize)))
     }
 
     /// Current simulation time (time of the most recently popped event).
@@ -243,12 +391,12 @@ impl<E> EventQueue<E> {
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Total number of events ever scheduled (a cheap progress metric).
@@ -322,6 +470,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "reserved event scheduled in the past")]
+    fn reserved_event_in_the_past_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(Ns(10), ());
+        let held = q.reserve_seq();
+        q.pop();
+        q.schedule_reserved(Ns(5), held, ());
+    }
+
+    #[test]
     fn len_and_empty() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
@@ -341,6 +499,30 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Ns(4)));
         let e = q.pop().unwrap();
         assert_eq!(e.time, Ns(4));
+        assert_eq!(q.peek_time(), Some(Ns(9)));
+        q.pop();
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn pop_until_stops_before_limit() {
+        let mut q = EventQueue::new();
+        q.schedule(Ns(10), "a");
+        q.schedule(Ns(10), "b");
+        q.schedule(Ns(25), "c");
+        assert!(q.pop_until(Ns(9)).is_none());
+        // A refused pop leaves the clock alone, so times between the
+        // clock and the refused event stay schedulable.
+        assert_eq!(q.now(), Ns::ZERO);
+        q.schedule(Ns(5), "early");
+        assert_eq!(q.pop_until(Ns(9)).unwrap().event, "early");
+        assert_eq!(q.pop_until(Ns(10)).unwrap().event, "a");
+        assert_eq!(q.pop_until(Ns(10)).unwrap().event, "b");
+        assert!(q.pop_until(Ns(24)).is_none());
+        assert_eq!(q.now(), Ns(10));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_until(Ns(25)).unwrap().event, "c");
+        assert!(q.pop_until(Ns::MAX).is_none());
     }
 
     #[test]
@@ -375,7 +557,7 @@ mod tests {
     #[test]
     fn reserved_events_keep_schedule_order() {
         // A reserved event interleaved with normal schedules must pop in
-        // reservation order, not heap-insertion order.
+        // reservation order, not insertion order.
         let mut q = EventQueue::new();
         q.schedule(Ns(10), "a"); // seq 0
         let seq = q.reserve_seq(); // seq 1
@@ -383,6 +565,17 @@ mod tests {
         q.schedule_reserved(Ns(10), seq, "b");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
+
+        // Handed back once the clock already sits at its timestamp, with
+        // ties pending there: it is inserted between them, not appended.
+        q.schedule(Ns(20), "d"); // seq 3
+        let seq = q.reserve_seq(); // seq 4
+        q.schedule(Ns(20), "f"); // seq 5
+        q.schedule(Ns(20), "g"); // seq 6
+        assert_eq!(q.pop().unwrap().event, "d");
+        q.schedule_reserved(Ns(20), seq, "e");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(order, vec!["e", "f", "g"]);
     }
 
     #[test]
@@ -392,31 +585,11 @@ mod tests {
         let seq = q.reserve_seq();
         assert_eq!(q.scheduled_total(), 2);
         q.schedule_reserved(Ns(2), seq, ());
-        assert_eq!(q.scheduled_total(), 2, "late heap insertion double-counted");
-    }
-
-    #[test]
-    fn peek_key_and_advance_to_support_out_of_heap_events() {
-        let mut q = EventQueue::new();
-        q.schedule(Ns(10), ());
-        let held = q.reserve_seq(); // an event the caller keeps at Ns(5)
-        assert_eq!(q.peek_key(), Some((Ns(10), 0)));
-        // The held event (Ns(5), seq 1) precedes the heap top, so the
-        // caller may process it directly after advancing the clock.
-        q.advance_to(Ns(5), held);
-        assert_eq!(q.now(), Ns(5));
-        let e = q.pop().unwrap();
-        assert_eq!(e.time, Ns(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "clock moved backwards")]
-    fn advance_to_rejects_backwards_moves() {
-        let mut q = EventQueue::new();
-        q.schedule(Ns(10), ());
-        let held = q.reserve_seq();
-        q.pop();
-        q.advance_to(Ns(5), held);
+        assert_eq!(
+            q.scheduled_total(),
+            2,
+            "late queue insertion double-counted"
+        );
     }
 
     #[test]
@@ -437,22 +610,37 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "debug_assert-only guard")]
-    #[should_panic(expected = "replays an already-processed key")]
-    fn advance_to_rejects_replayed_keys() {
-        let mut q = EventQueue::new();
-        let held = q.reserve_seq();
-        q.schedule(Ns(10), ());
-        q.pop(); // processes (Ns(10), seq 1)
-        q.advance_to(Ns(10), held); // seq 0 at the same time: behind it
-    }
-
-    #[test]
     #[should_panic(expected = "sequence space exhausted")]
     fn seq_exhaustion_is_detected() {
         let mut q: EventQueue<()> = EventQueue::new();
         q.next_seq = u64::MAX; // simulate 2^64 prior schedules
         q.reserve_seq();
+    }
+
+    #[test]
+    fn chunks_are_reused_across_refills() {
+        // A steady hold of 1,000 pending events over 100,000 pops recycles
+        // chunks through the free list: the pool stays at what one
+        // instant needs (full chunks plus one partial tail per bucket, and
+        // the chunk being refiled) instead of growing with every refile.
+        let mut q = EventQueue::new();
+        for i in 0..1_000u64 {
+            q.schedule(Ns(1 + i % 97), i);
+        }
+        let mut popped = 0u64;
+        while let Some(e) = q.pop() {
+            popped += 1;
+            if popped < 100_000 {
+                q.schedule_after(Ns(1 + (e.event * 7919) % 3_000), e.event);
+            }
+        }
+        assert_eq!(popped, 100_000 + 999);
+        let bound = 1_000 / CHUNK + 64 + 1;
+        assert!(
+            q.chunks.len() <= bound,
+            "{} chunks > {bound}",
+            q.chunks.len()
+        );
     }
 
     #[test]

@@ -173,10 +173,11 @@ fn rng_split_streams_differ() {
 }
 
 /// The reserved-sequence protocol (per-channel in-flight FIFOs keeping
-/// their tails out of the heap) preserves the global (time, seq) total
+/// their tails out of the queue) preserves the global (time, seq) total
 /// order under arbitrary interleavings of direct schedules, FIFO
-/// reservations, and pops — including the inline coalescing path that
-/// processes a reserved event via `advance_to` without a heap round-trip.
+/// reservations, and pops. As in the network, only the FIFO head holds a
+/// queue entry, and each popped head hands its successor back through
+/// `schedule_reserved`.
 #[test]
 fn queue_reserved_interleaving_total_order() {
     #[derive(Debug)]
@@ -203,18 +204,8 @@ fn queue_reserved_interleaving_total_order() {
                     (e.time, e.seq)
                 ));
             }
-            // Exactly the engine's coalescing rule: successors that precede
-            // everything in the heap drain inline via advance_to; the first
-            // that does not goes back as the head's heap entry.
-            while let Some(&next) = fifo.front() {
-                if q.peek_key().is_none_or(|key| next < key) {
-                    q.advance_to(next.0, next.1);
-                    processed.push(next);
-                    fifo.pop_front();
-                } else {
-                    q.schedule_reserved(next.0, next.1, Ev::FifoHead);
-                    break;
-                }
+            if let Some(&(t, seq)) = fifo.front() {
+                q.schedule_reserved(t, seq, Ev::FifoHead);
             }
         }
         Ok(())
@@ -256,6 +247,182 @@ fn queue_reserved_interleaving_total_order() {
                 if w[1] <= w[0] {
                     return Err(format!("total order violated: {:?} then {:?}", w[0], w[1]));
                 }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The radix queue against a `BTreeMap<(time, seq), payload>` oracle:
+/// random interleavings of ties at `now`, delays from 0 to 2^40 ns, times
+/// near `u64::MAX` (the top bucket), reserved seqs handed back (also
+/// behind queued events of the same timestamp), `pop`, and `pop_until`
+/// with limits below, at and above the next key. Every popped event,
+/// `len()`, `high_water()` and `scheduled_total()` must agree after each
+/// operation.
+#[test]
+fn queue_matches_btreemap_oracle() {
+    use std::collections::BTreeMap;
+
+    struct Model {
+        q: EventQueue<u64>,
+        oracle: BTreeMap<(Ns, u64), u64>,
+        /// Reserved events not yet handed back: (time, seq, payload).
+        held: Vec<(Ns, u64, u64)>,
+        next_seq: u64,
+        high_water: usize,
+        next_payload: u64,
+    }
+
+    impl Model {
+        fn now(&self) -> Ns {
+            self.q.now()
+        }
+
+        fn payload(&mut self) -> u64 {
+            self.next_payload += 1;
+            self.next_payload
+        }
+
+        fn schedule(&mut self, t: Ns) {
+            let p = self.payload();
+            self.q.schedule(t, p);
+            self.oracle.insert((t, self.next_seq), p);
+            self.next_seq += 1;
+            self.high_water = self.high_water.max(self.oracle.len());
+        }
+
+        fn reserve(&mut self, t: Ns) {
+            let seq = self.q.reserve_seq();
+            if seq != self.next_seq {
+                panic!("reserved seq {seq}, oracle expected {}", self.next_seq);
+            }
+            self.next_seq += 1;
+            let p = self.payload();
+            self.held.push((t, seq, p));
+        }
+
+        fn hand_back(&mut self, i: usize) {
+            let (t, seq, p) = self.held.swap_remove(i);
+            self.q.schedule_reserved(t, seq, p);
+            self.oracle.insert((t, seq), p);
+            self.high_water = self.high_water.max(self.oracle.len());
+        }
+
+        /// A held event must be queued before the clock can pass it: hand
+        /// back every one that precedes the oracle's next key.
+        fn hand_back_due(&mut self) {
+            while let Some(i) = self.held.iter().position(|&(t, seq, _)| {
+                self.oracle
+                    .first_key_value()
+                    .is_none_or(|(&key, _)| (t, seq) < key)
+            }) {
+                self.hand_back(i);
+            }
+        }
+
+        fn pop_until(&mut self, limit: Ns) -> Result<(), String> {
+            self.hand_back_due();
+            let want = match self.oracle.first_key_value() {
+                Some((&(t, seq), &p)) if t <= limit => {
+                    self.oracle.pop_first();
+                    Some((t, seq, p))
+                }
+                _ => None,
+            };
+            let got = self.q.pop_until(limit).map(|e| (e.time, e.seq, e.event));
+            if got != want {
+                return Err(format!(
+                    "pop_until({limit:?}) at now={:?}: got {got:?}, want {want:?}",
+                    self.now()
+                ));
+            }
+            Ok(())
+        }
+
+        fn check_counters(&self) -> Result<(), String> {
+            if self.q.len() != self.oracle.len() {
+                return Err(format!("len {} vs {}", self.q.len(), self.oracle.len()));
+            }
+            if self.q.high_water() != self.high_water {
+                return Err(format!(
+                    "high_water {} vs {}",
+                    self.q.high_water(),
+                    self.high_water
+                ));
+            }
+            if self.q.scheduled_total() != self.next_seq {
+                return Err(format!(
+                    "scheduled_total {} vs {}",
+                    self.q.scheduled_total(),
+                    self.next_seq
+                ));
+            }
+            Ok(())
+        }
+    }
+
+    check_with_shrink(
+        "queue_matches_btreemap_oracle",
+        &Config::with_cases(64),
+        |rng| gen::vec_u64(rng, 1, 600, 0, u64::MAX),
+        |ops| shrink::vec(ops, |&op| shrink::u64_toward(0, op)),
+        |ops| {
+            let mut m = Model {
+                q: EventQueue::new(),
+                oracle: BTreeMap::new(),
+                held: Vec::new(),
+                next_seq: 0,
+                high_water: 0,
+                next_payload: 0,
+            };
+            for &op in ops {
+                let arg = op >> 4;
+                let now = m.now();
+                // Saturating: once the clock reaches the top bucket, every
+                // later event lands at u64::MAX.
+                let after = |d: u64| Ns(now.0.saturating_add(d));
+                match op % 16 {
+                    // Ties at the current time.
+                    0 | 1 => m.schedule(now),
+                    // Theta-like short delays.
+                    2..=4 => m.schedule(after(arg % 4_096)),
+                    // Log-uniform delays up to 2^40 ns.
+                    5 => {
+                        let width = arg % 41;
+                        m.schedule(after((arg >> 6) & ((1 << width) - 1)))
+                    }
+                    // The top bucket.
+                    6 => m.schedule(Ns(u64::MAX - arg % 1_024).max(now)),
+                    // Reserve, possibly at `now` so the hand-back lands
+                    // among queued ties.
+                    7 | 8 => m.reserve(after(arg % 3 * (arg % 64))),
+                    9 | 10 => {
+                        if !m.held.is_empty() {
+                            let i = arg as usize % m.held.len();
+                            m.hand_back(i);
+                        }
+                    }
+                    11..=13 => m.pop_until(Ns::MAX)?,
+                    _ => {
+                        m.hand_back_due();
+                        let next = m.oracle.first_key_value().map_or(now, |(&(t, _), _)| t);
+                        let limit = match arg % 3 {
+                            0 => Ns(next.0.saturating_sub(1 + (arg >> 2) % 8)),
+                            1 => next,
+                            _ => Ns(next.0.saturating_add((arg >> 2) % 5_000)),
+                        };
+                        m.pop_until(limit)?;
+                    }
+                }
+                m.check_counters()?;
+            }
+            while !m.oracle.is_empty() || !m.held.is_empty() {
+                m.pop_until(Ns::MAX)?;
+                m.check_counters()?;
+            }
+            if m.q.pop().is_some() {
+                return Err("queue not empty after the oracle drained".into());
             }
             Ok(())
         },

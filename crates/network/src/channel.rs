@@ -25,8 +25,8 @@ use std::collections::VecDeque;
 /// A channel's in-flight packets arrive in strictly increasing `(at,
 /// seq)` order — transmissions are serialized by the `busy` flag and
 /// `arrival_extra` is a per-channel constant — so a plain FIFO holds
-/// them and only the *head* needs a heap entry in the event queue (see
-/// `Network::step`). This keeps the heap population proportional to
+/// them and only the *head* needs an entry in the event queue (see
+/// `Network::dispatch`). This keeps the queue population proportional to
 /// active channels rather than in-flight packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct InFlight {
@@ -154,7 +154,7 @@ pub(crate) struct ChannelState {
     /// scans only these VCs (see [`crate::arbiter::rr_queued`]).
     pub(crate) queued_mask: u16,
     /// Packets transmitted but not yet landed, in arrival order. Only
-    /// the front has an `Arrive` entry in the event heap.
+    /// the front has an `Arrive` entry in the event queue.
     pub(crate) inflight: VecDeque<InFlight>,
     /// Channels whose head packet is waiting for space in our buffers.
     pub(crate) waiters: Vec<ChannelId>,

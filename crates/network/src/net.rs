@@ -27,7 +27,7 @@ use crate::packet::{MessageId, MessageKind, MessageState, Packet, PacketId, Rout
 use crate::params::NetworkParams;
 use crate::routing::{RouteComputer, Routing};
 use crate::shard::{ShardState, WireRecord};
-use dfly_engine::{Bytes, EventQueue, Ns, Xoshiro256};
+use dfly_engine::{Bytes, EventQueue, Ns, ScheduledEvent, Xoshiro256};
 use dfly_obs::{CoarseTimeline, EventKind, ObsReport};
 use dfly_topology::{ChannelClass, ChannelEnd, ChannelId, NodeId, Topology};
 use std::collections::VecDeque;
@@ -61,16 +61,19 @@ impl Delivery {
     }
 }
 
+/// A queued event. Kept to 8 bytes (a `u32` payload and the tag) so a
+/// queue entry is 24 bytes; the size is pinned below.
 #[derive(Debug)]
 enum NetEvent {
-    /// A message's packets enter the source NIC queue.
-    Inject(MessageId),
+    /// A message's packets enter the source NIC queue. Carries the
+    /// message's slot in `Network::messages`.
+    Inject(u32),
     /// A channel finished serializing its in-flight packet.
     TxDone(ChannelId),
     /// The *head* of this channel's in-flight FIFO lands at the element
     /// following `hop - 1`. The packet, its landing time, and its
     /// reserved sequence number live in the FIFO (see
-    /// [`crate::channel::InFlight`]); the heap holds at most one arrival
+    /// [`crate::channel::InFlight`]); the queue holds at most one arrival
     /// entry per channel, so the event population tracks active channels
     /// rather than in-flight packets.
     Arrive(ChannelId),
@@ -78,9 +81,11 @@ enum NetEvent {
     Wakeup,
     /// Shard mode only: a packet imported from another group-replica
     /// lands at its first channel inside this group (profiled as an
-    /// arrival — that is what it is, minus the heap bookkeeping).
+    /// arrival — that is what it is, minus the in-flight FIFO).
     Import(PacketId),
 }
+
+const _: () = assert!(std::mem::size_of::<NetEvent>() == 8);
 
 /// What [`Network::poll`] hands back to the driving layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,9 +122,6 @@ pub struct Network {
     woken: Vec<ChannelId>,
     events_processed: u64,
     packets_delivered: u64,
-    /// Arrivals processed straight off a channel's in-flight FIFO,
-    /// skipping the heap push+pop their `Arrive` entry would have cost.
-    arrivals_coalesced: u64,
     wakeup_fired: bool,
     /// Per-class running totals and live-state channel lists (see
     /// [`ChannelActivity`]); also the source of the queued-bytes gauge.
@@ -221,7 +223,6 @@ impl Network {
             woken: Vec::new(),
             events_processed: 0,
             packets_delivered: 0,
-            arrivals_coalesced: 0,
             wakeup_fired: false,
             activity: ChannelActivity::default(),
             traffic_timeline: None,
@@ -437,12 +438,6 @@ impl Network {
         self.packets_delivered
     }
 
-    /// Arrivals processed straight off a channel's in-flight FIFO without
-    /// a heap round-trip (a churn diagnostic; see `NetEvent::Arrive`).
-    pub fn arrivals_coalesced(&self) -> u64 {
-        self.arrivals_coalesced
-    }
-
     /// Queue a message for injection at absolute time `at`. Injection
     /// times in the past are clamped to [`Network::now`] — a driver that
     /// computes injection times from stale state gets "inject now"
@@ -517,7 +512,8 @@ impl Network {
             gid,
         };
         let id = self.alloc_message(state);
-        self.queue.schedule(at, NetEvent::Inject(id));
+        // Slots fit in a u32 (checked at allocation).
+        self.queue.schedule(at, NetEvent::Inject(id.0 as u32));
         id
     }
 
@@ -528,9 +524,10 @@ impl Network {
                 id
             }
             None => {
-                let id = MessageId(self.messages.len() as u64);
+                let slot =
+                    u32::try_from(self.messages.len()).expect("message table exceeds u32 slots");
                 self.messages.push(state);
-                id
+                MessageId(u64::from(slot))
             }
         }
     }
@@ -575,11 +572,8 @@ impl Network {
     /// Process all events with firing time `<= t`. Deliveries accumulate
     /// and can be drained with [`Network::drain_deliveries`].
     pub fn run_until(&mut self, t: Ns) {
-        while let Some(next) = self.queue.peek_time() {
-            if next > t {
-                break;
-            }
-            self.step_bounded(t);
+        while let Some(ev) = self.queue.pop_until(t) {
+            self.dispatch(ev);
         }
     }
 
@@ -600,14 +594,6 @@ impl Network {
 
     /// Process a single event. Returns false if the queue was empty.
     fn step(&mut self) -> bool {
-        self.step_bounded(Ns::MAX)
-    }
-
-    /// Process the next pending event; consecutive same-channel arrivals
-    /// drain inline while they stay the globally next event and fire no
-    /// later than `limit` (so [`Network::run_until`]'s time bound holds).
-    /// Returns false if the queue was empty.
-    fn step_bounded(&mut self, limit: Ns) -> bool {
         let Some(ev) = self.queue.pop() else {
             // Queue empty means fully drained: any queued packet implies
             // a pending TxDone. The audit drain sweep therefore doubles
@@ -615,10 +601,17 @@ impl Network {
             self.audit_drain_sweep();
             return false;
         };
+        self.dispatch(ev);
+        true
+    }
+
+    /// Handle one popped event.
+    #[inline]
+    fn dispatch(&mut self, ev: ScheduledEvent<NetEvent>) {
         match ev.event {
-            NetEvent::Inject(msg) => {
+            NetEvent::Inject(slot) => {
                 let started = self.event_begin(EventKind::Inject);
-                self.handle_inject(msg);
+                self.handle_inject(MessageId(u64::from(slot)));
                 self.event_end(EventKind::Inject, started);
             }
             NetEvent::TxDone(ch) => {
@@ -636,43 +629,25 @@ impl Network {
                 self.handle_import(pid);
                 self.event_end(EventKind::Arrive, started);
             }
-            NetEvent::Arrive(ch_id) => loop {
+            NetEvent::Arrive(ch_id) => {
                 let rec = self
                     .channels
                     .get_mut(ch_id)
                     .inflight
                     .pop_front()
                     .expect("Arrive fired for a channel with no packets in flight");
-                debug_assert_eq!(rec.at, self.queue.now());
-                let deliveries_before = self.deliveries.len();
+                debug_assert_eq!((rec.at, rec.seq), (ev.time, ev.seq));
                 let started = self.event_begin(EventKind::Arrive);
                 self.handle_arrive(rec.pid);
                 self.event_end(EventKind::Arrive, started);
-                // The channel's next arrival is the globally next event
-                // exactly when its (time, seq) key precedes everything in
-                // the heap — then the heap round-trip is pure churn and
-                // the record drains inline. A delivery hands control back
-                // to the driver first (it may react by injecting), and
-                // `limit` keeps `run_until`'s contract.
-                let Some(&next) = self.channels.get(ch_id).and_then(|ch| ch.inflight.front())
-                else {
-                    break;
-                };
-                let precedes_heap = match self.queue.peek_key() {
-                    Some(key) => (next.at, next.seq) < key,
-                    None => true,
-                };
-                if precedes_heap && next.at <= limit && self.deliveries.len() == deliveries_before {
-                    self.queue.advance_to(next.at, next.seq);
-                    self.arrivals_coalesced += 1;
-                } else {
+                // The channel's next in-flight record takes over its one
+                // queue entry, under the seq reserved at its tx start.
+                if let Some(&next) = self.channels.get(ch_id).and_then(|ch| ch.inflight.front()) {
                     self.queue
                         .schedule_reserved(next.at, next.seq, NetEvent::Arrive(ch_id));
-                    break;
                 }
-            },
+            }
         }
-        true
     }
 
     /// Per-event prologue: count it, and decide via the per-kind stride
@@ -962,10 +937,10 @@ impl Network {
                 return;
             }
             // The arrival joins the channel's in-flight FIFO instead of
-            // the heap; its sequence number is reserved *here* so the
-            // global event order is exactly as if it had been scheduled
-            // (same program point, same seq). Only the FIFO head keeps a
-            // heap entry.
+            // the event queue; its sequence number is reserved *here* so
+            // the global event order is exactly as if it had been
+            // scheduled (same program point, same seq). Only the FIFO
+            // head keeps a queue entry.
             let at = self.queue.now() + ser + extra;
             let seq = self.queue.reserve_seq();
             let inflight = &mut self.channels.get_mut(ch_id).inflight;
@@ -2422,22 +2397,38 @@ mod tests {
     }
 
     #[test]
-    fn small_packet_streams_coalesce_arrivals() {
-        // Tiny packets serialize in ~1 ns but cross a global link with
-        // 1.6 µs of latency, so a stream keeps many packets in flight on
-        // one channel and consecutive arrivals land on adjacent ticks.
-        // Those drain inline from the channel FIFO instead of round-
-        // tripping through the heap; the counter proves the path is live.
-        let mut n = net(Routing::Minimal);
+    fn in_flight_packets_share_one_queue_entry_per_channel() {
+        // One 1,024-packet message on a cross-group path: 64-byte packets
+        // serialize in a few ns but the global hop takes 1.5 µs, so
+        // hundreds of packets are in flight at once. A channel holds at
+        // most its TxDone plus the Arrive of its in-flight FIFO head, so
+        // the queue stays bounded by the channels on the route (plus the
+        // Inject), not by the packets in flight.
+        let topo = Arc::new(Topology::build(TopologyConfig::small_test()));
+        let params = NetworkParams {
+            packet_size: 64,
+            ..NetworkParams::default()
+        };
+        let mut n = Network::new(topo, params, Routing::Minimal, 12345);
         let last = NodeId(n.topology().config().total_nodes() - 1);
-        for i in 0..40u64 {
-            n.send(Ns::ZERO, NodeId(0), last, 8, i);
+        n.send(Ns::ZERO, NodeId(0), last, 64 * 1024, 0);
+        let mut peak_in_flight = 0;
+        while n.step() {
+            let in_flight: usize = n.channels.iter().map(|(_, ch)| ch.inflight.len()).sum();
+            peak_in_flight = peak_in_flight.max(in_flight);
         }
-        n.run_to_idle();
-        assert_eq!(n.drain_deliveries().len(), 40);
+        assert_eq!(n.drain_deliveries().len(), 1);
+        let route_channels = n.channels.iter().filter(|(_, ch)| ch.traffic > 0).count();
+        let bound = 2 * route_channels + 1;
         assert!(
-            n.arrivals_coalesced() > 0,
-            "no inline arrival drains on a cross-group small-packet stream"
+            n.queue.high_water() <= bound,
+            "queue high water {} above {bound} for {route_channels} route channels",
+            n.queue.high_water()
+        );
+        // One entry per in-flight packet would have exceeded the bound.
+        assert!(
+            peak_in_flight > bound,
+            "only {peak_in_flight} packets in flight: the bound proves nothing"
         );
     }
 
