@@ -250,6 +250,7 @@ fn main() {
         "  \"workload\": \"crystalrouter theta scale {SCALE} seed {SEED:#x}\",\n"
     ));
     json.push_str(&format!("  \"cores\": {cores},\n"));
+    json.push_str(&format!("  \"git_rev\": \"{}\",\n", dfly_bench::git_rev()));
     json.push_str(&format!("  \"trials\": {},\n", cli.trials));
     json.push_str(&format!(
         "  \"schedule_deviation\": {:.4},\n",

@@ -7,10 +7,10 @@ use dfly_bench::parse_args;
 use dfly_core::config::RoutingPolicy;
 use dfly_core::mpi::{BackgroundRunner, MultiDriver};
 use dfly_engine::{Ns, Xoshiro256};
-use dfly_network::Network;
+use dfly_network::{class_index, local_series, Network};
 use dfly_placement::{NodePool, PlacementPolicy};
 use dfly_stats::sparkline;
-use dfly_topology::Topology;
+use dfly_topology::{ChannelClass, Topology};
 use dfly_workloads::{generate, AppKind, BackgroundSpec, BackgroundTraffic};
 use std::sync::Arc;
 
@@ -74,11 +74,11 @@ fn main() {
             let to_f = |v: &[u64]| v.iter().map(|&b| b as f64).collect::<Vec<_>>();
             println!(
                 "            local  traffic/8us: {}",
-                sparkline(&to_f(&tl.local_series()))
+                sparkline(&to_f(&local_series(tl)))
             );
             println!(
                 "            global traffic/8us: {}",
-                sparkline(&to_f(tl.series(dfly_topology::ChannelClass::Global)))
+                sparkline(&to_f(tl.series(class_index(ChannelClass::Global))))
             );
         }
     }

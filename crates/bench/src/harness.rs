@@ -3,7 +3,7 @@
 use dfly_core::config::{AppSelection, ExperimentConfig, Parallelism};
 use dfly_core::report::ConfigLabel;
 use dfly_core::runner::ExperimentResult;
-use dfly_obs::{EventKind, MetricsMode, ObsReport};
+use dfly_obs::{EventKind, ObsReport};
 use dfly_stats::{render_boxplot_row, sparkline, AsciiTable, BoxStats, Cdf, CsvWriter};
 use dfly_topology::{GlobalArrangement, TopologyConfig};
 use dfly_workloads::AppKind;
@@ -153,11 +153,6 @@ pub struct RunArgs {
     /// Global-link arrangement override (`--arrangement ...`). `None`
     /// keeps the default round-robin wiring the goldens pin.
     pub arrangement: Option<GlobalArrangement>,
-    /// Metric-storage override (`--metrics dense|streaming[:K]`). `None`
-    /// keeps the dense default the goldens pin; streaming bounds metric
-    /// memory at `O(links * K)` for scale runs without touching any
-    /// simulation output.
-    pub metrics: Option<MetricsMode>,
 }
 
 impl RunArgs {
@@ -173,7 +168,6 @@ impl RunArgs {
             shards: 0,
             topo: None,
             arrangement: None,
-            metrics: None,
         }
     }
 
@@ -205,9 +199,6 @@ impl RunArgs {
         }
         if let Some(arr) = self.arrangement {
             cfg.topology.arrangement = arr;
-        }
-        if let Some(metrics) = self.metrics {
-            cfg.network.metrics = metrics;
         }
         cfg
     }
@@ -268,13 +259,9 @@ pub fn parse_args() -> RunArgs {
                 let v = args.next().expect("--arrangement needs a wiring spec");
                 parsed.arrangement = Some(parse_arrangement(&v).unwrap_or_else(|e| panic!("{e}")));
             }
-            "--metrics" => {
-                let v = args.next().expect("--metrics needs dense|streaming[:K]");
-                parsed.metrics = Some(MetricsMode::parse(&v).unwrap_or_else(|e| panic!("{e}")));
-            }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: [--quick|--full] [--out DIR] [--obs] [--obs-stride N] [--obs-coarse] [--scale X] [--shards N] [--topo theta|quick|small|P,A,H,G] [--arrangement rr|consec|palm|random:SEED] [--metrics dense|streaming[:K]]"
+                    "usage: [--quick|--full] [--out DIR] [--obs] [--obs-stride N] [--obs-coarse] [--scale X] [--shards N] [--topo theta|quick|small|P,A,H,G] [--arrangement rr|consec|palm|random:SEED]"
                 );
                 std::process::exit(0);
             }
@@ -282,6 +269,19 @@ pub fn parse_args() -> RunArgs {
         }
     }
     parsed
+}
+
+/// The git revision of the working tree (`git describe --always
+/// --dirty`), or `unknown` outside a checkout — recorded in bench JSON so
+/// a committed number names the code that produced it.
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
 }
 
 /// Print a box-plot table (one row per configuration) with an ASCII
@@ -417,54 +417,6 @@ pub fn emit_obs_family(args: &RunArgs, tag: &str, reports: &[(String, &ObsReport
     }
     prof.finish().expect("csv flush");
 
-    // Streaming runs carry a per-link-class digest; surface it as one
-    // row per (config, class) so figure sweeps keep the bounded summary
-    // on disk. Dense runs have no digest and no file.
-    if reports.iter().any(|(_, r)| r.link_digest.is_some()) {
-        let mut dig = args.csv(
-            &format!("obs_link_digest_{tag}.csv"),
-            &[
-                "config",
-                "class",
-                "channels",
-                "traffic_mb_mean",
-                "traffic_mb_p50",
-                "traffic_mb_p99",
-                "sat_ms_mean",
-                "sat_ms_max",
-                "reservoir_len",
-            ],
-        );
-        for (label, r) in reports {
-            let digest = r
-                .link_digest
-                .as_ref()
-                .expect("metrics mode varies within one figure grid");
-            for (i, &(_, class)) in dfly_obs::OBS_CLASSES.iter().enumerate() {
-                let d = digest.class(i);
-                let (p50, p99) = if d.traffic_mb.is_empty() {
-                    (0.0, 0.0)
-                } else {
-                    let cdf = d.traffic_mb.to_cdf();
-                    (cdf.quantile(0.5), cdf.quantile(0.99))
-                };
-                dig.row(&[
-                    label.clone(),
-                    class.to_string(),
-                    digest.channels(i).to_string(),
-                    format!("{:.4}", d.traffic_bytes.mean() / 1.0e6),
-                    format!("{p50:.4}"),
-                    format!("{p99:.4}"),
-                    format!("{:.4}", d.saturated_ms.mean()),
-                    format!("{:.4}", d.saturated_ms.max().unwrap_or(0.0)),
-                    d.traffic_mb.len().to_string(),
-                ])
-                .expect("csv write");
-            }
-        }
-        dig.finish().expect("csv flush");
-    }
-
     println!("\n== telemetry: {tag} ==");
     let global = dfly_obs::OBS_CLASSES.len() - 1; // Global is the last class
     for (label, r) in reports {
@@ -568,16 +520,6 @@ mod tests {
         let cfg = args.base_config(AppKind::CrystalRouter);
         assert_eq!(cfg.parallelism, Parallelism::IntraRun(4));
         cfg.validate().unwrap();
-
-        // No --metrics: the golden-pinned dense default stands.
-        assert_eq!(cfg.network.metrics, MetricsMode::Dense);
-        args.metrics = Some(MetricsMode::parse("streaming:128").unwrap());
-        let cfg = args.base_config(AppKind::CrystalRouter);
-        assert_eq!(
-            cfg.network.metrics,
-            MetricsMode::Streaming { reservoir_k: 128 }
-        );
-        cfg.validate().unwrap();
     }
 
     #[test]
@@ -596,7 +538,6 @@ mod tests {
             series: SampleSeries::new(dfly_engine::Ns(1_000)),
             vc_occupancy: OccupancyHistogram::new(),
             route: RouteStats::new(),
-            link_digest: None,
             coarse_unavailable: false,
         };
         report.route.record(false, 0);

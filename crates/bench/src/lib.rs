@@ -23,7 +23,7 @@ pub mod stress;
 
 pub mod figures;
 pub use harness::{
-    emit_cdf_family, emit_obs_family, label_of, parse_args, parse_arrangement, print_boxplot_table,
-    print_run_summary, scaled_ranks, Mode, RunArgs, TopoSpec,
+    emit_cdf_family, emit_obs_family, git_rev, label_of, parse_args, parse_arrangement,
+    print_boxplot_table, print_run_summary, scaled_ranks, Mode, RunArgs, TopoSpec,
 };
 pub use microbench::{BatchSize, Bencher, BenchmarkGroup, Criterion};

@@ -3,11 +3,13 @@
 use crate::config::{ExperimentConfig, Parallelism};
 use crate::mpi::{BackgroundRunner, MpiDriver};
 use dfly_engine::{Ns, Xoshiro256};
-use dfly_network::{AuditReport, MetricsFilter, Network, NetworkMetrics, ShardedNetwork, SimArena};
+use dfly_network::{
+    AuditReport, ChannelSnapshot, MetricsFilter, Network, NetworkMetrics, ShardedNetwork, SimArena,
+};
 use dfly_obs::ObsReport;
 use dfly_placement::NodePool;
-use dfly_stats::{BoxStats, Cdf, ReservoirCdf};
-use dfly_topology::{NodeId, RouterId, Topology};
+use dfly_stats::{BoxStats, Cdf};
+use dfly_topology::{ChannelClass, NodeId, RouterId, Topology};
 use dfly_workloads::{generate, BackgroundTraffic};
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -74,32 +76,9 @@ impl ExperimentResult {
             .unwrap_or(Ns::ZERO)
     }
 
-    /// Build a figure CDF from a sample stream, honoring the run's
-    /// metrics mode: dense keeps every sample (exact, historical
-    /// behavior); streaming feeds them through a seeded [`ReservoirCdf`]
-    /// so the retained set — and thus figure-pipeline memory — is capped
-    /// at K samples per CDF no matter how many channels the topology has.
-    /// Each caller passes a distinct `tag` so every CDF draws from its
-    /// own reproducible tag stream; tags start at 0x51 to stay clear of
-    /// the runner's placement/workload/routing/background streams (1–4 on
-    /// the same master).
-    fn cdf_of(&self, tag: u64, samples: impl Iterator<Item = f64>) -> Cdf {
-        match self.config.network.metrics.reservoir_k() {
-            None => Cdf::from_samples(samples),
-            Some(k) => {
-                let seed = Xoshiro256::seed_from(self.config.seed)
-                    .split(tag)
-                    .next_u64();
-                let mut res = ReservoirCdf::new(k as usize, seed);
-                res.extend(samples);
-                res.to_cdf()
-            }
-        }
-    }
-
     /// CDF of per-rank average hops — Figure 4(a).
     pub fn hops_cdf(&self) -> Cdf {
-        self.cdf_of(0x51, self.rank_avg_hops.iter().copied())
+        Cdf::from_samples(self.rank_avg_hops.iter().copied())
     }
 
     /// Mean of the per-rank average hops.
@@ -116,36 +95,42 @@ impl ExperimentResult {
         MetricsFilter::Routers(&self.app_routers)
     }
 
-    /// CDF of local-channel traffic in MB.
+    /// CDF of local-channel traffic in MB. Idle channels enter as one
+    /// zero run (see [`NetworkMetrics::split`]), so the cost follows the
+    /// channels that carried traffic, not the machine.
     pub fn local_traffic_mb_cdf(&self, filter: &MetricsFilter) -> Cdf {
-        self.cdf_of(
-            0x52,
-            self.metrics
-                .local_traffic(filter)
-                .into_iter()
-                .map(|b| b / 1e6),
-        )
+        self.channel_cdf(filter, ChannelClass::is_local, |c| {
+            c.traffic_bytes as f64 / 1e6
+        })
     }
 
     /// CDF of global-channel traffic in MB.
     pub fn global_traffic_mb_cdf(&self, filter: &MetricsFilter) -> Cdf {
-        self.cdf_of(
-            0x53,
-            self.metrics
-                .global_traffic(filter)
-                .into_iter()
-                .map(|b| b / 1e6),
-        )
+        let global = |c| c == ChannelClass::Global;
+        self.channel_cdf(filter, global, |c| c.traffic_bytes as f64 / 1e6)
     }
 
     /// CDF of local-link saturation time in ms.
     pub fn local_saturation_ms_cdf(&self, filter: &MetricsFilter) -> Cdf {
-        self.cdf_of(0x54, self.metrics.local_saturation_ms(filter).into_iter())
+        self.channel_cdf(filter, ChannelClass::is_local, |c| {
+            c.saturated_time.as_ms_f64()
+        })
     }
 
     /// CDF of global-link saturation time in ms.
     pub fn global_saturation_ms_cdf(&self, filter: &MetricsFilter) -> Cdf {
-        self.cdf_of(0x55, self.metrics.global_saturation_ms(filter).into_iter())
+        let global = |c| c == ChannelClass::Global;
+        self.channel_cdf(filter, global, |c| c.saturated_time.as_ms_f64())
+    }
+
+    fn channel_cdf(
+        &self,
+        filter: &MetricsFilter,
+        classes: fn(ChannelClass) -> bool,
+        value: fn(&ChannelSnapshot) -> f64,
+    ) -> Cdf {
+        let (idle, values) = self.metrics.split(filter, classes, value);
+        Cdf::with_zeros(idle, values)
     }
 }
 
@@ -414,51 +399,54 @@ mod tests {
         assert!(r.local_traffic_mb_cdf(&app).len() <= local.len());
     }
 
+    /// The figure CDFs stream the sparse channel metrics into a zero run
+    /// plus the active values: their storage follows the channels that
+    /// carried load, yet each equals the CDF of every channel's value,
+    /// and telemetry (obs) on changes neither them nor the simulation.
     #[test]
     fn streaming_mode_bounds_cdfs_without_perturbing_simulation() {
-        use dfly_network::MetricsMode;
-        let dense_cfg = small(
-            PlacementPolicy::RandomNode,
-            crate::config::RoutingPolicy::Adaptive,
+        let plain_cfg = small(
+            PlacementPolicy::Contiguous,
+            crate::config::RoutingPolicy::Minimal,
         );
-        let mut stream_cfg = dense_cfg.clone();
-        stream_cfg.network.metrics = MetricsMode::Streaming { reservoir_k: 32 };
-        stream_cfg.network.obs = true;
+        let mut obs_cfg = plain_cfg.clone();
+        obs_cfg.network.obs = true;
 
-        let d = run_experiment(&dense_cfg);
-        let s = run_experiment(&stream_cfg);
-        // Simulation outputs are mode-independent (metric storage only).
-        assert_eq!(d.rank_comm_times, s.rank_comm_times);
-        assert_eq!(d.placement, s.placement);
-        assert_eq!(d.job_end, s.job_end);
+        let p = run_experiment(&plain_cfg);
+        let o = run_experiment(&obs_cfg);
+        assert!(!o.obs.as_ref().expect("obs on").series.samples().is_empty());
+        assert_eq!(p.rank_comm_times, o.rank_comm_times);
+        assert_eq!(p.placement, o.placement);
+        assert_eq!(p.job_end, o.job_end);
 
-        // Streaming CDFs retain at most K samples; the population (128
-        // local channels on the small machine) exceeds K here.
         let all = MetricsFilter::All;
-        assert_eq!(d.local_traffic_mb_cdf(&all).len(), 128);
-        let sc = s.local_traffic_mb_cdf(&all);
-        assert_eq!(sc.len(), 32);
-        // A uniform subsample's median sits within the dense population's
-        // central range.
-        let dc = d.local_traffic_mb_cdf(&all);
-        assert!(sc.quantile(0.5) >= dc.quantile(0.05));
-        assert!(sc.quantile(0.5) <= dc.quantile(0.95));
-        // And the same run reproduces the same reservoir exactly.
-        let s2 = run_experiment(&stream_cfg);
-        assert_eq!(
-            sc.sampled_points(32).collect::<Vec<_>>(),
-            s2.local_traffic_mb_cdf(&all)
-                .sampled_points(32)
-                .collect::<Vec<_>>()
+        // Returns the idle channels of the classes `classes` accepts.
+        let check = |classes: fn(ChannelClass) -> bool, cdf: Cdf, dense: Vec<f64>| {
+            assert_eq!(cdf, Cdf::from_samples(dense.iter().map(|b| b / 1e6)));
+            let (idle, active) = o.metrics.split(&all, classes, |c| c.traffic_bytes as f64);
+            assert_eq!(idle + active.len(), dense.len());
+            // Vec growth slack: capacity is at most max(4, 2 * len).
+            let stored = (2 * active.len()).max(4);
+            assert!(
+                cdf.approx_bytes() <= std::mem::size_of::<Cdf>() + 8 * stored,
+                "the CDF stores {} bytes for {} active channels",
+                cdf.approx_bytes(),
+                active.len()
+            );
+            idle
+        };
+        let idle_total = check(
+            ChannelClass::is_local,
+            o.local_traffic_mb_cdf(&all),
+            o.metrics.local_traffic(&all),
+        ) + check(
+            |c| c == ChannelClass::Global,
+            o.global_traffic_mb_cdf(&all),
+            o.metrics.global_traffic(&all),
         );
-
-        // The streaming telemetry report carries the link digest.
-        let obs = s.obs.as_ref().expect("obs on");
-        let digest = obs.link_digest.as_ref().expect("streaming digest");
-        assert_eq!(
-            (0..5).map(|c| digest.channels(c)).sum::<u64>(),
-            s.metrics.channels().count() as u64
-        );
+        assert!(idle_total > 0, "no idle channel: the bound tests nothing");
+        assert_eq!(o.local_traffic_mb_cdf(&all), p.local_traffic_mb_cdf(&all));
+        assert_eq!(o.global_traffic_mb_cdf(&all), p.global_traffic_mb_cdf(&all));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! chase per operation — push, pop, and front are all O(1) on the arena
 //! the event loop already has hot.
 
-use crate::metrics::class_index;
+use crate::metrics::{class_index, CLASSES};
 use crate::packet::{Packet, PacketId, MAX_ROUTE_LEN, NO_PACKET};
 use dfly_engine::{Bandwidth, Bytes, Ns};
 use dfly_topology::{ChannelClass, ChannelId, Topology};
@@ -282,16 +282,6 @@ pub const RUN_LEN: usize = 1 << RUN_SHIFT;
 /// The [`ChannelState`] records of one aligned run of channel ids.
 type Run = Box<[ChannelState; RUN_LEN]>;
 
-/// The channel classes in [`class_index`] order — also the order of the
-/// topology's contiguous per-class channel-id ranges.
-const CLASSES: [ChannelClass; 5] = [
-    ChannelClass::TerminalUp,
-    ChannelClass::TerminalDown,
-    ChannelClass::LocalRow,
-    ChannelClass::LocalCol,
-    ChannelClass::Global,
-];
-
 /// Per-channel state for a whole machine, allocated only where packets
 /// go. Records come in aligned runs of [`RUN_LEN`] channel ids, each run
 /// in its own fixed-size block, allocated the first time any of its
@@ -410,8 +400,9 @@ impl ChannelStore {
     }
 
     /// Every machine channel in id order with its class and record, if
-    /// any. Full-machine views (metric digests, test oracles) read an
-    /// absent record as an empty channel.
+    /// any. Full-machine test oracles read an absent record as an empty
+    /// channel.
+    #[cfg(test)]
     pub(crate) fn each_channel(
         &self,
     ) -> impl Iterator<Item = (ChannelId, ChannelClass, Option<&ChannelState>)> {

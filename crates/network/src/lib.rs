@@ -42,10 +42,10 @@ pub mod shard;
 pub use arena::SimArena;
 pub use audit::{AuditKind, AuditReport, AuditViolation};
 pub use channel::RUN_LEN as CHANNEL_RUN_LEN;
-pub use dfly_obs::{CoarseTimeline, MetricsMode, ObsReport};
+pub use dfly_obs::{CoarseTimeline, ObsReport};
 pub use metrics::{
-    class_index, ChannelFootprint, ChannelSnapshot, MetricsFilter, NetworkMetrics, TrafficTimeline,
-    TIMELINE_CLASSES,
+    class_index, local_series, ChannelFootprint, ChannelSnapshot, MetricsFilter, NetworkMetrics,
+    CLASSES,
 };
 pub use net::{Delivery, Network, NetworkEvent};
 pub use packet::{MessageId, PacketId};

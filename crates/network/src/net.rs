@@ -18,10 +18,10 @@
 use crate::arbiter;
 use crate::arena::SimArena;
 use crate::audit::{AuditReport, Auditor};
-use crate::channel::{ChannelActivity, ChannelStore, InFlight, LinkTable, PacketList};
-use crate::metrics::{
-    class_index, ChannelFootprint, ChannelSnapshot, NetworkMetrics, TrafficTimeline,
+use crate::channel::{
+    ChannelActivity, ChannelState, ChannelStore, InFlight, LinkTable, PacketList,
 };
+use crate::metrics::{class_index, ChannelFootprint, ChannelSnapshot, NetworkMetrics};
 use crate::obs::{self, ObsCollector};
 use crate::packet::{MessageId, MessageKind, MessageState, Packet, PacketId, Route, MAX_ROUTE_LEN};
 use crate::params::NetworkParams;
@@ -126,14 +126,8 @@ pub struct Network {
     /// Per-class running totals and live-state channel lists (see
     /// [`ChannelActivity`]); also the source of the queued-bytes gauge.
     activity: ChannelActivity,
-    traffic_timeline: Option<TrafficTimeline>,
-    /// Streaming-mode replacement for `traffic_timeline`: fixed bin
-    /// count, geometrically coarsening width. At most one of the two is
-    /// live, picked by `params.metrics` at `enable_traffic_timeline`.
-    coarse_timeline: Option<CoarseTimeline>,
-    /// Seed for streaming metric reservoirs (derived from the network
-    /// seed; stored so a collector rebuild keeps the same tag streams).
-    obs_seed: u64,
+    /// Per-class traffic time series, when enabled.
+    traffic_timeline: Option<CoarseTimeline>,
     /// Shadow-accounting audit ledger (see [`crate::audit`]); `None`
     /// when auditing is off — the hot path then pays one branch per hook.
     audit: Option<Box<Auditor>>,
@@ -175,17 +169,11 @@ impl Network {
             .then(|| Box::new(Auditor::new(topo.channel_count())));
         let mut router = RouteComputer::new(routing, Xoshiro256::seed_from(seed));
         router.adopt_buffers(arena.take_router_buffers());
-        // Streaming reservoirs tag samples from their own stream, derived
-        // from the routing seed so sharded replicas (seeded per group) get
-        // distinct, reproducible tag streams.
-        let obs_seed = seed ^ 0x9E37_79B9_7F4A_7C15;
         let obs = params.obs.then(|| {
             Box::new(ObsCollector::new(
                 ObsCollector::DEFAULT_INTERVAL,
                 params.obs_stride,
                 params.obs_coarse_clock,
-                params.metrics,
-                obs_seed,
                 obs::class_counts(&topo),
                 arena.take_sample_buffer(),
             ))
@@ -226,8 +214,6 @@ impl Network {
             wakeup_fired: false,
             activity: ChannelActivity::default(),
             traffic_timeline: None,
-            coarse_timeline: None,
-            obs_seed,
             audit,
             obs,
             shard: None,
@@ -366,8 +352,6 @@ impl Network {
             interval,
             self.params.obs_stride,
             self.params.obs_coarse_clock,
-            self.params.metrics,
-            self.obs_seed,
             obs::class_counts(&self.topo),
             buf,
         )));
@@ -921,10 +905,7 @@ impl Network {
             ch.traffic += size;
             self.activity.add_busy(ch, ser);
             if let Some(tl) = &mut self.traffic_timeline {
-                tl.record(class, self.queue.now(), size);
-            }
-            if let Some(ct) = &mut self.coarse_timeline {
-                ct.record(ci, self.queue.now(), size);
+                tl.record(ci, self.queue.now(), size);
             }
             if let Some(a) = self.audit.as_mut() {
                 a.on_tx_start(pid, ch_id, v, self.queue.now());
@@ -1371,11 +1352,9 @@ impl Network {
             .map(|o| o.report(high_water, self.router.stats()))
     }
 
-    /// Snapshot one channel for the cross-replica metrics merge; open
-    /// saturation intervals close at the run-wide end time `t_end`.
-    pub(crate) fn snapshot_channel(&self, id: ChannelId, t_end: Ns) -> ChannelSnapshot {
+    /// Snapshot one channel; open saturation intervals close at `t_end`.
+    fn snapshot(&self, id: ChannelId, ch: Option<&ChannelState>, t_end: Ns) -> ChannelSnapshot {
         let info = self.topo.channel(id);
-        let ch = self.channels.get(id);
         ChannelSnapshot {
             id,
             class: info.class,
@@ -1389,18 +1368,44 @@ impl Network {
         }
     }
 
+    /// Snapshots of the channels this network holds records for, keeping
+    /// those `keep` accepts; open saturation intervals close at `t_end`.
+    /// Channels without a record are idle and have no snapshot.
+    pub(crate) fn recorded_snapshots<'a>(
+        &'a self,
+        t_end: Ns,
+        keep: impl Fn(ChannelId) -> bool + 'a,
+    ) -> impl Iterator<Item = ChannelSnapshot> + 'a {
+        self.channels
+            .iter()
+            .filter(move |&(id, _)| keep(id))
+            .map(move |(id, ch)| self.snapshot(id, Some(ch), t_end))
+    }
+
+    /// Every channel of the machine, walked one by one — the metrics
+    /// snapshot before idle channels were skipped, kept as the reference
+    /// the sparse [`Network::metrics`] must equal.
+    #[cfg(test)]
+    pub(crate) fn full_snapshot(
+        &self,
+        t_end: Ns,
+        keep: impl Fn(ChannelId) -> bool,
+    ) -> Vec<ChannelSnapshot> {
+        self.topo
+            .channels()
+            .filter(|&(id, _)| keep(id))
+            .map(|(id, _)| self.snapshot(id, self.channels.get(id), t_end))
+            .collect()
+    }
+
     // ----- metrics ---------------------------------------------------------
 
     /// Snapshot per-channel traffic and saturation. A channel still in a
-    /// full state has its open interval closed at the current time.
+    /// full state has its open interval closed at the current time. Costs
+    /// the allocated channel records, not the machine.
     pub fn metrics(&self) -> NetworkMetrics {
-        let now = self.queue.now();
-        let snapshots = self
-            .topo
-            .channels()
-            .map(|(id, _)| self.snapshot_channel(id, now))
-            .collect();
-        NetworkMetrics::new(snapshots).with_footprint(self.channel_footprint())
+        let snapshots = self.recorded_snapshots(self.queue.now(), |_| true);
+        NetworkMetrics::new(self.topo.clone(), snapshots).with_footprint(self.channel_footprint())
     }
 
     /// How much per-channel state this network holds right now.
@@ -1434,54 +1439,28 @@ impl Network {
         self.packets.len() - self.free_packets.len()
     }
 
-    /// Bin count of the streaming-mode coarse timeline: enough bins for
-    /// fig4-style plots, small enough that five lanes stay under 24 KiB.
-    const COARSE_TIMELINE_BINS: usize = 512;
-
     /// Start recording a per-class traffic time series with the given bin
-    /// width (call before injecting traffic). In `MetricsMode::Dense` this
-    /// is the exact [`TrafficTimeline`] (bins grow with run duration, up
-    /// to its internal cap); in streaming mode it is a [`CoarseTimeline`]
-    /// whose bin *width* doubles instead — memory stays fixed no matter
-    /// how long the run is, starting from the same `bin_width`.
+    /// width (call before injecting traffic): each transmission start adds
+    /// its bytes to its class's lane ([`class_index`]) of a
+    /// [`CoarseTimeline`] capped at [`crate::metrics::TIMELINE_BINS`] bins.
     pub fn enable_traffic_timeline(&mut self, bin_width: Ns) {
-        if self.params.metrics.is_streaming() {
-            self.coarse_timeline = Some(CoarseTimeline::new(
-                bin_width,
-                crate::metrics::TIMELINE_CLASSES,
-                Self::COARSE_TIMELINE_BINS,
-            ));
-        } else {
-            self.traffic_timeline = Some(TrafficTimeline::new(bin_width));
-        }
+        self.traffic_timeline = Some(crate::metrics::traffic_timeline(bin_width));
     }
 
-    /// The recorded dense traffic timeline, if enabled (dense mode only).
-    pub fn traffic_timeline(&self) -> Option<&TrafficTimeline> {
+    /// The recorded traffic timeline, if enabled.
+    pub fn traffic_timeline(&self) -> Option<&CoarseTimeline> {
         self.traffic_timeline.as_ref()
     }
 
-    /// The recorded coarsening traffic timeline, if enabled (streaming
-    /// mode only).
-    pub fn coarse_timeline(&self) -> Option<&CoarseTimeline> {
-        self.coarse_timeline.as_ref()
-    }
-
-    /// Approximate heap bytes currently held by metric structures:
-    /// timelines plus the telemetry collector's series and link digest.
-    /// Simulation state (channels, packets, the event queue) is excluded
-    /// — this is the quantity the streaming mode bounds.
+    /// Approximate heap bytes currently held by metric structures: the
+    /// traffic timeline plus the telemetry collector's sample series.
+    /// Simulation state (channels, packets, the event queue) is excluded.
     pub fn metric_bytes_approx(&self) -> usize {
         let tl = self
             .traffic_timeline
             .as_ref()
-            .map_or(0, TrafficTimeline::approx_bytes);
-        let ct = self
-            .coarse_timeline
-            .as_ref()
             .map_or(0, CoarseTimeline::approx_bytes);
-        let obs = self.obs.as_ref().map_or(0, |o| o.approx_metric_bytes());
-        tl + ct + obs
+        tl + self.obs.as_ref().map_or(0, |o| o.approx_metric_bytes())
     }
 }
 
@@ -1489,6 +1468,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::channel::RUN_LEN;
+    use crate::metrics::CLASSES;
     use dfly_topology::TopologyConfig;
 
     fn net(routing: Routing) -> Network {
@@ -1813,33 +1793,27 @@ mod tests {
         n.run_to_idle();
         let m = n.metrics();
         let tl = n.traffic_timeline().expect("enabled");
-        for class in [
-            ChannelClass::TerminalUp,
-            ChannelClass::TerminalDown,
-            ChannelClass::Global,
-        ] {
-            let series_total: u64 = tl.series(class).iter().sum();
+        for class in CLASSES {
+            let series_total: u64 = tl.series(class_index(class)).iter().sum();
             assert_eq!(series_total, m.total_traffic(class), "{class:?}");
         }
-        let local_total: u64 = tl.local_series().iter().sum();
-        assert_eq!(
-            local_total,
-            m.total_traffic(ChannelClass::LocalRow) + m.total_traffic(ChannelClass::LocalCol)
-        );
-        assert!(
-            tl.series(ChannelClass::Global).len() > 1,
-            "spans multiple bins"
-        );
+        let global = tl.series(class_index(ChannelClass::Global));
+        assert!(global.len() > 1, "spans multiple bins");
+        assert_eq!(tl.bin_width(), Ns::from_us(1), "the cap was never reached");
     }
 
+    /// A run that outgrows the bin cap coarsens its timeline instead of
+    /// growing it: the same traffic recorded at 1 ns bins (past the cap)
+    /// and at 1 µs bins (far inside it) carries the same bytes per class,
+    /// and the coarse side never holds more than the cap.
     #[test]
     fn streaming_timeline_matches_dense_mass_with_bounded_bins() {
-        use dfly_obs::MetricsMode;
-        let drive = |n: &mut Network| {
-            n.enable_traffic_timeline(Ns::from_us(1));
+        let drive = |bin_width: Ns| {
+            let mut n = net(Routing::Minimal);
+            n.enable_traffic_timeline(bin_width);
             for i in 0..20u64 {
                 n.send(
-                    Ns(i * 500),
+                    Ns(i * 5_000),
                     NodeId((i % 8) as u32),
                     NodeId(32 + (i % 8) as u32),
                     20_000,
@@ -1847,44 +1821,29 @@ mod tests {
                 );
             }
             n.run_to_idle();
+            n
         };
-
-        let mut dense = net(Routing::Minimal);
-        drive(&mut dense);
-        let dense_total: Vec<u64> = [
-            ChannelClass::TerminalUp,
-            ChannelClass::TerminalDown,
-            ChannelClass::LocalRow,
-            ChannelClass::LocalCol,
-            ChannelClass::Global,
-        ]
-        .iter()
-        .map(|&c| dense.traffic_timeline().unwrap().series(c).iter().sum())
-        .collect();
-
-        let topo = Arc::new(Topology::build(TopologyConfig::small_test()));
-        let params = NetworkParams {
-            metrics: MetricsMode::Streaming { reservoir_k: 64 },
-            ..NetworkParams::default()
-        };
-        let mut streaming = Network::new(topo, params, Routing::Minimal, 12345);
-        drive(&mut streaming);
-        assert!(streaming.traffic_timeline().is_none());
-        let ct = streaming.coarse_timeline().expect("streaming timeline");
-        // Same bytes per class — coarsening redistributes, never loses.
-        for (lane, &want) in dense_total.iter().enumerate() {
-            assert_eq!(ct.total(lane), want, "lane {lane}");
+        let dense = drive(Ns::from_us(1));
+        let coarse = drive(Ns(1));
+        let (dt, ct) = (
+            dense.traffic_timeline().expect("enabled"),
+            coarse.traffic_timeline().expect("enabled"),
+        );
+        assert_eq!(dt.bin_width(), Ns::from_us(1), "dense side never coarsened");
+        assert!(ct.bin_width() > Ns(1), "the 1 ns run never reached the cap");
+        // Same bytes per class: coarsening redistributes, never loses.
+        assert_eq!(ct.lane_count(), CLASSES.len());
+        for class in CLASSES {
+            let lane = class_index(class);
+            assert_eq!(ct.total(lane), dt.total(lane), "{class:?}");
+            assert!(ct.series(lane).len() <= crate::metrics::TIMELINE_BINS);
         }
-        assert!(ct.lane_count() == crate::metrics::TIMELINE_CLASSES);
-        for lane in 0..ct.lane_count() {
-            assert!(ct.series(lane).len() <= Network::COARSE_TIMELINE_BINS);
-        }
-        // Simulation outputs are mode-independent.
+        // The bin width is a pure observer of the simulation.
         assert_eq!(
             dense.metrics().total_traffic(ChannelClass::Global),
-            streaming.metrics().total_traffic(ChannelClass::Global)
+            coarse.metrics().total_traffic(ChannelClass::Global)
         );
-        assert!(streaming.metric_bytes_approx() > 0);
+        assert!(coarse.metric_bytes_approx() > 0);
     }
 
     #[test]

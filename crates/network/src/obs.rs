@@ -15,9 +15,7 @@
 //! records the non-empty VCs of the occupied channels into the occupancy
 //! histogram; every other VC is an exact bulk credit to the empty
 //! bucket. Per-window work is therefore proportional to the occupied plus
-//! saturated channels, not to the channel count. Only the streaming link
-//! digest, rebuilt once per report at [`ObsCollector::close`], still
-//! walks every channel.
+//! saturated channels, not to the channel count.
 //!
 //! Event timing is stride-sampled (see [`ObsCollector::timing_due`]):
 //! every event is counted, every Nth per kind is timed, so the obs-on
@@ -28,13 +26,12 @@
 //! oversized one, so `SampleSeries` spacing stays uniform.
 
 use crate::channel::{ChannelActivity, ChannelStore};
-use crate::metrics::class_index;
 use crate::packet::MAX_ROUTE_LEN;
 use crate::params::NetworkParams;
 use dfly_engine::Ns;
 use dfly_obs::{
-    EventKind, EventLoopProfile, LinkDigest, MetricsMode, NetSample, ObsClock, ObsReport,
-    OccupancyHistogram, RouteStats, SampleSeries, OBS_CLASSES,
+    EventKind, EventLoopProfile, NetSample, ObsClock, ObsReport, OccupancyHistogram, RouteStats,
+    SampleSeries, OBS_CLASSES,
 };
 use dfly_topology::{ChannelId, Topology};
 use std::sync::Arc;
@@ -49,12 +46,6 @@ pub(crate) struct ObsCollector {
     profile: EventLoopProfile,
     series: SampleSeries,
     vc_occupancy: OccupancyHistogram,
-    /// Metric storage discipline (dense = historical exact structures).
-    mode: MetricsMode,
-    /// Seed for the streaming link digest's reservoirs.
-    digest_seed: u64,
-    /// Per-link-class digest, rebuilt at every close (streaming only).
-    digest: Option<LinkDigest>,
     /// The wall-clock source for handler timing.
     clock: ObsClock,
     /// Coarse timing was requested but the platform lacks a coarse source.
@@ -138,39 +129,21 @@ impl WindowDeltas {
     }
 }
 
-/// The sample series `mode` keeps: exact, or bounded and coarsening.
-fn new_series(interval: Ns, mode: MetricsMode, buf: Vec<NetSample>) -> SampleSeries {
-    if mode.is_streaming() {
-        SampleSeries::bounded_with_buffer(interval, ObsCollector::STREAM_SERIES_CAP, buf)
-    } else {
-        SampleSeries::with_buffer(interval, buf)
-    }
-}
-
 impl ObsCollector {
     /// Default sampling interval: 50 µs of simulation time — fine enough
     /// to resolve the paper's millisecond-scale communication phases,
     /// coarse enough that a long run stays within the series cap.
     pub(crate) const DEFAULT_INTERVAL: Ns = Ns(50_000);
 
-    /// Retained-sample cap of the coarsening series in streaming mode
-    /// (4 Ki samples ≈ 600 KiB): long runs double their effective
-    /// sampling stride instead of dropping the tail.
-    pub(crate) const STREAM_SERIES_CAP: usize = 4096;
-
     /// Fresh collector sampling every `interval` of simulation time,
     /// timing every `stride`th event per kind with a precise or `coarse`
-    /// clock, reusing `sample_buf`'s capacity for the series. `mode`
-    /// picks dense (exact, historical) or streaming (bounded) metric
-    /// storage; `digest_seed` seeds the streaming reservoirs;
+    /// clock, reusing `sample_buf`'s capacity for the series.
     /// `class_counts` is the machine's channels per class (see
     /// [`class_counts`]).
     pub(crate) fn new(
         interval: Ns,
         stride: u32,
         coarse_clock: bool,
-        mode: MetricsMode,
-        digest_seed: u64,
         class_counts: [u64; 5],
         sample_buf: Vec<NetSample>,
     ) -> ObsCollector {
@@ -178,11 +151,8 @@ impl ObsCollector {
         let clock = ObsClock::new(coarse_clock);
         ObsCollector {
             profile: EventLoopProfile::new(),
-            series: new_series(interval, mode, sample_buf),
+            series: SampleSeries::with_buffer(interval, sample_buf),
             vc_occupancy: OccupancyHistogram::new(),
-            mode,
-            digest_seed,
-            digest: None,
             coarse_unavailable: coarse_clock && !clock.is_coarse(),
             clock,
             stride,
@@ -195,7 +165,7 @@ impl ObsCollector {
             owner: None,
             owned_channels: class_counts.iter().sum(),
             #[cfg(test)]
-            oracle: oracle::FullSweep::new(interval, mode),
+            oracle: oracle::FullSweep::new(interval),
         }
     }
 
@@ -278,8 +248,7 @@ impl ObsCollector {
 
     /// Emit every due aligned window, then close the partial tail window
     /// at `now`. Called once when a report is taken; safe to repeat (a
-    /// zero-width tail is skipped, and the streaming digest is an
-    /// idempotent rebuild from cumulative channel counters).
+    /// zero-width tail is skipped).
     pub(crate) fn close(
         &mut self,
         now: Ns,
@@ -290,25 +259,6 @@ impl ObsCollector {
     ) {
         self.sample(now, channels, activity, params, route);
         self.push_window(now, channels, activity, params, route);
-        self.series.finalize_tail();
-        #[cfg(test)]
-        self.oracle.series.finalize_tail();
-        if let Some(k) = self.mode.reservoir_k() {
-            // Rebuild from scratch: channel counters are cumulative, so
-            // a repeated close must not double-count. In shard mode only
-            // owned channels are digested; the drain merges per-group
-            // digests in fixed group order.
-            let mut digest = LinkDigest::new(k as usize, self.digest_seed);
-            for (id, class, ch) in channels.each_channel() {
-                if !owns(self.owner.as_ref(), id) {
-                    continue;
-                }
-                let (traffic, saturated) =
-                    ch.map_or((0, Ns::ZERO), |ch| (ch.traffic, ch.saturated_until(now)));
-                digest.observe_channel(class_index(class), traffic, saturated);
-            }
-            self.digest = Some(digest);
-        }
     }
 
     /// Push one sample covering the window `(last_sample_at, at]` from
@@ -359,9 +309,9 @@ impl ObsCollector {
     }
 
     /// Approximate heap bytes of the collector's metric structures (the
-    /// sample series plus the streaming digest, if any).
+    /// sample series).
     pub(crate) fn approx_metric_bytes(&self) -> usize {
-        self.series.approx_bytes() + self.digest.as_ref().map_or(0, LinkDigest::approx_bytes)
+        self.series.approx_bytes()
     }
 
     /// Bundle everything collected into a report. `queue_high_water` comes
@@ -375,7 +325,6 @@ impl ObsCollector {
             series: self.series.clone(),
             vc_occupancy: self.vc_occupancy,
             route: route.copied().unwrap_or_default(),
-            link_digest: self.digest.clone(),
             coarse_unavailable: self.coarse_unavailable,
         }
     }
@@ -411,6 +360,7 @@ fn owns(owner: Option<&(Arc<[u32]>, u32)>, id: ChannelId) -> bool {
 pub(crate) mod oracle {
     use super::*;
     use crate::channel::ChannelState;
+    use crate::metrics::class_index;
     use dfly_topology::ChannelClass;
 
     pub(crate) struct FullSweep {
@@ -421,9 +371,9 @@ pub(crate) mod oracle {
     }
 
     impl FullSweep {
-        pub(crate) fn new(interval: Ns, mode: MetricsMode) -> FullSweep {
+        pub(crate) fn new(interval: Ns) -> FullSweep {
             FullSweep {
-                series: new_series(interval, mode, Vec::new()),
+                series: SampleSeries::new(interval),
                 vc_occupancy: OccupancyHistogram::new(),
                 window: WindowDeltas::default(),
                 class_counts: [0; 5],
@@ -475,9 +425,10 @@ pub(crate) mod oracle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::channel::ChannelState;
+    use crate::metrics::class_index;
     use dfly_topology::ChannelClass;
 
     /// One channel each of three classes, kept consistent with their
@@ -521,15 +472,7 @@ mod tests {
     const CLASS_COUNTS: [u64; 5] = [1, 0, 1, 0, 1];
 
     fn collector(interval: Ns) -> ObsCollector {
-        ObsCollector::new(
-            interval,
-            1,
-            false,
-            MetricsMode::Dense,
-            0,
-            CLASS_COUNTS,
-            Vec::new(),
-        )
+        ObsCollector::new(interval, 1, false, CLASS_COUNTS, Vec::new())
     }
 
     /// Channels 0, 1, 2 are terminal-up, local-row and global, each
@@ -714,15 +657,7 @@ mod tests {
 
     #[test]
     fn stride_times_first_then_every_nth_per_kind() {
-        let mut c = ObsCollector::new(
-            Ns(1_000),
-            4,
-            false,
-            MetricsMode::Dense,
-            0,
-            CLASS_COUNTS,
-            Vec::new(),
-        );
+        let mut c = ObsCollector::new(Ns(1_000), 4, false, CLASS_COUNTS, Vec::new());
         let timed: Vec<bool> = (0..9).map(|_| c.timing_due(EventKind::Arrive)).collect();
         assert_eq!(
             timed,
@@ -734,51 +669,8 @@ mod tests {
     }
 
     #[test]
-    fn streaming_collector_builds_digest_and_bounded_series() {
-        let mode = MetricsMode::Streaming { reservoir_k: 8 };
-        let mut c = ObsCollector::new(Ns(1_000), 1, false, mode, 42, CLASS_COUNTS, Vec::new());
-        let mut chans = channels();
-        chans.ch(2).traffic = 5_000_000;
-        chans.mark_full(2, 0, Ns(0));
-        chans.clear_full(2, 0, Ns(2_000_000));
-        chans.close(&mut c, Ns(10_500));
-        let report = c.report(0, None);
-        let digest = report.link_digest.as_ref().expect("streaming digest");
-        let gi = class_index(ChannelClass::Global);
-        assert_eq!(digest.channels(gi), 1);
-        assert_eq!(digest.class(gi).traffic_bytes.sum(), 5_000_000.0);
-        assert_eq!(digest.class(gi).saturated_ms.max(), Some(2.0));
-        // Closing again must not double-count the cumulative counters.
-        chans.close(&mut c, Ns(10_500));
-        let again = c.report(0, None);
-        assert_eq!(
-            again.link_digest.as_ref().unwrap().channels(gi),
-            1,
-            "repeated close double-counts"
-        );
-        assert!(report.series.samples().len() <= ObsCollector::STREAM_SERIES_CAP);
-        assert_matches_oracle(&c);
-    }
-
-    #[test]
-    fn dense_collector_has_no_digest() {
-        let mut c = collector(Ns(1_000));
-        let mut chans = channels();
-        chans.close(&mut c, Ns(2_000));
-        assert!(c.report(0, None).link_digest.is_none());
-    }
-
-    #[test]
     fn sampled_profile_counts_all_events_but_times_a_subset() {
-        let mut c = ObsCollector::new(
-            Ns(1_000),
-            8,
-            false,
-            MetricsMode::Dense,
-            0,
-            CLASS_COUNTS,
-            Vec::new(),
-        );
+        let mut c = ObsCollector::new(Ns(1_000), 8, false, CLASS_COUNTS, Vec::new());
         for _ in 0..100 {
             let started = c.timing_due(EventKind::TxDone).then(|| c.clock_now());
             c.note_event(EventKind::TxDone, started, 3);
@@ -800,7 +692,7 @@ mod tests {
     /// Uniform random traffic over 600 µs plus a 16-sender hotspot at
     /// t=0 (saturation), then two messages after a quiet gap of many
     /// windows (catch-up windows).
-    fn oracle_traffic(nodes: u32) -> Vec<(Ns, NodeId, NodeId, u64)> {
+    pub(crate) fn oracle_traffic(nodes: u32) -> Vec<(Ns, NodeId, NodeId, u64)> {
         let mut rng = Xoshiro256::seed_from(0x0AC1E);
         let mut out: Vec<_> = (1..=16)
             .map(|s| (Ns::ZERO, NodeId(s), NodeId(0), 48 * 1024))
@@ -815,24 +707,19 @@ mod tests {
         out
     }
 
-    fn oracle_params(mode: MetricsMode) -> NetworkParams {
+    fn oracle_params() -> NetworkParams {
         NetworkParams {
             obs: true,
-            metrics: mode,
             ..NetworkParams::default()
         }
     }
 
     /// (incremental, oracle) reports of one run; `shards` = None is the
     /// serial loop, Some(n) group-sharded PDES on n workers.
-    fn oracle_run(
-        cfg: &TopologyConfig,
-        mode: MetricsMode,
-        shards: Option<usize>,
-    ) -> (ObsReport, ObsReport) {
+    fn oracle_run(cfg: &TopologyConfig, shards: Option<usize>) -> (ObsReport, ObsReport) {
         let topo = Arc::new(Topology::build(cfg.clone()));
         let traffic = oracle_traffic(cfg.total_nodes());
-        let params = oracle_params(mode);
+        let params = oracle_params();
         match shards {
             None => {
                 let mut n = Network::new(topo, params, Routing::Adaptive, 11);
@@ -868,31 +755,23 @@ mod tests {
             got.profile.queue_high_water, want.profile.queue_high_water,
             "{what}: queue high water"
         );
-        assert_eq!(
-            format!("{:?}", got.link_digest),
-            format!("{:?}", want.link_digest),
-            "{what}: link digest"
-        );
         assert_eq!(got.coarse_unavailable, want.coarse_unavailable);
     }
 
     fn check_oracle(cfg: TopologyConfig, name: &str) {
-        let streaming = MetricsMode::Streaming { reservoir_k: 64 };
-        for mode in [MetricsMode::Dense, streaming] {
-            for shards in [None, Some(1), Some(4)] {
-                let what = format!("{name} {mode:?} shards {shards:?}");
-                let (got, want) = oracle_run(&cfg, mode, shards);
-                assert_same_report(&got, &want, &what);
-                // Not vacuous: the run saturated links, queued bytes and
-                // put readings above the empty bucket.
-                let samples = got.series.samples();
-                assert!(samples.len() > 10, "{what}: {} windows", samples.len());
-                assert!(samples.iter().any(|s| s.stall_ns.iter().sum::<u64>() > 0));
-                assert!(samples
-                    .iter()
-                    .any(|s| s.queued_bytes.iter().sum::<u64>() > 0));
-                assert!(got.vc_occupancy.buckets[1..].iter().sum::<u64>() > 0);
-            }
+        for shards in [None, Some(1), Some(4)] {
+            let what = format!("{name} shards {shards:?}");
+            let (got, want) = oracle_run(&cfg, shards);
+            assert_same_report(&got, &want, &what);
+            // Not vacuous: the run saturated links, queued bytes and
+            // put readings above the empty bucket.
+            let samples = got.series.samples();
+            assert!(samples.len() > 10, "{what}: {} windows", samples.len());
+            assert!(samples.iter().any(|s| s.stall_ns.iter().sum::<u64>() > 0));
+            assert!(samples
+                .iter()
+                .any(|s| s.queued_bytes.iter().sum::<u64>() > 0));
+            assert!(got.vc_occupancy.buckets[1..].iter().sum::<u64>() > 0);
         }
     }
 
@@ -913,7 +792,7 @@ mod tests {
         // 1 µs windows: most windows are back-filled by the event that
         // crosses them, many by events that open a saturation interval.
         let topo = Arc::new(Topology::build(TopologyConfig::small_test()));
-        let mut n = Network::new(topo, oracle_params(MetricsMode::Dense), Routing::Minimal, 3);
+        let mut n = Network::new(topo, oracle_params(), Routing::Minimal, 3);
         n.set_obs_interval(Ns(1_000));
         for (i, &(at, s, d, b)) in oracle_traffic(64).iter().enumerate() {
             n.send(at, s, d, b, i as u64);

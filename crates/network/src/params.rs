@@ -2,7 +2,6 @@
 
 use dfly_engine::kv::{kv, ToKv};
 use dfly_engine::Bytes;
-use dfly_obs::MetricsMode;
 use dfly_topology::ChannelClass;
 
 /// Tunable parameters of the packet-level model.
@@ -54,17 +53,6 @@ pub struct NetworkParams {
     /// far above the tick/handler-cost ratio to converge. Falls back to
     /// the precise clock off Linux. Ignored when `obs` is off.
     pub obs_coarse_clock: bool,
-    /// How metric-heavy structures store their data. `Dense` (the
-    /// default) keeps the historical exact structures and is
-    /// byte-identical to every release before this knob existed.
-    /// `Streaming { reservoir_k }` bounds metric memory at
-    /// `O(links * K)` regardless of run duration: telemetry sample
-    /// series coarsen geometrically instead of dropping, per-channel
-    /// distributions become seeded reservoir digests, and traffic
-    /// timelines fold their bin width. Simulation outputs (event order,
-    /// delivered bytes, completion times) are identical in both modes —
-    /// only metric *storage* changes.
-    pub metrics: MetricsMode,
 }
 
 impl Default for NetworkParams {
@@ -81,7 +69,6 @@ impl Default for NetworkParams {
             obs: false,
             obs_stride: 64,
             obs_coarse_clock: false,
-            metrics: MetricsMode::Dense,
         }
     }
 }
@@ -115,7 +102,6 @@ impl NetworkParams {
         if self.obs_stride == 0 {
             return Err("obs_stride must be at least 1 (1 = exhaustive timing)".into());
         }
-        self.metrics.validate()?;
         for (name, cap) in [
             ("terminal", self.terminal_vc_bytes),
             ("local", self.local_vc_bytes),
@@ -144,12 +130,6 @@ impl ToKv for NetworkParams {
         kv(&mut out, "obs", self.obs);
         kv(&mut out, "obs_stride", self.obs_stride);
         kv(&mut out, "obs_coarse_clock", self.obs_coarse_clock);
-        // Echoed only when non-default so dense-mode config echoes — and
-        // therefore the goldens — stay byte-identical to before the knob
-        // existed (the `arrangement` pattern in `TopologyConfig`).
-        if self.metrics != MetricsMode::Dense {
-            kv(&mut out, "metrics_mode", self.metrics.label());
-        }
         out
     }
 }
@@ -191,31 +171,6 @@ mod tests {
         let mut p = NetworkParams::default();
         p.packet_size = 0;
         assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn metrics_mode_defaults_dense_and_echoes_only_when_set() {
-        use dfly_engine::kv::ToKv;
-        let p = NetworkParams::default();
-        assert_eq!(p.metrics, MetricsMode::Dense);
-        // Dense echo has no metrics_mode key — the golden-stability
-        // contract: old echoes are byte-identical.
-        assert!(p.to_kv().iter().all(|(k, _)| k != "metrics_mode"));
-
-        let mut p = p;
-        p.metrics = MetricsMode::Streaming { reservoir_k: 256 };
-        p.validate().unwrap();
-        let kv = p.to_kv();
-        assert!(kv.contains(&("metrics_mode".to_string(), "streaming:256".to_string())));
-    }
-
-    #[test]
-    fn validate_rejects_degenerate_reservoir() {
-        let mut p = NetworkParams::default();
-        p.metrics = MetricsMode::Streaming { reservoir_k: 1 };
-        assert!(p.validate().is_err());
-        p.metrics = MetricsMode::Streaming { reservoir_k: 2 };
-        p.validate().unwrap();
     }
 
     #[test]

@@ -637,17 +637,31 @@ impl ShardParts {
 
     /// Merged per-channel metrics: each channel's truth lives in the one
     /// replica owning it (packets traverse a channel only in the replica
-    /// of its transmitting end).
+    /// of its transmitting end), so each replica contributes the records
+    /// it holds for its own channels.
     pub fn metrics(&self) -> NetworkMetrics {
         let owner = &self.nets[0].shard_state().expect("shard mode").owner;
-        let snapshots = self
-            .topo
-            .channels()
-            .map(|(id, _)| {
-                self.nets[owner[id.index()] as usize].snapshot_channel(id, self.final_time)
+        let snapshots = self.nets.iter().enumerate().flat_map(|(g, net)| {
+            net.recorded_snapshots(self.final_time, move |id| owner[id.index()] as usize == g)
+        });
+        NetworkMetrics::new(self.topo.clone(), snapshots).with_footprint(self.channel_footprint())
+    }
+
+    /// [`Network::full_snapshot`] of every channel from its owning
+    /// replica: the reference [`ShardParts::metrics`] must equal.
+    #[cfg(test)]
+    pub(crate) fn full_snapshot(&self) -> Vec<crate::metrics::ChannelSnapshot> {
+        let owner = &self.nets[0].shard_state().expect("shard mode").owner;
+        let mut all: Vec<_> = self
+            .nets
+            .iter()
+            .enumerate()
+            .flat_map(|(g, net)| {
+                net.full_snapshot(self.final_time, |id| owner[id.index()] as usize == g)
             })
             .collect();
-        NetworkMetrics::new(snapshots).with_footprint(self.channel_footprint())
+        all.sort_by_key(|c| c.id);
+        all
     }
 
     /// Per-channel state summed over every replica.
@@ -757,13 +771,6 @@ fn merge_obs(into: &mut ObsReport, from: &ObsReport) {
         into.route.margin_hist[i] += from.route.margin_hist[i];
     }
     into.route.margin_sum += from.route.margin_sum;
-    match (into.link_digest.as_mut(), from.link_digest.as_ref()) {
-        // Replicas digest disjoint owned-channel sets; merged in fixed
-        // group order, so the result is identical for any worker count.
-        (Some(a), Some(b)) => a.merge_from(b),
-        (None, None) => {}
-        _ => panic!("replicas disagree on metrics mode"),
-    }
     into.coarse_unavailable |= from.coarse_unavailable;
 }
 

@@ -40,18 +40,15 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod digest;
 pub mod profile;
 pub mod report;
 pub mod sampler;
 
 pub use clock::ObsClock;
-pub use digest::{ClassDigest, LinkDigest};
 pub use profile::{EventKind, EventLoopProfile};
 pub use report::ObsReport;
 pub use sampler::{NetSample, OccupancyHistogram, RouteStats, SampleSeries, OBS_CLASSES};
 
 // Re-exported so `dfly-network` (which already depends on this crate)
-// can reference the metrics knob and the bounded timeline without a new
-// dependency edge.
-pub use dfly_stats::streaming::{CoarseTimeline, MetricsMode};
+// can build its traffic timeline without a new dependency edge.
+pub use dfly_stats::streaming::CoarseTimeline;

@@ -6,7 +6,6 @@
 //! itself as a family of `obs_*.csv` files and how to render a compact
 //! ASCII summary (sparklines over the sample series) for terminal use.
 
-use crate::digest::LinkDigest;
 use crate::profile::{EventKind, EventLoopProfile};
 use crate::sampler::{OccupancyHistogram, RouteStats, SampleSeries, OBS_CLASSES};
 use dfly_stats::{sparkline, CsvWriter};
@@ -24,9 +23,6 @@ pub struct ObsReport {
     pub vc_occupancy: OccupancyHistogram,
     /// UGAL decision counters and margin distribution.
     pub route: RouteStats,
-    /// Per-link-class streaming digests (`MetricsMode::Streaming` only;
-    /// `None` in dense mode, where per-channel snapshots stay exact).
-    pub link_digest: Option<LinkDigest>,
     /// The coarse profiling clock was requested but this platform has no
     /// coarse source, so the precise clock was used instead.
     pub coarse_unavailable: bool,
@@ -119,55 +115,6 @@ impl ObsReport {
         w.finish()?;
         written.push(path);
 
-        if let Some(digest) = &self.link_digest {
-            let path = dir.join(format!("obs_link_digest_{tag}.csv"));
-            let mut w = CsvWriter::create(
-                &path,
-                &[
-                    "class",
-                    "channels",
-                    "traffic_mb_mean",
-                    "traffic_mb_p50",
-                    "traffic_mb_p90",
-                    "traffic_mb_p99",
-                    "traffic_mb_max",
-                    "sat_ms_mean",
-                    "sat_ms_p99",
-                    "sat_ms_max",
-                    "reservoir_len",
-                ],
-            )?;
-            for (i, &(_, label)) in OBS_CLASSES.iter().enumerate() {
-                let d = digest.class(i);
-                let (p50, p90, p99) = if d.traffic_mb.is_empty() {
-                    (0.0, 0.0, 0.0)
-                } else {
-                    let cdf = d.traffic_mb.to_cdf();
-                    (cdf.quantile(0.5), cdf.quantile(0.9), cdf.quantile(0.99))
-                };
-                let sat_p99 = if d.saturated_ms.count() == 0 {
-                    0.0
-                } else {
-                    d.saturated_ms.quantile(0.99)
-                };
-                w.row(&[
-                    label.to_string(),
-                    digest.channels(i).to_string(),
-                    format!("{:.4}", d.traffic_bytes.mean() / 1.0e6),
-                    format!("{p50:.4}"),
-                    format!("{p90:.4}"),
-                    format!("{p99:.4}"),
-                    format!("{:.4}", d.traffic_mb.to_cdf().max().unwrap_or(0.0)),
-                    format!("{:.4}", d.saturated_ms.mean()),
-                    format!("{sat_p99:.4}"),
-                    format!("{:.4}", d.saturated_ms.max().unwrap_or(0.0)),
-                    d.traffic_mb.len().to_string(),
-                ])?;
-            }
-            w.finish()?;
-            written.push(path);
-        }
-
         let path = dir.join(format!("obs_route_{tag}.csv"));
         let mut w = CsvWriter::create(&path, &["metric", "value"])?;
         w.row(&["minimal_taken", &self.route.minimal_taken.to_string()])?;
@@ -254,27 +201,15 @@ impl ObsReport {
                 self.route.mean_margin(),
             ));
         }
-        if let Some(digest) = &self.link_digest {
-            let channels: u64 = (0..OBS_CLASSES.len()).map(|i| digest.channels(i)).sum();
-            out.push_str(&format!(
-                "link digest: {} channels across {} classes, K={}, ~{} KiB retained\n",
-                channels,
-                OBS_CLASSES.len(),
-                digest.reservoir_k(),
-                digest.approx_bytes() / 1024,
-            ));
-        }
         out
     }
 
     /// Approximate heap bytes held by the report's metric structures —
     /// the number the scale/memory regression suite bounds. Counts the
-    /// duration/scale-sensitive parts (sample series, digests); the
-    /// fixed-size profile/histogram structs ride along as constants.
+    /// duration-sensitive part (the sample series); the fixed-size
+    /// profile/histogram structs ride along as constants.
     pub fn approx_metric_bytes(&self) -> usize {
-        self.series.approx_bytes()
-            + self.link_digest.as_ref().map_or(0, |d| d.approx_bytes())
-            + std::mem::size_of::<ObsReport>()
+        self.series.approx_bytes() + std::mem::size_of::<ObsReport>()
     }
 }
 
@@ -316,7 +251,6 @@ mod tests {
             series,
             vc_occupancy: vc,
             route,
-            link_digest: None,
             coarse_unavailable: false,
         }
     }
@@ -355,36 +289,12 @@ mod tests {
             series: SampleSeries::new(Ns(1)),
             vc_occupancy: OccupancyHistogram::new(),
             route: RouteStats::new(),
-            link_digest: None,
             coarse_unavailable: false,
         };
         let text = report.render_summary();
         assert!(text.contains("event loop: 0 events"));
         assert!(!text.contains("ugal:"), "no decisions, no ugal line");
         assert!(!text.contains("warning:"), "no fallback, no warning line");
-    }
-
-    #[test]
-    fn digest_report_writes_fifth_csv_and_summary_line() {
-        let mut report = sample_report();
-        let mut digest = crate::digest::LinkDigest::new(8, 42);
-        for i in 0..20u64 {
-            digest.observe_channel((i % 5) as usize, i * 500_000, Ns(i * 1_000_000));
-        }
-        report.link_digest = Some(digest);
-
-        let text = report.render_summary();
-        assert!(text.contains("link digest: 20 channels"), "{text}");
-        assert!(report.approx_metric_bytes() > 0);
-
-        let dir = std::env::temp_dir().join("dfly_obs_digest_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let paths = report.write_csvs(&dir, "unit").unwrap();
-        assert_eq!(paths.len(), 5, "digest adds a fifth CSV");
-        let digest_csv = std::fs::read_to_string(dir.join("obs_link_digest_unit.csv")).unwrap();
-        assert!(digest_csv.starts_with("class,channels,traffic_mb_mean,"));
-        assert_eq!(digest_csv.lines().count(), 6, "header + 5 classes");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

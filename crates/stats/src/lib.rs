@@ -29,8 +29,6 @@ pub use balance::{gini, Histogram};
 pub use cdf::Cdf;
 pub use csv::CsvWriter;
 pub use plot::{render_boxplot_row, sparkline};
-pub use streaming::{
-    CoarseTimeline, MetricsMode, ReservoirCdf, StreamSummary, DEFAULT_RESERVOIR_K,
-};
+pub use streaming::{CoarseTimeline, StreamSummary};
 pub use summary::{mean, percentile, relative_percent, stddev, BoxStats};
 pub use table::AsciiTable;

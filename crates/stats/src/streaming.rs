@@ -1,18 +1,8 @@
-//! Streaming, bounded replacements for the dense metric structures.
+//! Fixed-footprint, mergeable summaries of value and byte streams.
 //!
-//! The paper's machine stops at Theta (3,456 nodes); the canonic
-//! `(p,a,h,g)` parameterization builds dragonflies with hundreds of
-//! groups and 100k+ nodes, where dense per-link vectors and full-sample
-//! CDFs make a run memory-bound before it is compute-bound. This module
-//! holds the fixed-footprint equivalents, all deterministic and
-//! mergeable across PDES shards:
+//! Both structures are deterministic and merge exactly (up to
+//! floating-point reassociation of a sum) across PDES shards:
 //!
-//! * [`ReservoirCdf`] — a seeded bottom-k reservoir sample of a value
-//!   stream. Holds at most `K` values regardless of stream length; its
-//!   quantiles converge to the dense CDF's with error `O(1/sqrt(K))`.
-//!   Merging two reservoirs is exactly equivalent to feeding one
-//!   reservoir both streams (keep-smallest-tag union), so shard merges
-//!   commute and reorder freely.
 //! * [`StreamSummary`] — count/sum/min/max moments plus a fixed-bin
 //!   log-scale histogram for quantile estimates. Merging is field-wise;
 //!   counts, extrema, and bins merge exactly, the sum to floating-point
@@ -20,236 +10,10 @@
 //! * [`CoarseTimeline`] — a time-binned series that keeps a fixed bin
 //!   *count* by geometrically doubling its bin *width* when the run
 //!   outgrows it, instead of growing the bin vector. Folding preserves
-//!   total byte mass exactly.
-//! * [`MetricsMode`] — the knob the network/telemetry layers switch on:
-//!   `Dense` (the historical structures, byte-identical to every
-//!   existing golden) or `Streaming { reservoir_k }` (bounded memory,
-//!   `O(links * K)` regardless of run duration).
+//!   total byte mass exactly. Until the run outgrows the cap, its bins
+//!   are exactly `bytes` summed per `at / bin_width`.
 
-use crate::cdf::Cdf;
-use dfly_engine::{Ns, Xoshiro256};
-use std::collections::BinaryHeap;
-
-/// Default reservoir capacity for `--metrics streaming` without an
-/// explicit `:K`. 1024 samples put ~3% worst-case standard error on
-/// mid-range quantiles — tighter than the paper's figure resolution.
-pub const DEFAULT_RESERVOIR_K: u32 = 1024;
-
-/// How metric-heavy layers store their data: dense (exact, unbounded)
-/// or streaming (bounded, sampled). Dense is the default and is
-/// byte-identical to every release before this knob existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MetricsMode {
-    /// Full-resolution structures: per-sample CDFs, an uncoarsened
-    /// sample series, dense timeline bins. Memory grows with run
-    /// duration; fine through Theta scale.
-    #[default]
-    Dense,
-    /// Bounded structures: reservoir-sampled CDFs, a geometrically
-    /// coarsening sample series and timeline, per-link-class digests.
-    /// Metric memory is `O(links * reservoir_k)` for any duration.
-    Streaming {
-        /// Reservoir capacity per sampled distribution.
-        reservoir_k: u32,
-    },
-}
-
-impl MetricsMode {
-    /// True for any `Streaming` variant.
-    pub fn is_streaming(&self) -> bool {
-        matches!(self, MetricsMode::Streaming { .. })
-    }
-
-    /// The reservoir capacity, if streaming.
-    pub fn reservoir_k(&self) -> Option<u32> {
-        match *self {
-            MetricsMode::Dense => None,
-            MetricsMode::Streaming { reservoir_k } => Some(reservoir_k),
-        }
-    }
-
-    /// Stable label: `dense` or `streaming:K`.
-    pub fn label(&self) -> String {
-        match *self {
-            MetricsMode::Dense => "dense".to_string(),
-            MetricsMode::Streaming { reservoir_k } => format!("streaming:{reservoir_k}"),
-        }
-    }
-
-    /// Parse `dense`, `streaming`, or `streaming:K`.
-    pub fn parse(s: &str) -> Result<MetricsMode, String> {
-        match s {
-            "dense" => Ok(MetricsMode::Dense),
-            "streaming" => Ok(MetricsMode::Streaming {
-                reservoir_k: DEFAULT_RESERVOIR_K,
-            }),
-            _ => {
-                let k_str = s.strip_prefix("streaming:").ok_or_else(|| {
-                    format!("metrics mode wants dense|streaming|streaming:K (got {s:?})")
-                })?;
-                let k: u32 = k_str
-                    .parse()
-                    .map_err(|_| format!("streaming reservoir size {k_str:?} is not an integer"))?;
-                if k < 2 {
-                    return Err(format!("streaming reservoir size must be >= 2 (got {k})"));
-                }
-                Ok(MetricsMode::Streaming { reservoir_k: k })
-            }
-        }
-    }
-
-    /// Validate the mode's parameters (mirrors `NetworkParams::validate`).
-    pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            MetricsMode::Dense => Ok(()),
-            MetricsMode::Streaming { reservoir_k } if reservoir_k >= 2 => Ok(()),
-            MetricsMode::Streaming { reservoir_k } => Err(format!(
-                "metrics reservoir_k must be >= 2 (got {reservoir_k})"
-            )),
-        }
-    }
-}
-
-/// A seeded bottom-k reservoir sample over a stream of `f64` values.
-///
-/// Every pushed value draws a `u64` tag from the reservoir's own
-/// [`Xoshiro256`] stream; the reservoir keeps the `K` values with the
-/// smallest `(tag, value-bits)` keys. Because "keep the K smallest of a
-/// multiset" is order-independent and associative, [`merge_from`] is
-/// *exactly* the reservoir a single feed of both tag/value streams would
-/// produce — the property the sharded drain relies on.
-///
-/// [`merge_from`]: ReservoirCdf::merge_from
-#[derive(Debug, Clone)]
-pub struct ReservoirCdf {
-    k: usize,
-    seen: u64,
-    rng: Xoshiro256,
-    /// Max-heap of `(tag, value_bits)`: the root is the first entry a
-    /// smaller-tagged newcomer evicts.
-    entries: BinaryHeap<(u64, u64)>,
-}
-
-impl ReservoirCdf {
-    /// Empty reservoir holding at most `k` samples, tagging from `seed`.
-    pub fn new(k: usize, seed: u64) -> ReservoirCdf {
-        assert!(k >= 1, "reservoir capacity must be at least 1");
-        ReservoirCdf {
-            k,
-            seen: 0,
-            rng: Xoshiro256::seed_from(seed),
-            entries: BinaryHeap::with_capacity(k + 1),
-        }
-    }
-
-    /// Capacity `K`.
-    pub fn capacity(&self) -> usize {
-        self.k
-    }
-
-    /// Values currently retained (≤ `K`).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total values offered to the reservoir (including merged streams).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Offer one value. NaN is rejected with a panic, matching [`Cdf`].
-    pub fn push(&mut self, value: f64) {
-        assert!(!value.is_nan(), "NaN sample in reservoir input");
-        let tag = self.rng.next_u64();
-        self.seen += 1;
-        self.insert_tagged(tag, value);
-    }
-
-    /// Offer every value of an iterator.
-    pub fn extend(&mut self, values: impl IntoIterator<Item = f64>) {
-        for v in values {
-            self.push(v);
-        }
-    }
-
-    fn insert_tagged(&mut self, tag: u64, value: f64) {
-        let key = (tag, value.to_bits());
-        if self.entries.len() < self.k {
-            self.entries.push(key);
-        } else if let Some(&root) = self.entries.peek() {
-            if key < root {
-                self.entries.pop();
-                self.entries.push(key);
-            }
-        }
-    }
-
-    /// An empty reservoir that continues this one's tag stream — the
-    /// "hand the RNG to the next shard" construction that makes
-    /// `merge(prefix, suffix) == single_feed(whole)` exactly testable.
-    pub fn continuation(&self) -> ReservoirCdf {
-        ReservoirCdf {
-            k: self.k,
-            seen: 0,
-            rng: self.rng.clone(),
-            entries: BinaryHeap::with_capacity(self.k + 1),
-        }
-    }
-
-    /// Merge another reservoir of the same capacity: keep the `K`
-    /// smallest keys of the union; `seen` counts add. Deterministic and
-    /// order-independent.
-    pub fn merge_from(&mut self, other: &ReservoirCdf) {
-        assert_eq!(
-            self.k, other.k,
-            "merging reservoirs of different capacities"
-        );
-        self.seen += other.seen;
-        for &(tag, bits) in other.entries.iter() {
-            let key = (tag, bits);
-            if self.entries.len() < self.k {
-                self.entries.push(key);
-            } else if let Some(&root) = self.entries.peek() {
-                if key < root {
-                    self.entries.pop();
-                    self.entries.push(key);
-                }
-            }
-        }
-    }
-
-    /// The retained values, sorted ascending.
-    pub fn values(&self) -> Vec<f64> {
-        let mut out: Vec<f64> = self
-            .entries
-            .iter()
-            .map(|&(_, bits)| f64::from_bits(bits))
-            .collect();
-        out.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in reservoir"));
-        out
-    }
-
-    /// The retained sample as an empirical [`Cdf`].
-    pub fn to_cdf(&self) -> Cdf {
-        Cdf::from_samples(self.entries.iter().map(|&(_, bits)| f64::from_bits(bits)))
-    }
-
-    /// Estimated quantile (empty reservoir panics, matching [`Cdf`]).
-    pub fn quantile(&self, fraction: f64) -> f64 {
-        self.to_cdf().quantile(fraction)
-    }
-
-    /// Approximate heap footprint of the retained state, in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(u64, u64)>()
-            + std::mem::size_of::<ReservoirCdf>()
-    }
-}
+use dfly_engine::Ns;
 
 /// Number of log-scale histogram bins in a [`StreamSummary`]:
 /// `SUB_BINS` bins per factor of two over binary exponents
@@ -412,14 +176,11 @@ impl StreamSummary {
 /// A time-binned byte series with a *fixed* bin count: when an event
 /// lands past the last bin, the bin width doubles and adjacent bins fold
 /// pairwise (sums, so total mass is preserved exactly) until the event
-/// fits. The dense [`TrafficTimeline`]'s growth axis — bins per duration
-/// — becomes a resolution axis instead.
+/// fits. A run longer than the cap costs resolution, not memory.
 ///
 /// Lanes are parallel series sharing one width (the per-class split in
 /// the network layer); folding coarsens every lane together so they stay
 /// aligned.
-///
-/// [`TrafficTimeline`]: https://docs.rs — see `dfly-network::metrics`
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoarseTimeline {
     bin_width: Ns,
@@ -541,119 +302,7 @@ impl CoarseTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_parses_and_labels() {
-        assert_eq!(MetricsMode::parse("dense"), Ok(MetricsMode::Dense));
-        assert_eq!(
-            MetricsMode::parse("streaming"),
-            Ok(MetricsMode::Streaming {
-                reservoir_k: DEFAULT_RESERVOIR_K
-            })
-        );
-        assert_eq!(
-            MetricsMode::parse("streaming:256"),
-            Ok(MetricsMode::Streaming { reservoir_k: 256 })
-        );
-        assert!(MetricsMode::parse("streaming:1").is_err());
-        assert!(MetricsMode::parse("sparse").is_err());
-        assert!(MetricsMode::parse("streaming:x").is_err());
-        assert_eq!(MetricsMode::Dense.label(), "dense");
-        assert_eq!(
-            MetricsMode::Streaming { reservoir_k: 64 }.label(),
-            "streaming:64"
-        );
-        assert_eq!(MetricsMode::default(), MetricsMode::Dense);
-        assert!(MetricsMode::Streaming { reservoir_k: 1 }
-            .validate()
-            .is_err());
-        MetricsMode::Dense.validate().unwrap();
-    }
-
-    #[test]
-    fn reservoir_keeps_everything_below_capacity() {
-        let mut r = ReservoirCdf::new(16, 7);
-        r.extend((0..10).map(|i| i as f64));
-        assert_eq!(r.len(), 10);
-        assert_eq!(r.seen(), 10);
-        assert_eq!(r.values(), (0..10).map(|i| i as f64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn reservoir_caps_at_k() {
-        let mut r = ReservoirCdf::new(32, 99);
-        r.extend((0..10_000).map(|i| i as f64));
-        assert_eq!(r.len(), 32);
-        assert_eq!(r.seen(), 10_000);
-        assert!(r.approx_bytes() < 2048);
-    }
-
-    #[test]
-    fn reservoir_is_seed_deterministic() {
-        let feed = |seed| {
-            let mut r = ReservoirCdf::new(8, seed);
-            r.extend((0..1000).map(|i| (i * 17 % 1000) as f64));
-            r.values()
-        };
-        assert_eq!(feed(1), feed(1));
-        assert_ne!(feed(1), feed(2), "different seeds sample differently");
-    }
-
-    #[test]
-    fn reservoir_merge_equals_single_stream() {
-        let stream: Vec<f64> = (0..500).map(|i| (i * 13 % 500) as f64).collect();
-        for cut in [0, 1, 250, 499, 500] {
-            let mut single = ReservoirCdf::new(24, 42);
-            single.extend(stream.iter().copied());
-
-            let mut left = ReservoirCdf::new(24, 42);
-            left.extend(stream[..cut].iter().copied());
-            let mut right = left.continuation();
-            right.extend(stream[cut..].iter().copied());
-            left.merge_from(&right);
-
-            assert_eq!(left.seen(), single.seen());
-            assert_eq!(left.values(), single.values(), "cut at {cut}");
-
-            // And the mirror merge retains the same multiset.
-            let mut l2 = ReservoirCdf::new(24, 42);
-            l2.extend(stream[..cut].iter().copied());
-            let mut r2 = l2.continuation();
-            r2.extend(stream[cut..].iter().copied());
-            r2.merge_from(&l2);
-            assert_eq!(r2.values(), single.values(), "merge commutes at {cut}");
-        }
-    }
-
-    #[test]
-    fn reservoir_quantiles_track_dense() {
-        // Uniform 0..10_000: reservoir quantiles within a few percent.
-        let mut r = ReservoirCdf::new(512, 0xC0FFEE);
-        let dense: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
-        r.extend(dense.iter().copied());
-        let cdf = Cdf::from_samples(dense.iter().copied());
-        for q in [0.1, 0.5, 0.9] {
-            let d = cdf.quantile(q);
-            let s = r.quantile(q);
-            assert!(
-                (d - s).abs() / 10_000.0 < 0.06,
-                "q{q}: dense {d} vs reservoir {s}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn reservoir_rejects_nan() {
-        ReservoirCdf::new(4, 1).push(f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "different capacities")]
-    fn reservoir_merge_rejects_capacity_mismatch() {
-        let mut a = ReservoirCdf::new(4, 1);
-        a.merge_from(&ReservoirCdf::new(8, 1));
-    }
+    use crate::cdf::Cdf;
 
     #[test]
     fn summary_moments_exact() {

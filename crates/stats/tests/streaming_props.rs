@@ -1,113 +1,12 @@
-//! Property tests for the streaming metric structures (ISSUE 10
-//! satellite): reservoir CDFs track the dense CDF within analytic
-//! tolerance, merges are exactly equivalent to single-stream feeds,
-//! timeline coarsening preserves byte mass, and everything is
+//! Property tests for the fixed-footprint stream structures
+//! ([`StreamSummary`], [`CoarseTimeline`]): merges are equivalent to
+//! single-stream feeds, summary quantiles stay within their documented
+//! tolerance, timeline coarsening preserves byte mass, and everything is
 //! deterministic across runs and split points (the shard-count axis).
 
 use dfly_engine::proptest::{check, check_with_shrink, gen, shrink, Config};
 use dfly_engine::{Ns, Xoshiro256};
-use dfly_stats::{Cdf, CoarseTimeline, ReservoirCdf, StreamSummary};
-
-/// Reservoir quantiles vs the dense CDF on the same stream: for K
-/// samples from a population, the empirical quantile's standard error in
-/// *rank* space is sqrt(q(1-q)/K) <= 0.5/sqrt(K). We assert a 6-sigma
-/// band, translated into value space through the dense CDF itself, so
-/// the bound adapts to whatever distribution the generator produced.
-#[test]
-fn reservoir_quantiles_within_analytic_tolerance() {
-    check(
-        "reservoir_quantiles_within_analytic_tolerance",
-        &Config::with_cases(24),
-        |rng| {
-            let data = gen::vec_f64(rng, 2000, 6000, 0.0, 1e6);
-            let seed = rng.next_u64();
-            (data, seed)
-        },
-        |(data, seed)| {
-            let k = 512usize;
-            let dense = Cdf::from_samples(data.iter().copied());
-            let mut res = ReservoirCdf::new(k, *seed);
-            res.extend(data.iter().copied());
-            if res.len() != k {
-                return Err(format!("reservoir holds {} of {k}", res.len()));
-            }
-            let sigma = 0.5 / (k as f64).sqrt();
-            for q in [0.1, 0.25, 0.5, 0.75, 0.9] {
-                let est = res.quantile(q);
-                // The streamed estimate must land between the dense
-                // quantiles at q ± 6σ (rank-space tolerance mapped
-                // through the dense distribution).
-                let lo = dense.quantile((q - 6.0 * sigma).max(0.0));
-                let hi = dense.quantile((q + 6.0 * sigma).min(1.0));
-                if est < lo || est > hi {
-                    return Err(format!(
-                        "q{q}: reservoir {est} outside dense band [{lo}, {hi}]"
-                    ));
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
-/// merge(prefix-reservoir, continuation-fed-suffix) is *identical* to
-/// feeding the whole stream through one reservoir — the exact property
-/// the sharded drain depends on — at every split point, in both merge
-/// directions.
-#[test]
-fn reservoir_merge_equals_single_stream_feed() {
-    check_with_shrink(
-        "reservoir_merge_equals_single_stream_feed",
-        &Config::with_cases(32),
-        |rng| {
-            let data = gen::vec_f64(rng, 1, 800, 0.0, 1e9);
-            let cut = rng.next_below(data.len() as u64 + 1) as usize;
-            let seed = rng.next_u64();
-            let k = 1 + rng.next_below(64) as usize;
-            (data, cut, seed, k)
-        },
-        |(data, cut, seed, k)| {
-            let mut cands: Vec<_> = shrink::vec(data, |_| Vec::new())
-                .into_iter()
-                .map(|d| {
-                    let c = (*cut).min(d.len());
-                    (d, c, *seed, *k)
-                })
-                .collect();
-            cands.extend(
-                shrink::usize_toward(1, *k)
-                    .into_iter()
-                    .map(|k2| (data.clone(), *cut, *seed, k2)),
-            );
-            cands
-        },
-        |(data, cut, seed, k)| {
-            let mut single = ReservoirCdf::new(*k, *seed);
-            single.extend(data.iter().copied());
-
-            let mut left = ReservoirCdf::new(*k, *seed);
-            left.extend(data[..*cut].iter().copied());
-            let mut right = left.continuation();
-            right.extend(data[*cut..].iter().copied());
-
-            let mut fwd = left.clone();
-            fwd.merge_from(&right);
-            if fwd.values() != single.values() || fwd.seen() != single.seen() {
-                return Err(format!(
-                    "merge != single feed at cut {cut}: {:?} vs {:?}",
-                    fwd.values(),
-                    single.values()
-                ));
-            }
-            let mut rev = right.clone();
-            rev.merge_from(&left);
-            if rev.values() != single.values() {
-                return Err("merge is order-dependent".into());
-            }
-            Ok(())
-        },
-    );
-}
+use dfly_stats::{Cdf, CoarseTimeline, StreamSummary};
 
 /// Summary merge ≡ single feed: count/min/max/histogram exactly, sum to
 /// floating-point reassociation error; quantile estimates agree exactly
@@ -250,63 +149,51 @@ fn timeline_coarsening_preserves_mass() {
 }
 
 /// Determinism across runs and across shard counts: feeding the same
-/// tagged stream through 1, 2, or 4 "shards" (continuation reservoirs,
-/// split summaries) and merging yields byte-identical retained state.
+/// stream through 1, 2, or 4 "shards" (split summaries and timelines)
+/// and merging in a scrambled order yields byte-identical state.
 #[test]
 fn streaming_structures_deterministic_across_shard_counts() {
     check(
         "streaming_structures_deterministic_across_shard_counts",
         &Config::with_cases(24),
-        |rng| {
-            let data = gen::vec_f64(rng, 4, 500, 0.0, 1e9);
-            let seed = rng.next_u64();
-            (data, seed)
-        },
-        |(data, seed)| {
-            let k = 32usize;
-            let feed_sharded = |shards: usize| -> (Vec<f64>, u64, Vec<u64>) {
-                // Chain continuation reservoirs across contiguous
-                // chunks, then merge in a scrambled order to prove
-                // order-independence.
+        |rng| gen::vec_f64(rng, 4, 500, 0.0, 1e9),
+        |data| {
+            let feed_sharded = |shards: usize| -> (Vec<u64>, CoarseTimeline) {
                 let chunk = data.len().div_ceil(shards);
-                let mut parts: Vec<ReservoirCdf> = Vec::new();
                 let mut summaries: Vec<StreamSummary> = Vec::new();
-                for (i, slice) in data.chunks(chunk).enumerate() {
-                    let mut r = if i == 0 {
-                        ReservoirCdf::new(k, *seed)
-                    } else {
-                        parts[i - 1].continuation()
-                    };
-                    r.extend(slice.iter().copied());
-                    parts.push(r);
+                let mut timelines: Vec<CoarseTimeline> = Vec::new();
+                for slice in data.chunks(chunk) {
                     let mut s = StreamSummary::new();
+                    let mut t = CoarseTimeline::new(Ns(64), 2, 64);
                     for &v in slice {
                         s.record(v);
+                        t.record(v as usize % 2, Ns(v as u64), v as u64 % 4096);
                     }
                     summaries.push(s);
+                    timelines.push(t);
                 }
-                let mut merged = parts.pop().unwrap();
-                while let Some(p) = parts.pop() {
-                    merged.merge_from(&p);
+                let mut sum = summaries.pop().unwrap();
+                while let Some(s) = summaries.pop() {
+                    sum.merge_from(&s);
                 }
-                let mut sum = summaries.remove(0);
-                for s in &summaries {
-                    sum.merge_from(s);
+                let mut tl = timelines.remove(0);
+                for t in &timelines {
+                    tl.merge_from(t);
                 }
-                let hist: Vec<u64> = (0..=100)
+                let quantiles: Vec<u64> = (0..=100)
                     .step_by(25)
                     .map(|p| sum.quantile(p as f64 / 100.0).to_bits())
                     .collect();
-                (merged.values(), merged.seen(), hist)
+                (quantiles, tl)
             };
             let one = feed_sharded(1);
             for shards in [2usize, 4] {
                 let s = feed_sharded(shards);
-                if s.0 != one.0 || s.1 != one.1 {
-                    return Err(format!("reservoir differs at {shards} shards"));
-                }
-                if s.2 != one.2 {
+                if s.0 != one.0 {
                     return Err(format!("summary quantiles differ at {shards} shards"));
+                }
+                if s.1 != one.1 {
+                    return Err(format!("timeline differs at {shards} shards"));
                 }
             }
             // Two identical runs are byte-identical.
@@ -322,24 +209,18 @@ fn streaming_structures_deterministic_across_shard_counts() {
 /// not grow retained bytes.
 #[test]
 fn streaming_footprints_bounded() {
-    let mut r = ReservoirCdf::new(256, 1);
     let mut s = StreamSummary::new();
     let mut t = CoarseTimeline::new(Ns(1), 5, 512);
     let mut rng = Xoshiro256::seed_from(7);
     for i in 0..1000u64 {
-        let v = rng.next_f64() * 1e6;
-        r.push(v);
-        s.record(v);
+        s.record(rng.next_f64() * 1e6);
         t.record((i % 5) as usize, Ns(i * 37), i % 1000);
     }
-    let (rb, sb, tb) = (r.approx_bytes(), s.approx_bytes(), t.approx_bytes());
+    let (sb, tb) = (s.approx_bytes(), t.approx_bytes());
     for i in 1000..100_000u64 {
-        let v = rng.next_f64() * 1e6;
-        r.push(v);
-        s.record(v);
+        s.record(rng.next_f64() * 1e6);
         t.record((i % 5) as usize, Ns(i * i), i % 1000);
     }
-    assert_eq!(r.approx_bytes(), rb, "reservoir grew");
     assert_eq!(s.approx_bytes(), sb, "summary grew");
     assert!(
         t.approx_bytes() <= tb.max(5 * 512 * 8 + 256),

@@ -380,6 +380,36 @@ impl Topology {
         &self.router_globals[router.index()]
     }
 
+    /// The channels of `class` a router owns, in id order: the ones it
+    /// transmits on, and for `TerminalUp` the injection channels of its
+    /// nodes. Every router owns the same number of each class.
+    pub fn router_channels(&self, router: RouterId, class: ChannelClass) -> Vec<ChannelId> {
+        let r = router.0;
+        let (rows, cols) = (self.cfg.rows, self.cfg.cols);
+        match class {
+            ChannelClass::TerminalUp => self
+                .router_nodes(router)
+                .map(|n| self.terminal_up(n))
+                .collect(),
+            ChannelClass::TerminalDown => self
+                .router_nodes(router)
+                .map(|n| self.terminal_down(n))
+                .collect(),
+            ChannelClass::LocalRow => {
+                let base = self.base_row + r * (cols - 1);
+                (base..base + cols - 1).map(ChannelId).collect()
+            }
+            ChannelClass::LocalCol => {
+                let base = self.base_col + r * (rows - 1);
+                (base..base + rows - 1).map(ChannelId).collect()
+            }
+            ChannelClass::Global => self.router_globals[router.index()]
+                .iter()
+                .map(|&(ch, _)| ch)
+                .collect(),
+        }
+    }
+
     // ----- per-class link parameters --------------------------------------
 
     /// Bandwidth of a channel class.
@@ -691,5 +721,38 @@ mod tests {
         let mut cfg = TopologyConfig::theta();
         cfg.groups = 1;
         let _ = Topology::build(cfg);
+    }
+
+    #[test]
+    fn router_channels_partition_the_machine_by_owner() {
+        for t in [small(), theta()] {
+            let routers = t.config().total_routers();
+            let mut owner: Vec<Option<u32>> = vec![None; t.channel_count()];
+            for class in [
+                ChannelClass::TerminalUp,
+                ChannelClass::TerminalDown,
+                ChannelClass::LocalRow,
+                ChannelClass::LocalCol,
+                ChannelClass::Global,
+            ] {
+                let per_router = t.router_channels(RouterId(0), class).len();
+                for r in 0..routers {
+                    let ids = t.router_channels(RouterId(r), class);
+                    assert_eq!(ids.len(), per_router, "{class:?} router {r}");
+                    assert!(ids.windows(2).all(|w| w[0] < w[1]), "id order");
+                    for id in ids {
+                        assert_eq!(t.channel(id).class, class);
+                        assert_eq!(owner[id.index()].replace(r), None, "{id:?} listed twice");
+                    }
+                }
+            }
+            for (id, info) in t.channels() {
+                let want = match info.src {
+                    ChannelEnd::Router(r) => r,
+                    ChannelEnd::Node(n) => t.node_router(n),
+                };
+                assert_eq!(owner[id.index()], Some(want.0), "{id:?} owner");
+            }
+        }
     }
 }

@@ -13,10 +13,11 @@ cargo bench --no-run --offline --workspace
 
 # Property suites, named so a failure is unmistakably a property-level
 # regression (both also run inside the workspace sweep above; this is
-# the explicit gate for the streaming-metrics and core invariants).
+# the explicit gate for the StreamSummary/CoarseTimeline properties and
+# the core invariants).
 cargo test -q --offline -p dfly-stats --test streaming_props
 cargo test -q --offline --test proptest_invariants
-# Streaming metric structures must stay byte-bounded on a long run.
+# Metric structures must stop growing at their caps on a long run.
 cargo test -q --offline --test memory_bound
 
 echo "verify.sh: offline build + examples + tests + property suites + bench compile all passed."

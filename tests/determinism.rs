@@ -8,6 +8,7 @@ use dragonfly_tradeoff::core::report::ConfigLabel;
 use dragonfly_tradeoff::core::runner::run_experiment;
 use dragonfly_tradeoff::core::sweep::run_config_grid;
 use dragonfly_tradeoff::engine::{Ns, ToKv};
+use dragonfly_tradeoff::network::MetricsFilter;
 use dragonfly_tradeoff::placement::PlacementPolicy;
 use dragonfly_tradeoff::stats::CsvWriter;
 use dragonfly_tradeoff::workloads::BackgroundSpec;
@@ -401,48 +402,57 @@ fn sweep_grid_identical_at_every_worker_count() {
     }
 }
 
-// ----- streaming-metrics matrix --------------------------------------------
+// ----- fixed-footprint metrics matrix ---------------------------------------
 
-/// Byte-level fingerprint of a streaming run's link digest: per class,
-/// the reservoir's retained values plus the summary counters.
-fn digest_fingerprint(r: &dragonfly_tradeoff::core::runner::ExperimentResult) -> Vec<Vec<u64>> {
-    let digest = r
-        .obs
-        .as_ref()
-        .expect("obs on")
-        .link_digest
-        .as_ref()
-        .expect("streaming digest");
-    (0..5)
-        .map(|c| {
-            let cd = digest.class(c);
-            let mut v: Vec<u64> = cd.traffic_mb.values().iter().map(|x| x.to_bits()).collect();
-            v.push(cd.traffic_bytes.count());
-            v.push(cd.traffic_bytes.sum().to_bits());
-            v.push(cd.saturated_ms.count());
-            v.push(cd.saturated_ms.sum().to_bits());
+/// Byte-level fingerprint of what a run streams into its fixed-footprint
+/// metric structures: every telemetry sample (as bits) and the steps of
+/// the four machine-wide channel CDFs (a zero run plus the active
+/// channels' values).
+fn stream_fingerprint(r: &dragonfly_tradeoff::core::runner::ExperimentResult) -> Vec<Vec<u64>> {
+    let obs = r.obs.as_ref().expect("obs on");
+    let series: Vec<u64> = obs
+        .series
+        .samples()
+        .iter()
+        .flat_map(|s| {
+            let mut v = vec![s.at.as_nanos(), s.minimal_taken, s.nonminimal_taken];
+            v.extend(s.util.iter().map(|u| u.to_bits()));
+            v.extend(s.queued_bytes);
+            v.extend(s.stall_ns);
             v
         })
-        .collect()
+        .collect();
+    let all = MetricsFilter::All;
+    let mut out = vec![series];
+    for cdf in [
+        r.local_traffic_mb_cdf(&all),
+        r.global_traffic_mb_cdf(&all),
+        r.local_saturation_ms_cdf(&all),
+        r.global_saturation_ms_cdf(&all),
+    ] {
+        out.push(
+            cdf.steps()
+                .flat_map(|(x, y)| [x.to_bits(), y.to_bits()])
+                .collect(),
+        );
+    }
+    out
 }
 
-/// The ISSUE's streaming matrix: with obs + audit on, streaming-metrics
-/// runs must (a) leave every simulation output bit-identical to a dense
-/// twin *at the same execution mode* (the sharded schedule is a
-/// documented modeling deviation from the serial loop, so each
-/// parallelism gets its own twin), (b) reproduce byte-identically across
-/// two runs — digest included — at serial, 1-worker, and 4-worker
-/// execution, and (c) be worker-count-invariant among the sharded runs
-/// (per-group replicas make the digest partition fixed; workers only
-/// redistribute threads).
+/// With obs + audit on, runs must (a) leave every simulation output
+/// bit-identical to an obs-off twin *at the same execution mode* (the
+/// sharded schedule is a documented modeling deviation from the serial
+/// loop, so each parallelism gets its own twin), (b) reproduce
+/// byte-identically across two runs — sample series and channel CDFs
+/// included — at serial, 1-worker, and 4-worker execution, and (c) be
+/// worker-count-invariant among the sharded runs (per-group replicas fix
+/// the partition; workers only redistribute threads).
 #[test]
 fn streaming_runs_byte_identical_at_shards_1_and_4_with_obs_and_audit() {
-    use dragonfly_tradeoff::network::MetricsMode;
     let mut base = cfg();
     base.msg_scale = 0.2;
     base.network.obs = true;
     base.network.audit = true;
-    base.network.metrics = MetricsMode::Streaming { reservoir_k: 64 };
 
     let mut sharded_reference: Option<(RunFingerprint, Vec<Vec<u64>>)> = None;
     for shards in [None, Some(1u32), Some(4u32)] {
@@ -450,38 +460,40 @@ fn streaming_runs_byte_identical_at_shards_1_and_4_with_obs_and_audit() {
         if let Some(n) = shards {
             c.parallelism = Parallelism::IntraRun(n);
         }
-        let mut dense = c.clone();
-        dense.network.metrics = MetricsMode::Dense;
-        let d = run_experiment(&dense);
-        assert!(d.obs.as_ref().expect("obs on").link_digest.is_none());
+        let mut plain = c.clone();
+        plain.network.obs = false;
+        let p = run_experiment(&plain);
+        assert!(p.obs.is_none());
 
         let a = run_experiment(&c);
         let b = run_experiment(&c);
         assert!(a.audit.as_ref().expect("audit on").is_clean());
 
-        // Two-run byte-identity, streaming structures included.
+        // Two-run byte-identity, the streamed structures included.
         assert_eq!(
             fingerprint(&a),
             fingerprint(&b),
             "{shards:?} two-run identity"
         );
-        let da = digest_fingerprint(&a);
-        assert_eq!(da, digest_fingerprint(&b), "{shards:?} digest identity");
-        assert!(da.iter().any(|c| !c.is_empty()), "digest never fed");
+        let sa = stream_fingerprint(&a);
+        assert_eq!(sa, stream_fingerprint(&b), "{shards:?} stream identity");
+        assert!(!sa[0].is_empty(), "sample series never fed");
 
-        // Simulation outputs are metrics-mode-independent.
-        assert_eq!(a.rank_comm_times, d.rank_comm_times, "{shards:?} vs dense");
-        assert_eq!(a.job_end, d.job_end);
-        assert_eq!(a.events, d.events);
+        // Telemetry never perturbs the simulation.
+        assert_eq!(
+            a.rank_comm_times, p.rank_comm_times,
+            "{shards:?} vs obs off"
+        );
+        assert_eq!(a.job_end, p.job_end);
+        assert_eq!(a.events, p.events);
         let ta: Vec<_> = a.metrics.channels().collect();
-        let td: Vec<_> = d.metrics.channels().collect();
-        assert_eq!(ta, td, "{shards:?} perturbed channel metrics");
+        let tp: Vec<_> = p.metrics.channels().collect();
+        assert_eq!(ta, tp, "{shards:?} perturbed channel metrics");
 
-        // Sharded runs also pin the digest across worker counts. (The
-        // serial path digests with a single reservoir stream, so its
-        // retained sample legitimately differs from the per-group merge.)
+        // Sharded runs also pin the streamed structures across worker
+        // counts.
         if shards.is_some() {
-            let snap = (fingerprint(&a), da);
+            let snap = (fingerprint(&a), sa);
             match &sharded_reference {
                 None => sharded_reference = Some(snap),
                 Some(r) => assert_eq!(r, &snap, "{shards:?} changed the sharded run"),
