@@ -1,6 +1,7 @@
 //! Experiment configuration.
 
 use dfly_engine::kv::{kv, nest, ToKv};
+use dfly_engine::Xoshiro256;
 use dfly_network::NetworkParams;
 use dfly_placement::{PlacementPolicy, TaskMapping};
 use dfly_topology::TopologyConfig;
@@ -8,6 +9,38 @@ use dfly_workloads::{AppKind, BackgroundSpec, WorkloadSpec};
 
 /// Routing mechanism — re-exported network type under the study's name.
 pub type RoutingPolicy = dfly_network::Routing;
+
+/// The independent random streams a run derives from its master seed, so
+/// that e.g. changing the routing policy never perturbs the placement.
+/// Every runner draws them here, in one order: `split(1)` placement,
+/// `split(2)` workload jitter, `split(3)` routing, `split(4)` background
+/// destinations (`split` advances the master, so the order is part of the
+/// seeding contract).
+#[derive(Debug, Clone)]
+pub struct SeedStreams {
+    /// Placement (and rank-arrangement) draws.
+    pub placement: Xoshiro256,
+    /// Workload-jitter seed; job `i` of a multi-job run uses
+    /// `workload ^ (i << 32)`.
+    pub workload: u64,
+    /// Routing-decision seed of the network.
+    pub routing: u64,
+    /// Background-destination seed.
+    pub background: u64,
+}
+
+impl SeedStreams {
+    /// Derive the streams of master seed `seed`.
+    pub fn new(seed: u64) -> SeedStreams {
+        let mut master = Xoshiro256::seed_from(seed);
+        SeedStreams {
+            placement: master.split(1),
+            workload: master.split(2).next_u64(),
+            routing: master.split(3).next_u64(),
+            background: master.split(4).next_u64(),
+        }
+    }
+}
 
 /// The application under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,13 +63,22 @@ pub enum AppSelection {
 }
 
 impl AppSelection {
+    /// The app of `kind` at `ranks` ranks.
+    pub fn new(kind: AppKind, ranks: u32) -> AppSelection {
+        match kind {
+            AppKind::CrystalRouter => AppSelection::CrystalRouter { ranks },
+            AppKind::FillBoundary => AppSelection::FillBoundary { ranks },
+            AppKind::Amg => AppSelection::Amg { ranks },
+        }
+    }
+
     /// The app at the paper's rank count.
     pub fn paper(kind: AppKind) -> AppSelection {
-        match kind {
-            AppKind::CrystalRouter => AppSelection::CrystalRouter { ranks: 1000 },
-            AppKind::FillBoundary => AppSelection::FillBoundary { ranks: 1000 },
-            AppKind::Amg => AppSelection::Amg { ranks: 1728 },
-        }
+        let ranks = match kind {
+            AppKind::CrystalRouter | AppKind::FillBoundary => 1000,
+            AppKind::Amg => 1728,
+        };
+        AppSelection::new(kind, ranks)
     }
 
     /// The underlying workload kind.
@@ -94,6 +136,16 @@ impl Parallelism {
         match self {
             Parallelism::Serial => "serial".into(),
             Parallelism::IntraRun(n) => format!("intra-run:{n}"),
+        }
+    }
+
+    /// Worker threads of the sharded engine on `topology`, or `None` for
+    /// the serial loop. A single-group machine has no cross-group cut to
+    /// shard on, so it runs serial whatever the setting.
+    pub fn workers(&self, topology: &TopologyConfig) -> Option<usize> {
+        match *self {
+            Parallelism::IntraRun(n) if topology.groups >= 2 => Some(n as usize),
+            _ => None,
         }
     }
 }
@@ -179,14 +231,9 @@ impl ExperimentConfig {
             AppKind::CrystalRouter | AppKind::FillBoundary => 216, // 6x6x6
             AppKind::Amg => 343,                                   // 7x7x7
         };
-        let app = match app {
-            AppKind::CrystalRouter => AppSelection::CrystalRouter { ranks },
-            AppKind::FillBoundary => AppSelection::FillBoundary { ranks },
-            AppKind::Amg => AppSelection::Amg { ranks },
-        };
         ExperimentConfig {
             topology: TopologyConfig::quick(),
-            app,
+            app: AppSelection::new(app, ranks),
             ..ExperimentConfig::theta(AppKind::CrystalRouter)
         }
     }

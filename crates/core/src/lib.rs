@@ -4,17 +4,23 @@
 //! raw network model and below the per-figure reproduction binaries.
 //!
 //! * [`config`] — experiment configuration: topology, app, placement,
-//!   routing, message scale, background traffic, seeds.
-//! * [`mpi`] — the MPI-like rank execution engine: replays a
-//!   [`dfly_workloads::JobTrace`] over the network with per-rank
-//!   dependency-chained phases (the role DUMPI replay plays in CODES).
+//!   routing, message scale, background traffic, and the seed streams
+//!   ([`config::SeedStreams`]) and engine choice
+//!   ([`config::Parallelism::workers`]) every runner shares.
+//! * [`mpi`] — the one rank execution engine: replays
+//!   [`dfly_workloads::JobTrace`]s over the network with per-rank
+//!   dependency-chained phases (the role DUMPI replay plays in CODES),
+//!   and its t=0 front-end [`MultiDriver`] / [`MpiDriver`] with
+//!   background traffic and load sampling.
 //! * [`runner`] — runs one experiment end to end and collects the paper's
 //!   metrics (per-rank communication time, average hops, channel traffic,
 //!   link saturation).
-//! * [`service`] — the continuous multi-tenant service loop: an
-//!   incremental [`ServiceSim`] driver with mid-run job injection,
-//!   backfill/congestion-aware admission, recommend-fed placement and
-//!   per-tenant SLO metrics.
+//! * [`multijob`] and [`scheduler`] — co-runs from t=0 and FCFS batch
+//!   schedules, over `MultiDriver` and `run_service` respectively.
+//! * [`service`] — the continuous multi-tenant service loop: the second
+//!   front-end over the same engine, an incremental [`ServiceSim`] driver
+//!   with mid-run job injection, backfill/congestion-aware admission,
+//!   recommend-fed placement and per-tenant SLO metrics.
 //! * [`sweep`] — runs placement x routing grids and message-scale sweeps,
 //!   parallelizing across simulations with scoped threads.
 //! * [`report`] — config labels (`cont-min` ... `rand-adp`) and result

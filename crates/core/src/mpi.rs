@@ -1,29 +1,27 @@
 //! The MPI-like rank execution engine.
 //!
-//! Replays one or more [`JobTrace`]s over the network: each rank walks its
-//! phases in order, entering phase `p+1` only when (a) every send it
-//! issued in phase `p` has been delivered and (b) every message addressed
-//! to it in phase `p` has arrived. This reproduces the dependency
-//! structure of DUMPI trace replay with computation delays stripped
-//! (paper Section III-A).
+//! Replays [`JobTrace`]s over the network: each rank walks its phases in
+//! order, entering phase `p+1` only when (a) every send it issued in phase
+//! `p` has been delivered and (b) every message addressed to it in phase
+//! `p` has arrived. This reproduces the dependency structure of DUMPI
+//! trace replay with computation delays stripped (paper Section III-A).
 //!
 //! The per-rank **communication time** — the paper's headline metric — is
 //! the time at which the rank's last phase completes, since every rank
 //! starts at t=0 and compute time is ignored.
 //!
-//! Two kinds of co-runners are supported:
-//!
-//! * full traced jobs, via [`MultiDriver`] (the multi-job production
-//!   scenario the paper motivates; its predecessor study calls the
-//!   resulting interference the "bully" effect);
-//! * open-loop synthetic background traffic ([`BackgroundRunner`]),
-//!   injected incrementally through network wakeups, window by window, so
-//!   interference runs never materialize millions of future messages.
+//! One job engine holds that state machine, the node → (slot, rank) owner
+//! table and the event-tag layout. [`MultiDriver`] (jobs pre-placed at
+//! t=0, open-loop background traffic, load sampling) and
+//! [`crate::service::ServiceSim`] (a queued, admitted, recycled job stream)
+//! are front-ends over it.
 
 use dfly_engine::{Bytes, Ns};
 use dfly_network::{Delivery, MessageId, Network, NetworkEvent, ShardedNetwork};
 use dfly_topology::NodeId;
 use dfly_workloads::{BackgroundTraffic, JobTrace};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// The network surface the rank engine drives. Implemented by the serial
 /// [`Network`] and the sharded PDES [`ShardedNetwork`]; the drivers are
@@ -48,67 +46,65 @@ pub trait DriverNet {
     fn packets_in_flight(&self) -> usize;
 }
 
-impl DriverNet for Network {
-    fn send(&mut self, at: Ns, src: NodeId, dst: NodeId, bytes: Bytes, tag: u64) -> MessageId {
-        Network::send(self, at, src, dst, bytes, tag)
-    }
-    fn poll(&mut self) -> Option<NetworkEvent> {
-        Network::poll(self)
-    }
-    fn now(&self) -> Ns {
-        Network::now(self)
-    }
-    fn schedule_wakeup(&mut self, at: Ns) {
-        Network::schedule_wakeup(self, at)
-    }
-    fn packets_for(&self, bytes: Bytes) -> u64 {
-        self.params().packets_for(bytes)
-    }
-    fn total_nodes(&self) -> u32 {
-        self.topology().config().total_nodes()
-    }
-    fn total_queued_bytes(&self) -> Bytes {
-        Network::total_queued_bytes(self)
-    }
-    fn packets_in_flight(&self) -> usize {
-        Network::packets_in_flight(self)
-    }
+/// Both engines expose the surface under the same inherent names.
+macro_rules! impl_driver_net {
+    ($($net:ty),*) => {$(
+        impl DriverNet for $net {
+            fn send(
+                &mut self,
+                at: Ns,
+                src: NodeId,
+                dst: NodeId,
+                bytes: Bytes,
+                tag: u64,
+            ) -> MessageId {
+                <$net>::send(self, at, src, dst, bytes, tag)
+            }
+            fn poll(&mut self) -> Option<NetworkEvent> {
+                <$net>::poll(self)
+            }
+            fn now(&self) -> Ns {
+                <$net>::now(self)
+            }
+            fn schedule_wakeup(&mut self, at: Ns) {
+                <$net>::schedule_wakeup(self, at)
+            }
+            fn packets_for(&self, bytes: Bytes) -> u64 {
+                self.params().packets_for(bytes)
+            }
+            fn total_nodes(&self) -> u32 {
+                self.topology().config().total_nodes()
+            }
+            fn total_queued_bytes(&self) -> Bytes {
+                <$net>::total_queued_bytes(self)
+            }
+            fn packets_in_flight(&self) -> usize {
+                <$net>::packets_in_flight(self)
+            }
+        }
+    )*};
 }
 
-impl DriverNet for ShardedNetwork {
-    fn send(&mut self, at: Ns, src: NodeId, dst: NodeId, bytes: Bytes, tag: u64) -> MessageId {
-        ShardedNetwork::send(self, at, src, dst, bytes, tag)
-    }
-    fn poll(&mut self) -> Option<NetworkEvent> {
-        ShardedNetwork::poll(self)
-    }
-    fn now(&self) -> Ns {
-        ShardedNetwork::now(self)
-    }
-    fn schedule_wakeup(&mut self, at: Ns) {
-        ShardedNetwork::schedule_wakeup(self, at)
-    }
-    fn packets_for(&self, bytes: Bytes) -> u64 {
-        self.params().packets_for(bytes)
-    }
-    fn total_nodes(&self) -> u32 {
-        self.topology().config().total_nodes()
-    }
-    fn total_queued_bytes(&self) -> Bytes {
-        ShardedNetwork::total_queued_bytes(self)
-    }
-    fn packets_in_flight(&self) -> usize {
-        ShardedNetwork::packets_in_flight(self)
-    }
-}
+impl_driver_net!(Network, ShardedNetwork);
 
-/// Tag bit marking background messages.
-const BG_FLAG: u64 = 1 << 63;
-/// Tag layout for app messages: [62:48] job, [47:24] phase, [23:0] rank.
-const JOB_SHIFT: u32 = 48;
-const PHASE_SHIFT: u32 = 24;
-const RANK_MASK: u64 = (1 << PHASE_SHIFT) - 1;
+/// Rank field width of an app-message tag (bits `[23:0]`).
+pub const RANK_BITS: u32 = 24;
+/// Phase field shift (bits `[47:24]`).
+pub const PHASE_SHIFT: u32 = RANK_BITS;
+/// Job-slot field shift (bits `[63:48]`).
+pub const JOB_SHIFT: u32 = 48;
+/// Largest rank count a job may have (24-bit rank field).
+pub const MAX_RANKS: u32 = (1 << RANK_BITS) - 1;
+/// Largest phase count a trace may have (24-bit phase field).
+pub const MAX_PHASES: usize = (1 << (JOB_SHIFT - PHASE_SHIFT)) - 1;
+/// Concurrent job-slot budget (16-bit job field). Slots are recycled on
+/// completion, so this bounds *simultaneously running* jobs — a stream may
+/// be arbitrarily long.
+pub const JOB_SLOTS: usize = 1 << (u64::BITS - JOB_SHIFT);
+
+const RANK_MASK: u64 = (1 << RANK_BITS) - 1;
 const PHASE_MASK: u64 = (1 << (JOB_SHIFT - PHASE_SHIFT)) - 1;
+const NO_OWNER: (u32, u32) = (u32::MAX, u32::MAX);
 
 /// Outcome of one job in a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,18 +140,250 @@ impl JobResult {
 struct RankState {
     phase: usize,
     outstanding_sends: u32,
-    recvs_got: Vec<u32>,
+    /// Messages per phase still to arrive.
+    recvs_left: Vec<u32>,
     finished_at: Option<Ns>,
     hops_weighted: f64,
     packets_sent: u64,
 }
 
-struct JobContext<'a> {
-    trace: &'a JobTrace,
-    placement: &'a [NodeId],
-    expected_recvs: Vec<Vec<u32>>,
+/// One job in a [`JobEngine`] slot, with the front-end's own record
+/// `meta`. Trace and placement are borrowed or owned, never copied.
+pub(crate) struct Job<'a, M> {
+    pub(crate) trace: Cow<'a, JobTrace>,
+    pub(crate) placement: Cow<'a, [NodeId]>,
+    pub(crate) meta: M,
     ranks: Vec<RankState>,
     unfinished: usize,
+}
+
+/// The job engine: a slot table of running jobs plus the node → (slot,
+/// rank) owner table that decodes deliveries.
+///
+/// An app message's tag is `[63:48]` slot, `[47:24]` phase, `[23:0]`
+/// sending rank. A delivery to a node no job owns is background traffic:
+/// nobody waits on it.
+pub(crate) struct JobEngine<'a, M> {
+    slots: Vec<Option<Job<'a, M>>>,
+    free_slots: Vec<u32>,
+    node_owner: Vec<(u32, u32)>,
+}
+
+impl<'a, M> JobEngine<'a, M> {
+    /// An empty engine for a machine of `total_nodes` nodes.
+    pub(crate) fn new(total_nodes: u32) -> JobEngine<'a, M> {
+        JobEngine {
+            slots: Vec::new(),
+            free_slots: Vec::new(),
+            node_owner: vec![NO_OWNER; total_nodes as usize],
+        }
+    }
+
+    /// Install a job in a free slot (the most recently freed one, else a
+    /// new one) and claim its nodes. Its ranks stay idle until
+    /// [`JobEngine::launch`].
+    pub(crate) fn insert(
+        &mut self,
+        trace: Cow<'a, JobTrace>,
+        placement: Cow<'a, [NodeId]>,
+        meta: M,
+    ) -> u32 {
+        let ranks = trace.ranks();
+        assert_eq!(
+            ranks as usize,
+            placement.len(),
+            "placement size must equal rank count"
+        );
+        trace.validate().expect("invalid trace");
+        assert!(
+            ranks <= MAX_RANKS && trace.phase_count() <= MAX_PHASES,
+            "job of {ranks} ranks and {} phases exceeds the tag fields",
+            trace.phase_count()
+        );
+        let slot = match self.free_slots.pop() {
+            Some(s) => s,
+            None => {
+                assert!(self.slots.len() < JOB_SLOTS, "job slots exhausted");
+                self.slots.push(None);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        for (rank, &node) in placement.iter().enumerate() {
+            let owner = &mut self.node_owner[node.index()];
+            assert_eq!(*owner, NO_OWNER, "node {node} assigned twice");
+            *owner = (slot, rank as u32);
+        }
+        let job = Job {
+            ranks: trace
+                .recv_counts()
+                .into_iter()
+                .map(|recvs_left| RankState {
+                    phase: 0,
+                    outstanding_sends: 0,
+                    recvs_left,
+                    finished_at: None,
+                    hops_weighted: 0.0,
+                    packets_sent: 0,
+                })
+                .collect(),
+            unfinished: ranks as usize,
+            trace,
+            placement,
+            meta,
+        };
+        self.slots[slot as usize] = Some(job);
+        slot
+    }
+
+    /// Start the jobs in `slots`: every rank's phase-0 sends go out first,
+    /// then every rank advances through whatever is already complete.
+    pub(crate) fn launch<N: DriverNet>(&mut self, net: &mut N, slots: Range<u32>, now: Ns) {
+        for slot in slots.clone() {
+            for rank in 0..self.job(slot).trace.ranks() {
+                self.issue_phase(net, slot, rank, now);
+            }
+        }
+        for slot in slots {
+            for rank in 0..self.job(slot).trace.ranks() {
+                self.advance(net, slot, rank, now);
+            }
+        }
+    }
+
+    /// Account a delivery to its sender and receiver and advance both.
+    /// Returns the job's slot, or `None` for background traffic.
+    pub(crate) fn deliver<N: DriverNet>(&mut self, net: &mut N, d: &Delivery) -> Option<u32> {
+        let (slot, dst_rank) = self.node_owner[d.dst.index()];
+        if slot == NO_OWNER.0 {
+            return None;
+        }
+        let now = net.now();
+        let phase = ((d.tag >> PHASE_SHIFT) & PHASE_MASK) as usize;
+        let src_rank = (d.tag & RANK_MASK) as u32;
+        debug_assert_eq!((d.tag >> JOB_SHIFT) as u32, slot, "delivery crossed jobs");
+        let packets = net.packets_for(d.bytes);
+        let job = self.job_mut(slot);
+        let s = &mut job.ranks[src_rank as usize];
+        s.hops_weighted += d.avg_hops * packets as f64;
+        s.packets_sent += packets;
+        debug_assert_eq!(s.phase, phase, "send completed outside its phase");
+        s.outstanding_sends -= 1;
+        job.ranks[dst_rank as usize].recvs_left[phase] -= 1;
+        self.advance(net, slot, src_rank, now);
+        if dst_rank != src_rank {
+            self.advance(net, slot, dst_rank, now);
+        }
+        Some(slot)
+    }
+
+    /// True once every rank of the job in `slot` has finished.
+    pub(crate) fn is_done(&self, slot: u32) -> bool {
+        self.job(slot).unfinished == 0
+    }
+
+    /// Jobs currently holding a slot.
+    pub(crate) fn occupied(&self) -> usize {
+        self.slots.len() - self.free_slots.len()
+    }
+
+    /// Slots ever materialized — the state high-water mark.
+    pub(crate) fn slots_materialized(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether [`JobEngine::insert`] can claim a slot.
+    pub(crate) fn has_free_slot(&self) -> bool {
+        !self.free_slots.is_empty() || self.slots.len() < JOB_SLOTS
+    }
+
+    /// Whether a job owns `node`.
+    pub(crate) fn owns(&self, node: NodeId) -> bool {
+        self.node_owner[node.index()] != NO_OWNER
+    }
+
+    /// Jobs holding a slot.
+    pub(crate) fn jobs_mut(&mut self) -> impl Iterator<Item = &mut Job<'a, M>> {
+        self.slots.iter_mut().flatten()
+    }
+
+    /// Free `slot` and its nodes, handing back the job.
+    pub(crate) fn remove(&mut self, slot: u32) -> Job<'a, M> {
+        let job = self.slots[slot as usize]
+            .take()
+            .expect("removing an empty slot");
+        for &n in job.placement.iter() {
+            self.node_owner[n.index()] = NO_OWNER;
+        }
+        self.free_slots.push(slot);
+        job
+    }
+
+    /// Per-rank results of the (finished) job in `slot`.
+    pub(crate) fn result(&self, slot: u32, background_messages: u64) -> JobResult {
+        let ranks = &self.job(slot).ranks;
+        let rank_comm_time: Vec<Ns> = ranks
+            .iter()
+            .map(|r| r.finished_at.expect("all ranks finished"))
+            .collect();
+        JobResult {
+            // A rank that sent nothing has no hops: 0 / 1.
+            rank_avg_hops: ranks
+                .iter()
+                .map(|r| r.hops_weighted / r.packets_sent.max(1) as f64)
+                .collect(),
+            job_end: rank_comm_time.iter().copied().max().unwrap_or(Ns::ZERO),
+            rank_comm_time,
+            background_messages,
+        }
+    }
+
+    fn job(&self, slot: u32) -> &Job<'a, M> {
+        self.slots[slot as usize].as_ref().expect("vacant job slot")
+    }
+
+    fn job_mut(&mut self, slot: u32) -> &mut Job<'a, M> {
+        self.slots[slot as usize].as_mut().expect("vacant job slot")
+    }
+
+    fn issue_phase<N: DriverNet>(&mut self, net: &mut N, slot: u32, rank: u32, now: Ns) {
+        let job = self.job_mut(slot);
+        let phase = job.ranks[rank as usize].phase;
+        let Some(ph) = job.trace.programs[rank as usize].phases.get(phase) else {
+            return;
+        };
+        job.ranks[rank as usize].outstanding_sends = ph.sends.len() as u32;
+        let src = job.placement[rank as usize];
+        let tag = ((slot as u64) << JOB_SHIFT) | ((phase as u64) << PHASE_SHIFT) | rank as u64;
+        for s in &ph.sends {
+            net.send(now, src, job.placement[s.peer as usize], s.bytes, tag);
+        }
+    }
+
+    /// Advance the rank through any phases that are already complete.
+    fn advance<N: DriverNet>(&mut self, net: &mut N, slot: u32, rank: u32, now: Ns) {
+        loop {
+            let job = self.job_mut(slot);
+            let total = job.trace.programs[rank as usize].phases.len();
+            let state = &mut job.ranks[rank as usize];
+            if state.finished_at.is_some() {
+                return;
+            }
+            let phase = state.phase;
+            if phase < total {
+                if state.outstanding_sends > 0 || state.recvs_left[phase] > 0 {
+                    return;
+                }
+                // Phase complete: move on.
+                state.phase = phase + 1;
+            }
+            if state.phase >= total {
+                state.finished_at = Some(now);
+                job.unfinished -= 1;
+                return;
+            }
+            self.issue_phase(net, slot, rank, now);
+        }
+    }
 }
 
 /// Background injection state: a synthetic job occupying a node set.
@@ -198,7 +426,7 @@ impl BackgroundRunner {
                 self.nodes[m.src_index as usize],
                 self.nodes[m.dst_index as usize],
                 m.bytes,
-                BG_FLAG | self.messages,
+                self.messages,
             );
             self.messages += 1;
         }
@@ -241,75 +469,37 @@ struct Sampler {
 /// traffic) to completion on one shared network.
 pub struct MultiDriver<'a, N: DriverNet = Network> {
     net: &'a mut N,
-    jobs: Vec<JobContext<'a>>,
-    /// node -> (job, rank), dense over the machine.
-    node_owner: Vec<(u32, u32)>,
+    engine: JobEngine<'a, ()>,
     background: Option<BackgroundRunner>,
     bg_scratch: Vec<dfly_workloads::BgMessage>,
     sampler: Option<Sampler>,
 }
 
-const NO_OWNER: (u32, u32) = (u32::MAX, u32::MAX);
-
 impl<'a, N: DriverNet> MultiDriver<'a, N> {
     /// Set up a driver over `jobs`: each entry is a trace plus the node
-    /// each of its ranks runs on. Node sets must be disjoint.
+    /// each of its ranks runs on. Node sets must be disjoint, from each
+    /// other and from the background's.
     pub fn new(
         net: &'a mut N,
         jobs: &[(&'a JobTrace, &'a [NodeId])],
         background: Option<BackgroundRunner>,
     ) -> MultiDriver<'a, N> {
         assert!(!jobs.is_empty(), "need at least one job");
-        assert!(
-            jobs.len() < (1 << (63 - JOB_SHIFT)) as usize,
-            "too many jobs for the tag encoding"
-        );
-        let total_nodes = net.total_nodes() as usize;
-        let mut node_owner = vec![NO_OWNER; total_nodes];
-        let mut contexts = Vec::with_capacity(jobs.len());
-        for (job_idx, (trace, placement)) in jobs.iter().enumerate() {
-            assert_eq!(
-                trace.ranks() as usize,
-                placement.len(),
-                "job {job_idx}: placement size must equal rank count"
-            );
-            trace.validate().expect("invalid trace");
-            assert!(
-                (trace.ranks() as u64) <= RANK_MASK && (trace.phase_count() as u64) <= PHASE_MASK,
-                "job {job_idx} exceeds tag encoding limits"
-            );
-            for (rank, &node) in placement.iter().enumerate() {
-                assert_eq!(
-                    node_owner[node.index()],
-                    NO_OWNER,
-                    "node {node} assigned twice"
-                );
-                node_owner[node.index()] = (job_idx as u32, rank as u32);
-            }
-            let phases = trace.phase_count();
-            let expected_recvs = trace.recv_counts();
-            let ranks = (0..trace.ranks())
-                .map(|_| RankState {
-                    phase: 0,
-                    outstanding_sends: 0,
-                    recvs_got: vec![0; phases],
-                    finished_at: None,
-                    hops_weighted: 0.0,
-                    packets_sent: 0,
-                })
-                .collect();
-            contexts.push(JobContext {
-                trace,
-                placement,
-                expected_recvs,
-                ranks,
-                unfinished: trace.ranks() as usize,
-            });
+        let mut engine = JobEngine::new(net.total_nodes());
+        for &(trace, placement) in jobs {
+            engine.insert(Cow::Borrowed(trace), Cow::Borrowed(placement), ());
         }
+        let shared = background
+            .iter()
+            .flat_map(|bg| &bg.nodes)
+            .find(|&&n| engine.owns(n));
+        assert!(
+            shared.is_none(),
+            "background node {shared:?} overlaps a job"
+        );
         MultiDriver {
             net,
-            jobs: contexts,
-            node_owner,
+            engine,
             background,
             bg_scratch: Vec::new(),
             sampler: None,
@@ -337,16 +527,8 @@ impl<'a, N: DriverNet> MultiDriver<'a, N> {
     /// Run all jobs to completion, also returning the sampled load series
     /// (empty unless [`MultiDriver::with_sampler`] was used).
     pub fn run_with_series(mut self) -> (Vec<JobResult>, LoadSeries) {
-        for job in 0..self.jobs.len() as u32 {
-            for rank in 0..self.jobs[job as usize].trace.ranks() {
-                self.issue_phase_sends(job, rank, Ns::ZERO);
-            }
-        }
-        for job in 0..self.jobs.len() as u32 {
-            for rank in 0..self.jobs[job as usize].trace.ranks() {
-                self.advance_if_complete(job, rank, Ns::ZERO);
-            }
-        }
+        let jobs = self.engine.occupied() as u32;
+        self.engine.launch(self.net, 0..jobs, Ns::ZERO);
         if self.background.is_some() {
             self.refill_background();
         }
@@ -354,9 +536,11 @@ impl<'a, N: DriverNet> MultiDriver<'a, N> {
             self.net.schedule_wakeup(s.next);
         }
 
-        while self.jobs.iter().any(|j| j.unfinished > 0) {
+        while (0..jobs).any(|slot| !self.engine.is_done(slot)) {
             match self.net.poll() {
-                Some(NetworkEvent::Delivery(d)) => self.on_delivery(d),
+                Some(NetworkEvent::Delivery(d)) => {
+                    self.engine.deliver(self.net, &d);
+                }
                 Some(NetworkEvent::Wakeup) => self.on_wakeup(),
                 None => {
                     panic!("network drained with unfinished ranks — dependency deadlock in trace")
@@ -365,39 +549,10 @@ impl<'a, N: DriverNet> MultiDriver<'a, N> {
         }
 
         let bg_messages = self.background.as_ref().map_or(0, |b| b.messages);
-        let series = self.sampler.map(|s| s.series).unwrap_or_default();
-        let results: Vec<JobResult> = self
-            .jobs
-            .iter()
-            .map(|job| {
-                let job_end = job
-                    .ranks
-                    .iter()
-                    .filter_map(|r| r.finished_at)
-                    .max()
-                    .unwrap_or(Ns::ZERO);
-                JobResult {
-                    rank_comm_time: job
-                        .ranks
-                        .iter()
-                        .map(|r| r.finished_at.expect("all ranks finished"))
-                        .collect(),
-                    rank_avg_hops: job
-                        .ranks
-                        .iter()
-                        .map(|r| {
-                            if r.packets_sent == 0 {
-                                0.0
-                            } else {
-                                r.hops_weighted / r.packets_sent as f64
-                            }
-                        })
-                        .collect(),
-                    job_end,
-                    background_messages: bg_messages,
-                }
-            })
+        let results = (0..jobs)
+            .map(|slot| self.engine.result(slot, bg_messages))
             .collect();
+        let series = self.sampler.map(|s| s.series).unwrap_or_default();
         (results, series)
     }
 
@@ -432,88 +587,6 @@ impl<'a, N: DriverNet> MultiDriver<'a, N> {
         };
         let next = bg.refill(self.net, &mut self.bg_scratch);
         self.net.schedule_wakeup(next);
-    }
-
-    fn issue_phase_sends(&mut self, job: u32, rank: u32, now: Ns) {
-        let job = job as usize;
-        let ctx = &mut self.jobs[job];
-        let phase = ctx.ranks[rank as usize].phase;
-        let Some(ph) = ctx.trace.programs[rank as usize].phases.get(phase) else {
-            return;
-        };
-        ctx.ranks[rank as usize].outstanding_sends = ph.sends.len() as u32;
-        let src_node = ctx.placement[rank as usize];
-        let tag = ((job as u64) << JOB_SHIFT) | ((phase as u64) << PHASE_SHIFT) | rank as u64;
-        for s in &ph.sends {
-            self.net
-                .send(now, src_node, ctx.placement[s.peer as usize], s.bytes, tag);
-        }
-    }
-
-    /// Advance the rank through any phases that are already complete.
-    fn advance_if_complete(&mut self, job: u32, rank: u32, now: Ns) {
-        loop {
-            let ctx = &self.jobs[job as usize];
-            let state = &ctx.ranks[rank as usize];
-            if state.finished_at.is_some() {
-                return;
-            }
-            let phase = state.phase;
-            let total_phases = ctx.trace.programs[rank as usize].phases.len();
-            if phase >= total_phases {
-                // Empty program.
-                let ctx = &mut self.jobs[job as usize];
-                ctx.ranks[rank as usize].finished_at = Some(now);
-                ctx.unfinished -= 1;
-                return;
-            }
-            let expected = ctx.expected_recvs[rank as usize]
-                .get(phase)
-                .copied()
-                .unwrap_or(0);
-            if state.outstanding_sends > 0 || state.recvs_got[phase] < expected {
-                return;
-            }
-            // Phase complete: move on.
-            let next = phase + 1;
-            let ctx = &mut self.jobs[job as usize];
-            ctx.ranks[rank as usize].phase = next;
-            if next >= total_phases {
-                ctx.ranks[rank as usize].finished_at = Some(now);
-                ctx.unfinished -= 1;
-                return;
-            }
-            self.issue_phase_sends(job, rank, now);
-        }
-    }
-
-    fn on_delivery(&mut self, d: Delivery) {
-        if d.tag & BG_FLAG != 0 {
-            return; // background message: nobody waits on it
-        }
-        let now = self.net.now();
-        let job = (d.tag >> JOB_SHIFT) as u32;
-        let phase = ((d.tag >> PHASE_SHIFT) & PHASE_MASK) as usize;
-        let src_rank = (d.tag & RANK_MASK) as u32;
-        let (dst_job, dst_rank) = self.node_owner[d.dst.index()];
-        debug_assert_eq!(dst_job, job, "app delivery crossed job boundaries");
-
-        // Sender side: hops accounting + outstanding-send bookkeeping.
-        {
-            let packets = self.net.packets_for(d.bytes);
-            let s = &mut self.jobs[job as usize].ranks[src_rank as usize];
-            s.hops_weighted += d.avg_hops * packets as f64;
-            s.packets_sent += packets;
-            debug_assert_eq!(s.phase, phase, "send completed outside its phase");
-            s.outstanding_sends -= 1;
-        }
-        // Receiver side: count the arrival against the sender's phase.
-        self.jobs[job as usize].ranks[dst_rank as usize].recvs_got[phase] += 1;
-
-        self.advance_if_complete(job, src_rank, now);
-        if dst_rank != src_rank {
-            self.advance_if_complete(job, dst_rank, now);
-        }
     }
 }
 
@@ -906,6 +979,27 @@ mod tests {
         let mut net = network(Routing::Minimal);
         let (_, series) = MultiDriver::new(&mut net, &[(&trace, &p)], None).run_with_series();
         assert!(series.times.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps a job")]
+    fn background_overlapping_a_job_rejected() {
+        // Deliveries to nodes no job owns are background traffic, so the
+        // two node sets must be disjoint.
+        let trace = JobTrace {
+            programs: vec![RankProgram::default(); 2],
+        };
+        let p = contiguous(2);
+        let bg_nodes: Vec<NodeId> = (1..8).map(NodeId).collect();
+        let bg = BackgroundRunner::new(
+            BackgroundTraffic::new(
+                BackgroundSpec::uniform(1024, Ns::from_us(2), 1),
+                bg_nodes.len() as u32,
+            ),
+            bg_nodes,
+        );
+        let mut net = network(Routing::Minimal);
+        let _ = MpiDriver::new(&mut net, &trace, &p, Some(bg));
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! reproduction toward the "diversified workloads" future work the paper
 //! announces.
 
-use crate::config::{AppSelection, RoutingPolicy};
+use crate::config::{AppSelection, RoutingPolicy, SeedStreams};
 use crate::mpi::{JobResult, MultiDriver};
-use dfly_engine::{Ns, Xoshiro256};
+use dfly_engine::Ns;
 use dfly_network::{MetricsFilter, Network, NetworkMetrics, NetworkParams};
 use dfly_placement::{NodePool, PlacementPolicy};
 use dfly_stats::BoxStats;
@@ -123,10 +123,8 @@ pub fn run_multijob(config: &MultiJobConfig) -> MultiJobResult {
     config.validate().expect("invalid multi-job config");
     let topo = Arc::new(Topology::build(config.topology.clone()));
 
-    let mut master = Xoshiro256::seed_from(config.seed);
-    let mut placement_rng = master.split(1);
-    let workload_seed = master.split(2).next_u64();
-    let routing_seed = master.split(3).next_u64();
+    let seeds = SeedStreams::new(config.seed);
+    let mut placement_rng = seeds.placement;
 
     // Allocate all jobs from one pool, in order.
     let mut pool = NodePool::new(&topo);
@@ -145,12 +143,12 @@ pub fn run_multijob(config: &MultiJobConfig) -> MultiJobResult {
         .map(|(i, job)| {
             generate(
                 &job.app
-                    .spec(job.msg_scale, workload_seed ^ (i as u64) << 32),
+                    .spec(job.msg_scale, seeds.workload ^ (i as u64) << 32),
             )
         })
         .collect();
 
-    let mut net = Network::new(topo.clone(), config.network, config.routing, routing_seed);
+    let mut net = Network::new(topo.clone(), config.network, config.routing, seeds.routing);
     let job_refs: Vec<(&dfly_workloads::JobTrace, &[NodeId])> = traces
         .iter()
         .zip(&placements)

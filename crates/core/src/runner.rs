@@ -1,8 +1,8 @@
 //! End-to-end experiment execution.
 
-use crate::config::{ExperimentConfig, Parallelism};
+use crate::config::{ExperimentConfig, SeedStreams};
 use crate::mpi::{BackgroundRunner, MpiDriver};
-use dfly_engine::{Ns, Xoshiro256};
+use dfly_engine::Ns;
 use dfly_network::{
     AuditReport, ChannelSnapshot, MetricsFilter, Network, NetworkMetrics, ShardedNetwork, SimArena,
 };
@@ -175,11 +175,8 @@ pub fn execute_experiment_with_arena(
         "topology was built from a different TopologyConfig"
     );
 
-    let mut master = Xoshiro256::seed_from(config.seed);
-    let mut placement_rng = master.split(1);
-    let workload_seed = master.split(2).next_u64();
-    let routing_seed = master.split(3).next_u64();
-    let background_seed = master.split(4).next_u64();
+    let seeds = SeedStreams::new(config.seed);
+    let mut placement_rng = seeds.placement;
 
     // Placement, then the rank-to-node arrangement within it.
     let mut pool = NodePool::new(&topo);
@@ -194,12 +191,12 @@ pub fn execute_experiment_with_arena(
     );
 
     // Workload.
-    let trace = generate(&config.app.spec(config.msg_scale, workload_seed));
+    let trace = generate(&config.app.spec(config.msg_scale, seeds.workload));
 
     // Background job on the complement nodes.
     let background = config.background.as_ref().map(|bg| {
         let mut spec = bg.spec;
-        spec.seed = background_seed;
+        spec.seed = seeds.background;
         let bg_nodes = pool.free_nodes();
         BackgroundRunner::new(
             BackgroundTraffic::new(spec, bg_nodes.len() as u32),
@@ -207,13 +204,7 @@ pub fn execute_experiment_with_arena(
         )
     });
 
-    // A single-group machine has no cross-group cut to shard on; run it
-    // on the serial loop whatever the config says.
-    let workers = match config.parallelism {
-        Parallelism::IntraRun(n) if config.topology.groups >= 2 => Some(n as usize),
-        _ => None,
-    };
-    let (result, metrics, audit, obs, events) = match workers {
+    let (result, metrics, audit, obs, events) = match config.parallelism.workers(&config.topology) {
         None => {
             // The legacy serial event loop, over the arena's recycled
             // buffers (cold on the first run) — the golden-run reference
@@ -222,7 +213,7 @@ pub fn execute_experiment_with_arena(
                 topo.clone(),
                 config.network,
                 config.routing,
-                routing_seed,
+                seeds.routing,
                 arena,
             );
             let result = MpiDriver::new(&mut net, &trace, &placement, background).run();
@@ -243,7 +234,7 @@ pub fn execute_experiment_with_arena(
                     topo.clone(),
                     config.network,
                     config.routing,
-                    routing_seed,
+                    seeds.routing,
                     n,
                     pool,
                 );
@@ -279,10 +270,8 @@ pub fn execute_experiment_with_arena(
 /// [`execute_experiment`]. The convenience path for a single run; sweeps
 /// prepare once and execute many times.
 ///
-/// Seeding: placement, workload jitter, routing decisions, and background
-/// destinations each get an independent RNG stream derived from
-/// `config.seed`, so e.g. changing the routing policy never perturbs the
-/// placement.
+/// Seeding: every random stream derives from `config.seed` through
+/// [`SeedStreams`].
 pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     let topo = prepare_topology(config);
     execute_experiment(config, topo)
@@ -291,7 +280,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AppSelection, BackgroundConfig};
+    use crate::config::{AppSelection, BackgroundConfig, Parallelism};
     use dfly_placement::PlacementPolicy;
     use dfly_workloads::BackgroundSpec;
 

@@ -9,20 +9,16 @@
 //! queueing delay *and* interference slowdown per job under each placement
 //! policy, on the same packet-level network as every other experiment.
 //!
-//! The execution engine lives in [`crate::service`]; `run_schedule` is the
-//! batch FCFS front-end over [`run_service`]. That migration fixed three
-//! bugs of the original standalone loop: finished jobs are retired into
-//! compact records with their job slots recycled (state is bounded by
-//! concurrency, not stream length), rank/phase/job-id tag widths are
-//! validated instead of silently aliasing, and
-//! [`SchedulerConfig::parallelism`] is honoured instead of hardwiring the
-//! serial engine.
+//! `run_schedule` is the batch FCFS front-end over [`run_service`], so a
+//! scheduled job runs through the same rank engine, slot recycling,
+//! tag-width checks and engine selection as a service stream.
 
 use crate::config::{Parallelism, RoutingPolicy};
+use crate::mpi::JOB_SLOTS;
 use crate::multijob::JobSpec;
 use crate::service::{
     run_service, AdmissionPolicy, PlacementChoice, ServiceConfig, ServiceJob, ServiceSubmission,
-    ServiceWorkload, JOB_SLOTS, MAX_RANKS, RANK_BITS,
+    ServiceWorkload,
 };
 use dfly_engine::Ns;
 use dfly_network::NetworkParams;
@@ -35,6 +31,20 @@ pub struct Submission {
     pub job: JobSpec,
     /// When the job enters the queue.
     pub arrival: Ns,
+}
+
+impl Submission {
+    /// The service-mode job this submission runs as: fixed placement, one
+    /// tenant, no runtime estimate (FCFS never reads it).
+    fn service_job(&self) -> ServiceJob {
+        ServiceJob {
+            workload: ServiceWorkload::App(self.job.app),
+            placement: PlacementChoice::Fixed(self.job.placement),
+            msg_scale: self.job.msg_scale,
+            tenant: 0,
+            estimate: Ns::ZERO,
+        }
+    }
 }
 
 /// Scheduler experiment configuration.
@@ -55,17 +65,11 @@ pub struct SchedulerConfig {
 }
 
 impl SchedulerConfig {
-    /// Validate, naming the offending field. Beyond machine fit, every
-    /// quantity that lands in an event tag is checked against its bit
-    /// width: rank counts against the 24-bit rank field and the stream
-    /// length against the 16-bit job-id field (longer open-ended streams
-    /// belong to service mode, which recycles slots explicitly).
+    /// Validate, naming the offending field: the stream length against
+    /// the 16-bit job-id tag field (longer open-ended streams belong to
+    /// service mode, which recycles slots explicitly), then everything
+    /// [`ServiceConfig::validate`] checks.
     pub fn validate(&self) -> Result<(), String> {
-        self.topology.validate()?;
-        self.network.validate()?;
-        if self.submissions.is_empty() {
-            return Err("submissions: need at least one".into());
-        }
         if self.submissions.len() > JOB_SLOTS {
             return Err(format!(
                 "submissions: {} jobs exceed the {JOB_SLOTS} job-id tag slots; \
@@ -73,30 +77,26 @@ impl SchedulerConfig {
                 self.submissions.len()
             ));
         }
-        if self.parallelism == Parallelism::IntraRun(0) {
-            return Err("parallelism: intra-run needs at least one worker".into());
+        self.service_config(&self.submissions).validate()
+    }
+
+    /// The FCFS service run of `submissions` on this machine.
+    fn service_config(&self, submissions: &[Submission]) -> ServiceConfig {
+        ServiceConfig {
+            topology: self.topology.clone(),
+            network: self.network,
+            routing: self.routing,
+            admission: AdmissionPolicy::Fcfs,
+            submissions: submissions
+                .iter()
+                .map(|s| ServiceSubmission {
+                    job: s.service_job(),
+                    arrival: s.arrival,
+                })
+                .collect(),
+            seed: self.seed,
+            parallelism: self.parallelism,
         }
-        for (i, s) in self.submissions.iter().enumerate() {
-            let ranks = s.job.app.ranks();
-            if ranks == 0 {
-                return Err(format!("submissions[{i}]: job needs at least one rank"));
-            }
-            if ranks > self.topology.total_nodes() {
-                return Err(format!(
-                    "submissions[{i}]: {ranks} ranks exceed the {}-node machine",
-                    self.topology.total_nodes()
-                ));
-            }
-            if ranks > MAX_RANKS {
-                return Err(format!(
-                    "submissions[{i}]: {ranks} ranks exceed the {RANK_BITS}-bit rank tag field"
-                ));
-            }
-            if s.job.msg_scale <= 0.0 {
-                return Err(format!("submissions[{i}]: msg_scale must be positive"));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -135,28 +135,7 @@ pub fn run_schedule(config: &SchedulerConfig) -> ScheduleResult {
     config.validate().expect("invalid scheduler config");
     let mut sorted = config.submissions.clone();
     sorted.sort_by_key(|s| s.arrival);
-    let service = ServiceConfig {
-        topology: config.topology.clone(),
-        network: config.network,
-        routing: config.routing,
-        admission: AdmissionPolicy::Fcfs,
-        submissions: sorted
-            .iter()
-            .map(|s| ServiceSubmission {
-                job: ServiceJob {
-                    workload: ServiceWorkload::App(s.job.app),
-                    placement: PlacementChoice::Fixed(s.job.placement),
-                    msg_scale: s.job.msg_scale,
-                    tenant: 0,
-                    estimate: Ns::ZERO,
-                },
-                arrival: s.arrival,
-            })
-            .collect(),
-        seed: config.seed,
-        parallelism: config.parallelism,
-    };
-    let result = run_service(&service);
+    let result = run_service(&config.service_config(&sorted));
     // Outcome uids are submission indices in arrival order — exactly the
     // indices of `sorted`.
     let jobs = result
@@ -182,6 +161,7 @@ pub fn run_schedule(config: &SchedulerConfig) -> ScheduleResult {
 mod tests {
     use super::*;
     use crate::config::AppSelection;
+    use crate::mpi::MAX_RANKS;
     use dfly_placement::PlacementPolicy;
 
     fn job(app: AppSelection, placement: PlacementPolicy) -> JobSpec {

@@ -1,62 +1,38 @@
 //! Service mode: a continuous multi-tenant scheduler driven incrementally.
 //!
-//! Where [`crate::scheduler`] answers "run this batch to completion", this
-//! module is the datacenter-operator loop the paper motivates (and ROADMAP
-//! item 4 asks for): an open stream of jobs arrives over hours of simulated
-//! time, an admission policy decides *when* each starts, a placement policy
-//! — optionally [`crate::recommend`] fed live congestion telemetry —
-//! decides *where*, and per-tenant SLO statistics fall out the other end.
+//! Where [`crate::multijob`] runs a fixed set of jobs from t=0, this
+//! module is the datacenter-operator loop the paper motivates: an open
+//! stream of jobs arrives over hours of simulated time, an admission
+//! policy decides *when* each starts, a placement policy — optionally
+//! [`crate::recommend`] fed live congestion telemetry — decides *where*,
+//! and per-tenant SLO statistics fall out the other end.
 //!
-//! The core is [`ServiceSim`], an incremental front-end over the
-//! [`DriverNet`] surface (serial [`Network`] or the sharded PDES engine):
-//! `step_until` advances simulated time in bounded increments and `submit`
-//! injects jobs mid-run, so a driver can interleave simulation with
-//! decision-making instead of committing to a fixed script up front. The
-//! batch entry point [`run_service`] (and the legacy
-//! [`crate::scheduler::run_schedule`], now a thin wrapper) is itself a
-//! client of that incremental API: it steps to each arrival and injects.
-//!
-//! Fixes over the old one-shot scheduler ride along:
-//! * finished jobs retire into compact [`ServiceOutcome`] records and
-//!   their job slots are recycled, so memory is bounded by *concurrent*
-//!   jobs, not stream length;
-//! * event tags are validated against their bit widths at submission and
-//!   admission — slot ids are bounded by [`JOB_SLOTS`], rank counts by
-//!   [`MAX_RANKS`] — instead of silently aliasing;
-//! * `Parallelism::IntraRun` is honoured through the generic driver.
+//! [`ServiceSim`] is a front-end over the rank engine of [`crate::mpi`]
+//! (the same one [`crate::mpi::MultiDriver`] uses), on any [`DriverNet`]
+//! (serial [`Network`] or the sharded PDES engine). It owns the queue,
+//! admission, the node pool, placement, outcome records and slot
+//! recycling: finished jobs retire into compact [`ServiceOutcome`]
+//! records, so memory is bounded by *concurrent* jobs, not stream length.
+//! `step_until` advances simulated time in bounded increments and
+//! `submit` injects jobs mid-run, so a driver can interleave simulation
+//! with decision-making. The batch entry point [`run_service`] (and
+//! [`crate::scheduler::run_schedule`] over it) is itself a client of that
+//! incremental API: it steps to each arrival and injects.
 
-use crate::config::{AppSelection, Parallelism, RoutingPolicy};
-use crate::mpi::DriverNet;
+use crate::config::{AppSelection, Parallelism, RoutingPolicy, SeedStreams};
+use crate::mpi::{DriverNet, JobEngine, JOB_SHIFT, MAX_PHASES, MAX_RANKS, PHASE_SHIFT, RANK_BITS};
 use crate::recommend::{recommend, CommIntensity};
 use dfly_engine::{Bytes, Ns, Xoshiro256};
 use dfly_network::{AuditReport, Network, NetworkEvent, NetworkParams, ObsReport, ShardedNetwork};
 use dfly_placement::{NodePool, PlacementPolicy};
 use dfly_stats::percentile;
-use dfly_topology::{GroupId, NodeId, Topology, TopologyConfig};
+use dfly_topology::{GroupId, Topology, TopologyConfig};
 use dfly_workloads::{
     generate, generate_pattern, Arrival, ArrivalKind, JobTrace, Pattern, PatternSpec,
 };
+use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
-
-/// Rank field width of an app-message tag (bits `[23:0]`).
-pub const RANK_BITS: u32 = 24;
-/// Phase field shift (bits `[47:24]`).
-pub const PHASE_SHIFT: u32 = RANK_BITS;
-/// Job-slot field shift (bits `[63:48]`).
-pub const JOB_SHIFT: u32 = 48;
-/// Largest rank count a job may have (24-bit rank field).
-pub const MAX_RANKS: u32 = (1 << RANK_BITS) - 1;
-/// Largest phase count a trace may have (24-bit phase field).
-pub const MAX_PHASES: usize = (1 << (JOB_SHIFT - PHASE_SHIFT)) - 1;
-/// Concurrent job-slot budget (16-bit job field). Slots are recycled on
-/// completion, so this bounds *simultaneously running* jobs — a stream may
-/// be arbitrarily long.
-pub const JOB_SLOTS: usize = 1 << (u64::BITS - JOB_SHIFT);
-
-const RANK_MASK: u64 = (1 << RANK_BITS) - 1;
-const PHASE_MASK: u64 = (1 << (JOB_SHIFT - PHASE_SHIFT)) - 1;
-const NO_OWNER: (u32, u32) = (u32::MAX, u32::MAX);
 
 /// What a service job runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,15 +121,7 @@ impl ServiceJob {
     /// [`Arrival`].
     pub fn from_arrival(a: &Arrival) -> ServiceJob {
         let workload = match a.kind {
-            ArrivalKind::App(kind) => ServiceWorkload::App(match kind {
-                dfly_workloads::AppKind::CrystalRouter => {
-                    AppSelection::CrystalRouter { ranks: a.ranks }
-                }
-                dfly_workloads::AppKind::FillBoundary => {
-                    AppSelection::FillBoundary { ranks: a.ranks }
-                }
-                dfly_workloads::AppKind::Amg => AppSelection::Amg { ranks: a.ranks },
-            }),
+            ArrivalKind::App(kind) => ServiceWorkload::App(AppSelection::new(kind, a.ranks)),
             ArrivalKind::Background(pattern) => ServiceWorkload::Pattern {
                 pattern,
                 ranks: a.ranks,
@@ -168,6 +136,43 @@ impl ServiceJob {
             tenant: a.kind.tenant(),
             estimate: a.estimate,
         }
+    }
+
+    /// Check the job can run on a machine of `nodes` nodes and fits the
+    /// event-tag fields, naming the offending field. [`ServiceSim::submit`]
+    /// and both batch configs' `validate` run this one check, so a job
+    /// that would fail at admission is rejected up front.
+    pub fn validate(&self, nodes: u32) -> Result<(), String> {
+        let ranks = self.workload.ranks();
+        if ranks == 0 {
+            return Err("job needs at least one rank".into());
+        }
+        if let ServiceWorkload::Pattern { ranks, phases, .. } = self.workload {
+            if ranks < 2 {
+                return Err("pattern jobs need at least 2 ranks".into());
+            }
+            if phases == 0 {
+                return Err("phases: pattern jobs need at least one phase".into());
+            }
+            if phases as usize > MAX_PHASES {
+                return Err(format!(
+                    "phases: {phases} exceed the {}-bit phase tag field",
+                    JOB_SHIFT - PHASE_SHIFT
+                ));
+            }
+        }
+        if ranks > MAX_RANKS {
+            return Err(format!(
+                "{ranks} ranks exceed the {RANK_BITS}-bit rank tag field"
+            ));
+        }
+        if ranks > nodes {
+            return Err(format!("{ranks} ranks exceed the {nodes}-node machine"));
+        }
+        if !(self.msg_scale > 0.0) {
+            return Err("msg_scale must be positive".into());
+        }
+        Ok(())
     }
 }
 
@@ -284,28 +289,16 @@ impl ServiceOutcome {
 /// threshold at second-scale runtimes).
 pub const BOUNDED_SLOWDOWN_TAU: Ns = Ns(10_000);
 
-// --- internal per-job execution state (phase semantics of mpi.rs) ---
-
-struct RankState {
-    phase: usize,
-    outstanding_sends: u32,
-    recvs_got: Vec<u32>,
-    finished: bool,
-}
-
-struct ActiveJob {
+/// What the service keeps per running job beside the engine's rank
+/// state: identity, timing and interference bookkeeping.
+struct JobRecord {
     uid: u64,
     tenant: u32,
     label: &'static str,
     arrival: Ns,
     started_at: Ns,
     estimate: Ns,
-    trace: JobTrace,
-    placement: Vec<NodeId>,
     policy: PlacementPolicy,
-    expected_recvs: Vec<Vec<u32>>,
-    ranks: Vec<RankState>,
-    unfinished: usize,
     groups: Vec<GroupId>,
     interferers: HashSet<u64>,
 }
@@ -329,33 +322,26 @@ pub struct ServiceSim<'a, N: DriverNet> {
     placement_rng: Xoshiro256,
     workload_seed: u64,
     queue: VecDeque<QueuedJob>,
-    slots: Vec<Option<ActiveJob>>,
-    free_slots: Vec<u32>,
-    node_owner: Vec<(u32, u32)>,
+    engine: JobEngine<'static, JobRecord>,
     completed: Vec<ServiceOutcome>,
-    active: usize,
     peak_active: usize,
     next_uid: u64,
 }
 
 impl<'a, N: DriverNet> ServiceSim<'a, N> {
-    /// A service driver over `net` (already built for `topo`). Placement
-    /// and workload-jitter streams derive from `seed` exactly as the batch
-    /// runners derive theirs (`split(1)` / `split(2)`), so a wrapper that
-    /// also derives its routing seed via `split(3)` reproduces the legacy
-    /// scheduler's seeding.
+    /// A service driver over `net` (already built for `topo`, with
+    /// `SeedStreams::new(seed).routing` to seed as the batch runners do).
+    /// Placement and workload streams derive from `seed` the same way.
     pub fn new(
         net: &'a mut N,
         topo: Arc<Topology>,
         admission: AdmissionPolicy,
         seed: u64,
     ) -> ServiceSim<'a, N> {
-        let mut master = Xoshiro256::seed_from(seed);
-        let placement_rng = master.split(1);
-        let workload_seed = master.split(2).next_u64();
-        let nodes = topo.config().total_nodes() as usize;
+        let seeds = SeedStreams::new(seed);
+        let nodes = topo.config().total_nodes();
         assert_eq!(
-            net.total_nodes() as usize,
+            net.total_nodes(),
             nodes,
             "network was built for a different machine"
         );
@@ -365,14 +351,11 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
             topo,
             pool,
             admission,
-            placement_rng,
-            workload_seed,
+            placement_rng: seeds.placement,
+            workload_seed: seeds.workload,
             queue: VecDeque::new(),
-            slots: Vec::new(),
-            free_slots: Vec::new(),
-            node_owner: vec![NO_OWNER; nodes],
+            engine: JobEngine::new(nodes),
             completed: Vec::new(),
-            active: 0,
             peak_active: 0,
             next_uid: 0,
         }
@@ -380,32 +363,10 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
 
     /// Queue a job to arrive at `arrival` (clamped to the current time, so
     /// mid-run injection "now" is always legal). Returns the job's uid.
-    /// Rejects jobs whose shape overflows the machine or the event-tag
-    /// fields — the admission-side half of the tag-width validation.
+    /// Rejects jobs [`ServiceJob::validate`] rejects: shapes that overflow
+    /// the machine or the event-tag fields.
     pub fn submit(&mut self, job: ServiceJob, arrival: Ns) -> Result<u64, String> {
-        let ranks = job.workload.ranks();
-        let nodes = self.topo.config().total_nodes();
-        if ranks == 0 {
-            return Err("job needs at least one rank".into());
-        }
-        if let ServiceWorkload::Pattern { ranks, .. } = job.workload {
-            if ranks < 2 {
-                return Err("pattern jobs need at least 2 ranks".into());
-            }
-        }
-        if ranks > MAX_RANKS {
-            return Err(format!(
-                "job has {ranks} ranks but the {RANK_BITS}-bit rank tag field holds {MAX_RANKS}"
-            ));
-        }
-        if ranks > nodes {
-            return Err(format!(
-                "job needs {ranks} ranks but the machine has {nodes} nodes"
-            ));
-        }
-        if !(job.msg_scale > 0.0) {
-            return Err("msg_scale must be positive".into());
-        }
+        job.validate(self.topo.config().total_nodes())?;
         let arrival = arrival.max(self.net.now());
         let uid = self.next_uid;
         self.next_uid += 1;
@@ -455,10 +416,10 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
             self.handle(ev);
         }
         assert!(
-            self.queue.is_empty() && self.active == 0,
+            self.queue.is_empty() && self.active_jobs() == 0,
             "service stalled: {} queued, {} active jobs on an idle network",
             self.queue.len(),
-            self.active
+            self.active_jobs()
         );
     }
 
@@ -469,7 +430,7 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
 
     /// Jobs currently running.
     pub fn active_jobs(&self) -> usize {
-        self.active
+        self.engine.occupied()
     }
 
     /// Jobs waiting for admission.
@@ -485,7 +446,7 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
     /// Job slots ever materialized — the state high-water mark. Bounded by
     /// peak concurrency (slots are recycled), not by stream length.
     pub fn job_slots(&self) -> usize {
-        self.slots.len()
+        self.engine.slots_materialized()
     }
 
     /// Outcomes of finished jobs, in completion order.
@@ -495,38 +456,20 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
 
     /// Tear down, keeping the outcome stream and state statistics.
     pub fn finish(self) -> (Vec<ServiceOutcome>, usize, usize) {
-        (self.completed, self.peak_active, self.slots.len())
-    }
-
-    fn slot_available(&self) -> bool {
-        !self.free_slots.is_empty() || self.slots.len() < JOB_SLOTS
+        let slots = self.job_slots();
+        (self.completed, self.peak_active, slots)
     }
 
     fn handle(&mut self, ev: NetworkEvent) {
         let NetworkEvent::Delivery(d) = ev else {
             return;
         };
-        let now = self.net.now();
-        let slot = (d.tag >> JOB_SHIFT) as u32;
-        let phase = ((d.tag >> PHASE_SHIFT) & PHASE_MASK) as usize;
-        let src_rank = (d.tag & RANK_MASK) as u32;
-        let (dst_slot, dst_rank) = self.node_owner[d.dst.index()];
-        debug_assert_eq!(dst_slot, slot, "delivery to a node the job does not own");
-        let job = self.slots[slot as usize]
-            .as_mut()
-            .expect("delivery for a retired job slot");
-        {
-            let s = &mut job.ranks[src_rank as usize];
-            debug_assert_eq!(s.phase, phase);
-            s.outstanding_sends -= 1;
-        }
-        job.ranks[dst_rank as usize].recvs_got[phase] += 1;
-        advance(self.net, job, slot, src_rank, now);
-        if dst_rank != src_rank {
-            advance(self.net, job, slot, dst_rank, now);
-        }
-        if job.unfinished == 0 {
-            self.retire(slot, now);
+        let slot = self
+            .engine
+            .deliver(self.net, &d)
+            .expect("delivery to a node no job owns");
+        if self.engine.is_done(slot) {
+            self.retire(slot);
         }
     }
 
@@ -548,7 +491,7 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
                     return;
                 }
             }
-            if head.job.workload.ranks() <= self.pool.free_count() && self.slot_available() {
+            if head.job.workload.ranks() <= self.pool.free_count() && self.engine.has_free_slot() {
                 let q = self.queue.pop_front().expect("checked front");
                 self.start_job(q, now);
                 continue;
@@ -571,7 +514,7 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
     /// to finish before the reservation or (b) use only nodes the head
     /// won't need (the surplus).
     fn backfill(&mut self, now: Ns) {
-        if !self.slot_available() {
+        if !self.engine.has_free_slot() {
             return;
         }
         let head_ranks = self
@@ -582,13 +525,12 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
             .workload
             .ranks();
         let mut ends: Vec<(Ns, u64, u32)> = self
-            .slots
-            .iter()
-            .flatten()
+            .engine
+            .jobs_mut()
             .map(|j| {
                 (
-                    Ns(j.started_at.0.saturating_add(j.estimate.0)),
-                    j.uid,
+                    Ns(j.meta.started_at.0.saturating_add(j.meta.estimate.0)),
+                    j.meta.uid,
                     j.placement.len() as u32,
                 )
             })
@@ -613,7 +555,7 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
                     break;
                 }
                 let r = q.job.workload.ranks();
-                let fits = r <= self.pool.free_count() && self.slot_available();
+                let fits = r <= self.pool.free_count() && self.engine.has_free_slot();
                 let honors_reservation =
                     Ns(now.0.saturating_add(q.job.estimate.0)) <= shadow || r <= surplus;
                 if fits && honors_reservation {
@@ -636,160 +578,72 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
             .job
             .workload
             .trace(q.job.msg_scale, self.workload_seed ^ (q.uid << 32));
-        assert_eq!(trace.ranks(), ranks, "trace rank count mismatch");
-        assert!(
-            trace.phase_count() <= MAX_PHASES,
-            "trace has {} phases but the phase tag field holds {MAX_PHASES}",
-            trace.phase_count()
-        );
         let policy = match q.job.placement {
             PlacementChoice::Fixed(p) => p,
             PlacementChoice::Recommend => {
                 // Live machine state: any co-runner, or congestion still
                 // queued in the fabric, makes the network "shared".
-                let shared = self.active > 0 || self.net.total_queued_bytes() > 0;
+                let shared = self.active_jobs() > 0 || self.net.total_queued_bytes() > 0;
                 recommend(CommIntensity::of(&trace), shared).placement
             }
         };
         let placement = policy
             .allocate(&self.topo, &mut self.pool, ranks, &mut self.placement_rng)
             .expect("admission checked the free count");
-        let slot = match self.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                assert!(
-                    self.slots.len() < JOB_SLOTS,
-                    "slot budget checked at admission"
-                );
-                self.slots.push(None);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        for (rank, &node) in placement.iter().enumerate() {
-            self.node_owner[node.index()] = (slot, rank as u32);
-        }
         let mut groups: Vec<GroupId> = placement.iter().map(|&n| self.topo.node_group(n)).collect();
         groups.sort_unstable();
         groups.dedup();
         let mut interferers = HashSet::new();
-        for other in self.slots.iter_mut().flatten() {
+        for other in self.engine.jobs_mut().map(|j| &mut j.meta) {
             let overlaps = other.groups.iter().any(|g| groups.binary_search(g).is_ok());
             if overlaps {
                 other.interferers.insert(q.uid);
                 interferers.insert(other.uid);
             }
         }
-        let phases = trace.phase_count();
-        let expected_recvs = trace.recv_counts();
-        let rank_states: Vec<RankState> = (0..ranks)
-            .map(|_| RankState {
-                phase: 0,
-                outstanding_sends: 0,
-                recvs_got: vec![0; phases],
-                finished: false,
-            })
-            .collect();
-        self.slots[slot as usize] = Some(ActiveJob {
+        let record = JobRecord {
             uid: q.uid,
             tenant: q.job.tenant,
             label: q.job.workload.label(),
             arrival: q.arrival,
             started_at: now,
             estimate: q.job.estimate,
-            trace,
-            placement,
             policy,
-            expected_recvs,
-            ranks: rank_states,
-            unfinished: ranks as usize,
             groups,
             interferers,
-        });
-        self.active += 1;
-        self.peak_active = self.peak_active.max(self.active);
-        let job = self.slots[slot as usize].as_mut().expect("just placed");
-        for rank in 0..ranks {
-            issue_phase(self.net, job, slot, rank, now);
-        }
-        for rank in 0..ranks {
-            advance(self.net, job, slot, rank, now);
-        }
-        if job.unfinished == 0 {
+        };
+        let slot = self
+            .engine
+            .insert(Cow::Owned(trace), Cow::Owned(placement), record);
+        self.peak_active = self.peak_active.max(self.active_jobs());
+        self.engine.launch(self.net, slot..slot + 1, now);
+        if self.engine.is_done(slot) {
             // Degenerate all-empty trace: completes at admission.
-            self.retire(slot, now);
+            self.retire(slot);
         }
     }
 
     /// Retire a finished job: release its nodes, recycle its slot, and
     /// keep only the compact outcome record.
-    fn retire(&mut self, slot: u32, now: Ns) {
-        let job = self.slots[slot as usize]
-            .take()
-            .expect("retiring an empty slot");
-        for &n in &job.placement {
-            self.node_owner[n.index()] = NO_OWNER;
-        }
+    fn retire(&mut self, slot: u32) {
+        let now = self.net.now();
+        let job = self.engine.remove(slot);
         self.pool.release(&job.placement);
-        self.free_slots.push(slot);
-        self.active -= 1;
+        let m = job.meta;
         self.completed.push(ServiceOutcome {
-            uid: job.uid,
-            tenant: job.tenant,
-            label: job.label,
+            uid: m.uid,
+            tenant: m.tenant,
+            label: m.label,
             ranks: job.trace.ranks(),
-            arrival: job.arrival,
-            started_at: job.started_at,
+            arrival: m.arrival,
+            started_at: m.started_at,
             finished_at: now,
-            wait: job.started_at - job.arrival,
-            runtime: now - job.started_at,
-            placement: job.policy,
-            groups: job.groups.len() as u32,
-            blast_radius: job.interferers.len() as u32,
+            wait: m.started_at - m.arrival,
+            runtime: now - m.started_at,
+            placement: m.policy,
+            groups: m.groups.len() as u32,
+            blast_radius: m.interferers.len() as u32,
         });
-    }
-}
-
-fn issue_phase<N: DriverNet>(net: &mut N, job: &mut ActiveJob, slot: u32, rank: u32, now: Ns) {
-    let phase = job.ranks[rank as usize].phase;
-    let Some(ph) = job.trace.programs[rank as usize].phases.get(phase) else {
-        return;
-    };
-    job.ranks[rank as usize].outstanding_sends = ph.sends.len() as u32;
-    let src = job.placement[rank as usize];
-    let tag = ((slot as u64) << JOB_SHIFT) | ((phase as u64) << PHASE_SHIFT) | rank as u64;
-    for s in &ph.sends {
-        net.send(now, src, job.placement[s.peer as usize], s.bytes, tag);
-    }
-}
-
-fn advance<N: DriverNet>(net: &mut N, job: &mut ActiveJob, slot: u32, rank: u32, now: Ns) {
-    loop {
-        let state = &job.ranks[rank as usize];
-        if state.finished {
-            return;
-        }
-        let phase = state.phase;
-        let total = job.trace.programs[rank as usize].phases.len();
-        if phase >= total {
-            job.ranks[rank as usize].finished = true;
-            job.unfinished -= 1;
-            return;
-        }
-        let expected = job.expected_recvs[rank as usize]
-            .get(phase)
-            .copied()
-            .unwrap_or(0);
-        if state.outstanding_sends > 0 || state.recvs_got[phase] < expected {
-            return;
-        }
-        let next = phase + 1;
-        job.ranks[rank as usize].phase = next;
-        if next >= total {
-            job.ranks[rank as usize].finished = true;
-            job.unfinished -= 1;
-            return;
-        }
-        issue_phase(net, job, slot, rank, now);
     }
 }
 
@@ -806,8 +660,8 @@ pub struct ServiceConfig {
     pub admission: AdmissionPolicy,
     /// The submission stream (any order; sorted by arrival internally).
     pub submissions: Vec<ServiceSubmission>,
-    /// Master seed (placement `split(1)`, workload `split(2)`, routing
-    /// `split(3)` — the repo-wide derivation).
+    /// Master seed; placement, workload and routing streams derive from
+    /// it through [`SeedStreams`].
     pub seed: u64,
     /// Execution engine: serial loop or group-sharded PDES.
     pub parallelism: Parallelism,
@@ -826,30 +680,9 @@ impl ServiceConfig {
         }
         let nodes = self.topology.total_nodes();
         for (i, s) in self.submissions.iter().enumerate() {
-            let ranks = s.job.workload.ranks();
-            if ranks == 0 {
-                return Err(format!("submissions[{i}]: job needs at least one rank"));
-            }
-            if let ServiceWorkload::Pattern { ranks, .. } = s.job.workload {
-                if ranks < 2 {
-                    return Err(format!(
-                        "submissions[{i}]: pattern jobs need at least 2 ranks"
-                    ));
-                }
-            }
-            if ranks > nodes {
-                return Err(format!(
-                    "submissions[{i}]: {ranks} ranks exceed the {nodes}-node machine"
-                ));
-            }
-            if ranks > MAX_RANKS {
-                return Err(format!(
-                    "submissions[{i}]: {ranks} ranks exceed the {RANK_BITS}-bit rank tag field"
-                ));
-            }
-            if !(s.job.msg_scale > 0.0) {
-                return Err(format!("submissions[{i}]: msg_scale must be positive"));
-            }
+            s.job
+                .validate(nodes)
+                .map_err(|e| format!("submissions[{i}]: {e}"))?;
         }
         Ok(())
     }
@@ -881,83 +714,59 @@ pub struct ServiceResult {
 pub fn run_service(config: &ServiceConfig) -> ServiceResult {
     config.validate().expect("invalid service config");
     let topo = Arc::new(Topology::build(config.topology.clone()));
-    // Draw the seed streams exactly as the batch runners do: split(1)
-    // placement, split(2) workloads (both re-derived inside ServiceSim
-    // from the same master), split(3) routing. `split` advances the
-    // master, so the draws must happen in order.
-    let mut master = Xoshiro256::seed_from(config.seed);
-    let _placement = master.split(1);
-    let _workloads = master.split(2);
-    let routing_seed = master.split(3).next_u64();
-    let mut subs = config.submissions.clone();
-    subs.sort_by_key(|s| s.arrival);
-
-    // A single-group machine has no cross-group cut to shard on; fall back
-    // to the serial loop, as the experiment runner does.
-    let workers = match config.parallelism {
-        Parallelism::IntraRun(n) if config.topology.groups >= 2 => Some(n as usize),
-        _ => None,
-    };
-    match workers {
-        None => {
-            let mut net = Network::new(topo.clone(), config.network, config.routing, routing_seed);
-            let (outcomes, peak, slots) = drive(&mut net, topo, config, &subs);
-            let makespan = outcomes
-                .iter()
-                .map(|o| o.finished_at)
-                .max()
-                .unwrap_or(Ns::ZERO);
-            ServiceResult {
-                outcomes,
-                makespan,
-                peak_active_jobs: peak,
-                job_slots: slots,
-                events: net.events_processed(),
-                audit: net.audit_report(),
-                obs: net.obs_report(),
-            }
-        }
-        Some(n) => {
-            let mut net = ShardedNetwork::new(
-                topo.clone(),
-                config.network,
-                config.routing,
-                routing_seed,
-                n,
-            );
-            let (outcomes, peak, slots) = drive(&mut net, topo, config, &subs);
-            let makespan = outcomes
-                .iter()
-                .map(|o| o.finished_at)
-                .max()
-                .unwrap_or(Ns::ZERO);
-            let mut parts = net.finish();
-            ServiceResult {
-                outcomes,
-                makespan,
-                peak_active_jobs: peak,
-                job_slots: slots,
-                events: parts.events(),
-                audit: parts.audit_report(),
-                obs: parts.obs_report(),
-            }
-        }
+    let routing_seed = SeedStreams::new(config.seed).routing;
+    let (params, routing) = (config.network, config.routing);
+    match config.parallelism.workers(&config.topology) {
+        None => serve(
+            Network::new(topo.clone(), params, routing, routing_seed),
+            topo,
+            config,
+            |mut net| (net.events_processed(), net.audit_report(), net.obs_report()),
+        ),
+        Some(n) => serve(
+            ShardedNetwork::new(topo.clone(), params, routing, routing_seed, n),
+            topo,
+            config,
+            |net| {
+                let mut parts = net.finish();
+                (parts.events(), parts.audit_report(), parts.obs_report())
+            },
+        ),
     }
 }
 
-fn drive<N: DriverNet>(
-    net: &mut N,
+/// [`run_service`] on one engine; `close` tears the network down into
+/// its event count and reports.
+fn serve<N: DriverNet>(
+    mut net: N,
     topo: Arc<Topology>,
     config: &ServiceConfig,
-    subs: &[ServiceSubmission],
-) -> (Vec<ServiceOutcome>, usize, usize) {
-    let mut sim = ServiceSim::new(net, topo, config.admission, config.seed);
-    for s in subs {
+    close: impl FnOnce(N) -> (u64, Option<AuditReport>, Option<ObsReport>),
+) -> ServiceResult {
+    let mut subs = config.submissions.clone();
+    subs.sort_by_key(|s| s.arrival);
+    let mut sim = ServiceSim::new(&mut net, topo, config.admission, config.seed);
+    for s in &subs {
         sim.step_until(s.arrival);
         sim.submit(s.job, s.arrival).expect("validated submission");
     }
     sim.run_to_idle();
-    sim.finish()
+    let (outcomes, peak_active_jobs, job_slots) = sim.finish();
+    let makespan = outcomes
+        .iter()
+        .map(|o| o.finished_at)
+        .max()
+        .unwrap_or(Ns::ZERO);
+    let (events, audit, obs) = close(net);
+    ServiceResult {
+        outcomes,
+        makespan,
+        peak_active_jobs,
+        job_slots,
+        events,
+        audit,
+        obs,
+    }
 }
 
 /// Per-tenant SLO summary over an outcome stream.
@@ -1303,6 +1112,35 @@ mod tests {
         });
         let err = sim.submit(job, Ns::ZERO).unwrap_err();
         assert!(err.contains("rank tag field"), "{err}");
+    }
+
+    #[test]
+    fn pattern_phase_count_rejected_up_front() {
+        // Zero phases used to pass validation and panic inside the
+        // pattern generator at admission, mid-run; a phase count past the
+        // 24-bit tag field allocated ranks x phases before failing.
+        let topo = Arc::new(Topology::build(TopologyConfig::small_test()));
+        let mut net = Network::new(
+            topo.clone(),
+            NetworkParams::default(),
+            RoutingPolicy::Minimal,
+            1,
+        );
+        let mut sim = ServiceSim::new(&mut net, topo, AdmissionPolicy::Fcfs, 1);
+        for phases in [0, MAX_PHASES as u32 + 1] {
+            let mut job = pattern_job(8);
+            job.workload = ServiceWorkload::Pattern {
+                pattern: Pattern::Ring,
+                ranks: 8,
+                bytes_per_phase: 1024,
+                phases,
+            };
+            let err = sim.submit(job, Ns::ZERO).unwrap_err();
+            assert!(err.starts_with("phases:"), "{err}");
+            let err = cfg(vec![sub(job, Ns::ZERO)]).validate().unwrap_err();
+            assert!(err.starts_with("submissions[0]: phases:"), "{err}");
+        }
+        assert_eq!(sim.queued_jobs(), 0, "rejected jobs never queue");
     }
 
     #[test]

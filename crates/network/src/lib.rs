@@ -50,6 +50,6 @@ pub use metrics::{
 pub use net::{Delivery, Network, NetworkEvent};
 pub use packet::{MessageId, PacketId};
 pub use params::NetworkParams;
-pub use policy::{ChannelView, RouteCtx, RoutingPolicy};
+pub use policy::{ChannelView, PathPolicy, RouteCtx};
 pub use routing::Routing;
 pub use shard::{ShardParts, ShardedNetwork};

@@ -1,6 +1,6 @@
 //! The pluggable routing-policy interface and its implementations.
 //!
-//! A [`RoutingPolicy`] turns a (source router, destination router) pair
+//! A [`PathPolicy`] turns a (source router, destination router) pair
 //! into a channel sequence by generating candidate paths and scoring them
 //! over a [`ChannelView`] — the policy's window onto the network's queue
 //! state. The [`Routing`](crate::Routing) enum stays the config-level
@@ -81,7 +81,7 @@ pub struct RouteCtx<'a> {
 /// A routing policy: candidate generation + scoring over a
 /// [`ChannelView`]. Implementations append the chosen router-to-router
 /// channel sequence to `out` (terminal channels are the caller's job).
-pub trait RoutingPolicy {
+pub trait PathPolicy {
     /// Short label used in config nomenclature and CSV headers. The
     /// [`Routing`](crate::Routing) enum's `label()` reads these same
     /// constants, so a policy's name exists in exactly one place.
@@ -110,7 +110,7 @@ impl MinimalPolicy {
     pub const LABEL: &'static str = "min";
 }
 
-impl RoutingPolicy for MinimalPolicy {
+impl PathPolicy for MinimalPolicy {
     fn label(&self) -> &'static str {
         Self::LABEL
     }
@@ -141,7 +141,7 @@ impl ValiantPolicy {
     pub const LABEL: &'static str = "val";
 }
 
-impl RoutingPolicy for ValiantPolicy {
+impl PathPolicy for ValiantPolicy {
     fn label(&self) -> &'static str {
         Self::LABEL
     }
@@ -286,7 +286,7 @@ impl UgalLocal {
     pub const LABEL: &'static str = "adp";
 }
 
-impl RoutingPolicy for UgalLocal {
+impl PathPolicy for UgalLocal {
     fn label(&self) -> &'static str {
         Self::LABEL
     }
@@ -325,7 +325,7 @@ impl UgalGlobal {
     pub const LABEL: &'static str = "ugalg";
 }
 
-impl RoutingPolicy for UgalGlobal {
+impl PathPolicy for UgalGlobal {
     fn label(&self) -> &'static str {
         Self::LABEL
     }
@@ -367,7 +367,7 @@ impl Progressive {
     pub const LABEL: &'static str = "par";
 }
 
-impl RoutingPolicy for Progressive {
+impl PathPolicy for Progressive {
     fn label(&self) -> &'static str {
         Self::LABEL
     }

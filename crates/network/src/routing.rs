@@ -2,14 +2,14 @@
 //!
 //! All policies compute a packet's full route at injection time, as the
 //! CODES dragonfly model does. The mechanics live in [`crate::policy`]
-//! behind the [`RoutingPolicy`] trait; this module keeps the config-level
+//! behind the [`PathPolicy`] trait; this module keeps the config-level
 //! [`Routing`] selector (`Copy`/`Eq`/`Hash`, usable in sweep grids and
 //! labels) and the [`RouteComputer`] that owns the per-run policy
 //! instance, RNG stream, candidate buffers, and telemetry ledger.
 
 use crate::params::NetworkParams;
 use crate::policy::{
-    ChannelView, MinimalPolicy, Progressive, RouteCtx, RoutingPolicy, UgalGlobal, UgalLocal,
+    ChannelView, MinimalPolicy, PathPolicy, Progressive, RouteCtx, UgalGlobal, UgalLocal,
     ValiantPolicy,
 };
 use dfly_engine::{Bytes, Xoshiro256};
@@ -68,7 +68,7 @@ impl Routing {
 
     /// Instantiate the policy behind this selector. `Send` because
     /// sharded runs move the owning `Network` across worker threads.
-    pub fn policy(self) -> Box<dyn RoutingPolicy + Send> {
+    pub fn policy(self) -> Box<dyn PathPolicy + Send> {
         match self {
             Routing::Minimal => Box::new(MinimalPolicy),
             Routing::Adaptive => Box::new(UgalLocal),
@@ -79,13 +79,13 @@ impl Routing {
     }
 }
 
-/// Computes routes by delegating to a [`RoutingPolicy`]. Owns its RNG
+/// Computes routes by delegating to a [`PathPolicy`]. Owns its RNG
 /// stream so routing decisions don't perturb other randomized subsystems,
 /// plus the persistent candidate buffers and the optional telemetry
 /// ledger the policy borrows per decision.
 pub struct RouteComputer {
     routing: Routing,
-    policy: Box<dyn RoutingPolicy + Send>,
+    policy: Box<dyn PathPolicy + Send>,
     rng: Xoshiro256,
     scratch: Vec<ChannelId>,
     /// Second persistent buffer holding the best candidate seen so far

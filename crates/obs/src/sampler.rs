@@ -47,46 +47,17 @@ pub struct NetSample {
     pub nonminimal_taken: u64,
 }
 
-/// Partial aggregate of the base sweeps inside one retained window of a
-/// bounded [`SampleSeries`] — the accumulator between flushes.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-struct PendingWindow {
-    at: Ns,
-    util_sum: [f64; 5],
-    queued_last: [u64; 5],
-    stall_ns: [u64; 5],
-    minimal: u64,
-    nonminimal: u64,
-    count: u64,
-}
-
 /// A bounded time series of [`NetSample`]s at a fixed interval.
 ///
 /// Bounded because sampling is driven by simulation time: a pathological
-/// interval on a long run must degrade rather than eat memory. Two
-/// degradation modes exist:
-///
-/// * **dense** (the default, [`SampleSeries::new`]): keep every sweep up
-///   to [`SampleSeries::MAX_SAMPLES`], then drop the tail and count the
-///   drops. Byte-identical to the historical behaviour.
-/// * **bounded** ([`SampleSeries::bounded`]): keep at most `cap` retained
-///   samples by *coarsening* instead of dropping — each retained sample
-///   aggregates `stride` consecutive base sweeps (mean utilization, last
-///   instantaneous queue depth, summed window quantities); when the
-///   series fills, adjacent samples fold pairwise and the stride doubles,
-///   so resolution degrades geometrically while memory stays `O(cap)` and
-///   no part of the run is ever unrepresented.
+/// interval on a long run must degrade rather than eat memory. The series
+/// keeps every sweep up to [`SampleSeries::MAX_SAMPLES`], then drops the
+/// tail and counts the drops.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleSeries {
     interval: Ns,
     samples: Vec<NetSample>,
     dropped: u64,
-    /// `None` = dense mode; `Some(cap)` = bounded/coarsening mode.
-    cap: Option<usize>,
-    /// Base sweeps per retained sample (bounded mode; 1 when dense).
-    stride: u64,
-    /// Accumulator for the in-progress window (bounded mode only).
-    pending: Option<PendingWindow>,
 }
 
 impl SampleSeries {
@@ -108,27 +79,7 @@ impl SampleSeries {
             interval,
             samples: buffer,
             dropped: 0,
-            cap: None,
-            stride: 1,
-            pending: None,
         }
-    }
-
-    /// Empty *bounded* series: at most `cap` retained samples (even,
-    /// ≥ 4), coarsening by stride-doubling instead of dropping.
-    pub fn bounded(interval: Ns, cap: usize) -> SampleSeries {
-        SampleSeries::bounded_with_buffer(interval, cap, Vec::new())
-    }
-
-    /// [`SampleSeries::bounded`] over a recycled buffer.
-    pub fn bounded_with_buffer(interval: Ns, cap: usize, buffer: Vec<NetSample>) -> SampleSeries {
-        assert!(
-            cap >= 4 && cap % 2 == 0,
-            "bounded series cap must be even and >= 4 (got {cap})"
-        );
-        let mut s = SampleSeries::with_buffer(interval, buffer);
-        s.cap = Some(cap);
-        s
     }
 
     /// Take the sample storage back out (for arena recycling), leaving
@@ -136,8 +87,6 @@ impl SampleSeries {
     /// next [`SampleSeries::with_buffer`] clears it.
     pub fn take_buffer(&mut self) -> Vec<NetSample> {
         self.dropped = 0;
-        self.pending = None;
-        self.stride = 1;
         std::mem::take(&mut self.samples)
     }
 
@@ -146,99 +95,13 @@ impl SampleSeries {
         self.interval
     }
 
-    /// Base sweeps aggregated per retained sample (1 unless a bounded
-    /// series has coarsened).
-    pub fn stride(&self) -> u64 {
-        self.stride
-    }
-
-    /// True for a coarsening (bounded) series.
-    pub fn is_bounded(&self) -> bool {
-        self.cap.is_some()
-    }
-
-    /// Append a sample. Dense mode: past [`SampleSeries::MAX_SAMPLES`]
-    /// the sample is dropped and counted. Bounded mode: the sweep is
-    /// aggregated into the current window; a full series folds pairwise
-    /// and doubles its stride instead of dropping anything.
+    /// Append a sample; past [`SampleSeries::MAX_SAMPLES`] the sample is
+    /// dropped and counted.
     pub fn push(&mut self, sample: NetSample) {
-        let Some(cap) = self.cap else {
-            if self.samples.len() >= Self::MAX_SAMPLES {
-                self.dropped += 1;
-            } else {
-                self.samples.push(sample);
-            }
-            return;
-        };
-        let p = self.pending.get_or_insert_with(PendingWindow::default);
-        p.at = sample.at;
-        for c in 0..5 {
-            p.util_sum[c] += sample.util[c];
-            p.queued_last[c] = sample.queued_bytes[c];
-            p.stall_ns[c] += sample.stall_ns[c];
-        }
-        p.minimal += sample.minimal_taken;
-        p.nonminimal += sample.nonminimal_taken;
-        p.count += 1;
-        if p.count == self.stride {
-            self.flush_pending();
-            if self.samples.len() == cap {
-                self.fold();
-            }
-        }
-    }
-
-    /// Turn the pending window into one retained sample (mean util over
-    /// the window, last queue depth, summed window quantities).
-    fn flush_pending(&mut self) {
-        let Some(p) = self.pending.take() else {
-            return;
-        };
-        let mut s = NetSample {
-            at: p.at,
-            queued_bytes: p.queued_last,
-            stall_ns: p.stall_ns,
-            minimal_taken: p.minimal,
-            nonminimal_taken: p.nonminimal,
-            ..NetSample::default()
-        };
-        for c in 0..5 {
-            s.util[c] = p.util_sum[c] / p.count as f64;
-        }
-        self.samples.push(s);
-    }
-
-    /// Fold adjacent retained samples pairwise and double the stride.
-    /// Every sample covers the same number of base sweeps at fold time
-    /// (the fold fires right after a flush, so the pending window is
-    /// empty), which keeps the pairwise mean an exact window mean.
-    fn fold(&mut self) {
-        debug_assert!(self.pending.is_none(), "fold with a partial window");
-        let half = self.samples.len() / 2;
-        for i in 0..half {
-            let (a, b) = (self.samples[2 * i], self.samples[2 * i + 1]);
-            let mut m = NetSample {
-                at: b.at,
-                queued_bytes: b.queued_bytes,
-                ..NetSample::default()
-            };
-            for c in 0..5 {
-                m.util[c] = (a.util[c] + b.util[c]) / 2.0;
-                m.stall_ns[c] = a.stall_ns[c] + b.stall_ns[c];
-            }
-            m.minimal_taken = a.minimal_taken + b.minimal_taken;
-            m.nonminimal_taken = a.nonminimal_taken + b.nonminimal_taken;
-            self.samples[i] = m;
-        }
-        self.samples.truncate(half);
-        self.stride *= 2;
-    }
-
-    /// Flush a partial final window (bounded mode, at run close) so the
-    /// tail of the run is represented. No-op when dense or empty.
-    pub fn finalize_tail(&mut self) {
-        if self.cap.is_some() {
-            self.flush_pending();
+        if self.samples.len() >= Self::MAX_SAMPLES {
+            self.dropped += 1;
+        } else {
+            self.samples.push(sample);
         }
     }
 
@@ -271,15 +134,6 @@ impl SampleSeries {
         assert_eq!(
             self.interval, other.interval,
             "merging series with different sampling intervals"
-        );
-        assert_eq!(self.cap, other.cap, "merging series of different modes");
-        assert_eq!(
-            self.stride, other.stride,
-            "merging series at different coarsening strides"
-        );
-        assert!(
-            self.pending.is_none() && other.pending.is_none(),
-            "merging bounded series with unflushed windows (finalize_tail first)"
         );
         assert_eq!(
             self.samples.len(),
@@ -529,119 +383,6 @@ mod tests {
             assert_eq!(s.nonminimal_taken, 1);
         }
         assert_eq!(a.dropped(), 0);
-    }
-
-    fn sweep(at: u64, util: f64, stall: u64) -> NetSample {
-        let mut s = NetSample {
-            at: Ns(at),
-            ..NetSample::default()
-        };
-        s.util = [util; 5];
-        s.queued_bytes = [at; 5];
-        s.stall_ns = [stall; 5];
-        s.minimal_taken = 1;
-        s
-    }
-
-    #[test]
-    fn bounded_series_coarsens_instead_of_dropping() {
-        let mut s = SampleSeries::bounded(Ns(10), 4);
-        for i in 0..3u64 {
-            s.push(sweep(i * 10, 0.5, 3));
-        }
-        assert_eq!(s.samples().len(), 3);
-        assert_eq!(s.stride(), 1);
-        // The 4th sweep fills the series, which folds: 4 samples -> 2,
-        // stride 2; the 5th opens a pending window (visible after
-        // finalize).
-        s.push(sweep(30, 0.5, 3));
-        assert_eq!(s.samples().len(), 2);
-        assert_eq!(s.stride(), 2);
-        s.push(sweep(40, 1.0, 3));
-        assert_eq!(s.samples().len(), 2, "partial window stays pending");
-        let folded = s.samples()[0];
-        assert_eq!(folded.at, Ns(10), "fold keeps the later timestamp");
-        assert_eq!(folded.util[0], 0.5, "fold averages utilization");
-        assert_eq!(folded.stall_ns[0], 6, "fold sums window stalls");
-        assert_eq!(folded.minimal_taken, 2);
-        assert_eq!(folded.queued_bytes[0], 10, "fold keeps later queue depth");
-        s.finalize_tail();
-        assert_eq!(s.samples().len(), 3);
-        assert_eq!(s.samples()[2].util[0], 1.0, "partial tail window kept");
-        assert_eq!(s.dropped(), 0, "bounded mode never drops");
-    }
-
-    #[test]
-    fn bounded_series_never_exceeds_cap_and_preserves_window_sums() {
-        let mut s = SampleSeries::bounded(Ns(1), 8);
-        let mut total_stall = 0u64;
-        for i in 0..10_000u64 {
-            s.push(sweep(i, (i % 10) as f64 / 10.0, i % 5));
-            total_stall += i % 5;
-            assert!(s.samples().len() <= 8);
-        }
-        s.finalize_tail();
-        assert!(s.samples().len() <= 8);
-        let retained: u64 = s.samples().iter().map(|x| x.stall_ns[0]).sum();
-        assert_eq!(retained, total_stall, "stall mass preserved by folds");
-        let decisions: u64 = s.samples().iter().map(|x| x.minimal_taken).sum();
-        assert_eq!(decisions, 10_000);
-        assert!(s.stride() >= 1024);
-        for x in s.samples() {
-            assert!((0.0..=1.0).contains(&x.util[0]));
-        }
-    }
-
-    #[test]
-    fn bounded_series_merge_requires_matching_coarsening() {
-        let mut a = SampleSeries::bounded(Ns(1), 4);
-        let mut b = SampleSeries::bounded(Ns(1), 4);
-        for i in 0..4u64 {
-            a.push(sweep(i, 0.5, 1));
-            b.push(sweep(i, 0.25, 2));
-        }
-        a.finalize_tail();
-        b.finalize_tail();
-        a.merge_from(&b);
-        assert_eq!(a.samples().len(), 2, "both folded once at the cap");
-        assert_eq!(a.stride(), 2);
-        assert_eq!(a.samples()[0].util[0], 0.75, "partial means add");
-        assert_eq!(a.samples()[0].stall_ns[0], 6, "folded stalls sum");
-    }
-
-    #[test]
-    #[should_panic(expected = "different coarsening strides")]
-    fn bounded_merge_rejects_stride_mismatch() {
-        let mut a = SampleSeries::bounded(Ns(1), 4);
-        let mut b = SampleSeries::bounded(Ns(1), 4);
-        for i in 0..6u64 {
-            a.push(sweep(i, 0.5, 1)); // folds once: stride 2
-        }
-        for i in 0..2u64 {
-            b.push(sweep(i, 0.5, 1)); // stride 1
-        }
-        a.finalize_tail();
-        b.finalize_tail();
-        a.merge_from(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "cap must be even")]
-    fn bounded_rejects_odd_cap() {
-        let _ = SampleSeries::bounded(Ns(1), 5);
-    }
-
-    #[test]
-    fn bounded_buffer_recycling_resets_coarsening() {
-        let mut s = SampleSeries::bounded(Ns(1), 4);
-        for i in 0..9u64 {
-            s.push(sweep(i, 0.5, 1));
-        }
-        assert!(s.stride() > 1);
-        let buf = s.take_buffer();
-        let reused = SampleSeries::bounded_with_buffer(Ns(2), 4, buf);
-        assert_eq!(reused.stride(), 1);
-        assert!(reused.samples().is_empty());
     }
 
     #[test]

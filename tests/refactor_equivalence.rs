@@ -102,7 +102,7 @@ fn execute_rejects_mismatched_topology() {
     let _ = execute_experiment(&other, topo);
 }
 
-/// The `RoutingPolicy`-trait rewrite of the route computer must be a pure
+/// The `PathPolicy`-trait rewrite of the route computer must be a pure
 /// refactor for the three historical policies: a frozen copy of the
 /// pre-trait `compute` / `compute_adaptive` / Valiant-loop algorithms,
 /// fed the identical RNG stream, must agree route for route (same

@@ -5,7 +5,7 @@
 //! instant its blocker finishes, and must not wedge fitting followers).
 
 use dragonfly_tradeoff::core::config::{AppSelection, Parallelism, RoutingPolicy};
-use dragonfly_tradeoff::core::multijob::JobSpec;
+use dragonfly_tradeoff::core::multijob::{run_multijob, JobSpec, MultiJobConfig};
 use dragonfly_tradeoff::core::scheduler::{run_schedule, SchedulerConfig, Submission};
 use dragonfly_tradeoff::core::service::{
     run_service, tenant_slos, AdmissionPolicy, PlacementChoice, ServiceConfig, ServiceJob,
@@ -211,4 +211,62 @@ fn sharded_service_run_completes_and_reproduces() {
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.events, b.events);
     assert_eq!(a.outcomes.len(), cfg.submissions.len());
+}
+
+#[test]
+fn all_at_zero_schedule_matches_multijob_corun() {
+    // The two front-ends of the one rank engine agree: an FCFS schedule
+    // whose jobs all arrive at t=0 and all fit is the same co-run as
+    // run_multijob on the same jobs and seed — same placements drawn in
+    // the same order, same workload seeds, same finish time per job.
+    let jobs = [
+        JobSpec {
+            app: AppSelection::CrystalRouter { ranks: 24 },
+            placement: PlacementPolicy::RandomNode,
+            msg_scale: 0.3,
+        },
+        JobSpec {
+            app: AppSelection::Amg { ranks: 27 },
+            placement: PlacementPolicy::Contiguous,
+            msg_scale: 0.3,
+        },
+        JobSpec {
+            app: AppSelection::FillBoundary { ranks: 8 },
+            placement: PlacementPolicy::RandomRouter,
+            msg_scale: 0.3,
+        },
+    ];
+    for seed in [1, 7, 0xC0DE] {
+        let corun = run_multijob(&MultiJobConfig {
+            topology: TopologyConfig::small_test(),
+            network: NetworkParams::default(),
+            routing: RoutingPolicy::Adaptive,
+            jobs: jobs.to_vec(),
+            seed,
+        });
+        let schedule = run_schedule(&SchedulerConfig {
+            seed,
+            ..scheduler_cfg(
+                jobs.iter()
+                    .map(|&job| Submission {
+                        job,
+                        arrival: Ns::ZERO,
+                    })
+                    .collect(),
+            )
+        });
+        assert_eq!(schedule.jobs.len(), jobs.len());
+        for (i, outcome) in corun.jobs.iter().enumerate() {
+            let scheduled = schedule
+                .jobs
+                .iter()
+                .find(|j| j.submission.job == jobs[i])
+                .expect("every job scheduled");
+            assert_eq!(scheduled.wait, Ns::ZERO, "seed {seed}: job {i} queued");
+            assert_eq!(
+                scheduled.finished_at, outcome.result.job_end,
+                "seed {seed}: job {i} finishes differently in the two front-ends"
+            );
+        }
+    }
 }
