@@ -23,6 +23,13 @@
 //! * the metric bytes — snapshots plus the four machine-wide CDFs — are
 //!   at most [`BYTES_PER_ACTIVE_CHANNEL`] per active channel.
 //!
+//! The machine description itself is held to a budget linear in global
+//! links and router ports ([`TOPOLOGY_BYTES_PER_LINK`],
+//! [`TOPOLOGY_BYTES_PER_PORT`]): `Topology::heap_bytes` covers only the
+//! global-wiring tables, so a per-channel or per-node table anywhere in
+//! the topology breaks the bound by an order of magnitude at 131k nodes.
+//! The build time is recorded next to it.
+//!
 //! It also asserts `records <= 64 x (runs holding a traffic channel)`:
 //! channel records come in aligned runs of `CHANNEL_RUN_LEN` (64) ids,
 //! allocated only where packets go. On the quick machine the probe's
@@ -41,14 +48,15 @@
 use dfly_bench::git_rev;
 use dfly_bench::harness::scaled_ranks;
 use dfly_core::config::{AppSelection, ExperimentConfig, RoutingPolicy};
-use dfly_core::runner::{execute_experiment, prepare_topology};
+use dfly_core::runner::execute_experiment;
 use dfly_network::{ChannelSnapshot, MetricsFilter, CHANNEL_RUN_LEN, CLASSES};
 use dfly_placement::PlacementPolicy;
 use dfly_stats::Cdf;
-use dfly_topology::{RouterId, TopologyConfig};
+use dfly_topology::{ChannelClass, RouterId, Topology, TopologyConfig};
 use dfly_workloads::AppKind;
 use std::collections::HashSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Fixed workload identity — deliberately not configurable so the JSON
@@ -60,6 +68,12 @@ const MAX_RANKS: u32 = 512;
 /// Metric bytes allowed per active channel: a 40 B snapshot and four
 /// 8 B CDF samples, with room for `Vec` growth slack.
 const BYTES_PER_ACTIVE_CHANNEL: usize = 160;
+/// Topology bytes allowed per undirected global link: its endpoint pair
+/// (8 B) and one 12 B gateway entry per direction.
+const TOPOLOGY_BYTES_PER_LINK: usize = 32;
+/// Topology bytes allowed per router global port: one (channel, group)
+/// entry (8 B) in the router's outgoing-global list.
+const TOPOLOGY_BYTES_PER_PORT: usize = 8;
 
 struct Cli {
     full: bool,
@@ -164,7 +178,19 @@ fn main() {
         cli.scale,
     );
 
-    let topo = prepare_topology(&cfg);
+    let t_build = Instant::now();
+    let topo = Arc::new(Topology::build(cfg.topology.clone()));
+    let topology_build_ms = t_build.elapsed().as_secs_f64() * 1e3;
+    let topology_bytes = topo.heap_bytes();
+    let links = topo.class_channel_count(ChannelClass::Global) / 2;
+    let ports = (topo_cfg.total_routers() * topo_cfg.global_links_per_router) as usize;
+    let topology_budget = TOPOLOGY_BYTES_PER_LINK * links + TOPOLOGY_BYTES_PER_PORT * ports;
+    assert!(
+        topology_bytes <= topology_budget,
+        "topology holds {topology_bytes} B, over {TOPOLOGY_BYTES_PER_LINK} B x {links} global \
+         links + {TOPOLOGY_BYTES_PER_PORT} B x {ports} router ports = {topology_budget} B: the \
+         machine description no longer follows its global wiring"
+    );
     let t0 = Instant::now();
     let r = execute_experiment(&cfg, topo);
     let wall_s = t0.elapsed().as_secs_f64();
@@ -245,6 +271,10 @@ fn main() {
         "probe-job busy local links MB p50/p90/p99: {:.3}/{:.3}/{:.3}",
         local[0], local[1], local[2]
     );
+    println!(
+        "topology: {topology_bytes} B (budget {topology_budget} B for {links} global links and \
+         {ports} router ports), built in {topology_build_ms:.2} ms"
+    );
 
     let fields: Vec<(&str, String)> = vec![
         ("machine", format!("\"{machine}\"")),
@@ -264,6 +294,9 @@ fn main() {
         ("obs_metric_bytes", obs_bytes.to_string()),
         ("obs_samples", obs.series.samples().len().to_string()),
         ("peak_rss_kb", peak_rss_kb.to_string()),
+        ("topology_bytes", topology_bytes.to_string()),
+        ("topology_budget_bytes", topology_budget.to_string()),
+        ("topology_build_ms", format!("{topology_build_ms:.2}")),
         ("channel_records", footprint.records.to_string()),
         ("channel_state_bytes", footprint.bytes.to_string()),
         (

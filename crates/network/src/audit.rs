@@ -38,7 +38,7 @@ use crate::channel::{
 use crate::metrics::class_index;
 use crate::packet::{MessageId, Packet, PacketId, MAX_ROUTE_LEN};
 use dfly_engine::{Bytes, Ns};
-use dfly_topology::ChannelId;
+use dfly_topology::{ChannelClass, ChannelId};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -988,7 +988,6 @@ impl Auditor {
     pub(crate) fn full_sweep(
         &mut self,
         channels: &ChannelStore,
-        nic: &[PacketList],
         packets: &[Packet],
         free_packets: &[PacketId],
         activity: &ChannelActivity,
@@ -1013,7 +1012,8 @@ impl Auditor {
         let ctx = if drained { "drain" } else { "full sweep" };
 
         // Every record: VC queues (walk, occupancy, head/tail,
-        // membership) and the landing queue.
+        // membership) and the ingress queue — the NIC queue on a
+        // terminal-up channel (id = node), the landing queue elsewhere.
         for (id, ch) in channels.iter() {
             let held = reserved.get(&id).copied().unwrap_or_default();
             for (vc, held) in held.into_iter().enumerate() {
@@ -1040,12 +1040,16 @@ impl Auditor {
                     );
                 }
             }
-            // Shard mode only; the list is empty in serial runs.
-            let landed = self.walk_list(
-                &ch.landing,
+            let ingress_loc = if ch.class == ChannelClass::TerminalUp {
+                Loc::Nic(id.0)
+            } else {
+                Loc::Landing(id)
+            };
+            let waiting = self.walk_list(
+                &ch.ingress,
                 packets,
                 &mut visited,
-                Loc::Landing(id),
+                ingress_loc,
                 Some(id),
                 None,
                 at,
@@ -1053,15 +1057,15 @@ impl Auditor {
             );
             self.check_channel(id, ch, engine_total_queued, at, ctx);
             if drained {
-                if ch.landing.front().is_some() {
+                if ch.ingress.front().is_some() {
                     self.violate(
                         AuditKind::ListIntegrity,
                         Some(id),
                         None,
                         0,
-                        landed,
+                        waiting,
                         at,
-                        "drain: landing queue not empty",
+                        "drain: ingress queue not empty",
                     );
                 }
                 if ch.total_occupancy != 0 {
@@ -1120,20 +1124,6 @@ impl Auditor {
                     &format!("{ctx}: shadow bytes on a channel with no record"),
                 );
             }
-        }
-
-        // NIC queues.
-        for (node, list) in nic.iter().enumerate() {
-            self.walk_list(
-                list,
-                packets,
-                &mut visited,
-                Loc::Nic(node as u32),
-                None,
-                None,
-                at,
-                ctx,
-            );
         }
 
         // Waitlist census: membership across all `waiters` lists must

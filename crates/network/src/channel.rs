@@ -6,11 +6,12 @@
 //! queue itself is just a head/tail pair of arena indices, and each
 //! [`Packet`](crate::packet::Packet) carries the index of the packet
 //! behind it. A packet sits in at most one queue at a time (its current
-//! channel's VC, a landing queue, or the source NIC), so one link per
-//! packet suffices. Compared to a `VecDeque<PacketId>` per VC, this
-//! removes `MAX_ROUTE_LEN` heap allocations per channel and the pointer
-//! chase per operation — push, pop, and front are all O(1) on the arena
-//! the event loop already has hot.
+//! channel's VC, or a channel's ingress queue: the source NIC or a
+//! landing queue), so one link per packet suffices. Compared to a
+//! `VecDeque<PacketId>` per VC, this removes `MAX_ROUTE_LEN` heap
+//! allocations per channel and the pointer chase per operation — push,
+//! pop, and front are all O(1) on the arena the event loop already has
+//! hot.
 
 use crate::metrics::{class_index, CLASSES};
 use crate::packet::{Packet, PacketId, MAX_ROUTE_LEN, NO_PACKET};
@@ -158,11 +159,15 @@ pub(crate) struct ChannelState {
     pub(crate) inflight: VecDeque<InFlight>,
     /// Channels whose head packet is waiting for space in our buffers.
     pub(crate) waiters: Vec<ChannelId>,
-    /// Shard mode: imports refused at ingress (no cross-shard credit is
-    /// reserved), a head-blocking FIFO drained as the channel frees
-    /// space. Intrusive like the VC queues: a landed packet sits in no
-    /// other list.
-    pub(crate) landing: PacketList,
+    /// Packets waiting outside the buffers for VC space, a head-blocking
+    /// FIFO drained as the channel frees space. On a terminal-up channel
+    /// (id = node id) it is the source node's NIC queue; on any other
+    /// channel it is shard mode's landing queue of imports refused at
+    /// ingress (no cross-shard credit is reserved). Terminal-up channels
+    /// never receive imports, so the two uses never share a list, and
+    /// the NIC costs nothing for nodes that never send. Intrusive like
+    /// the VC queues: a waiting packet sits in no other list.
+    pub(crate) ingress: PacketList,
     /// True while this channel sits on some other channel's `waiters`
     /// list. A blocked channel registers on at most one blocker at a
     /// time — any wakeup rescans all VCs — so one bit replaces the
@@ -183,6 +188,11 @@ pub(crate) struct ChannelState {
     pub(crate) busy_time: Ns,
 }
 
+// The NIC queue rides in the terminal-up record's `ingress` list rather
+// than a field of its own: a record stays within 312 bytes.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<ChannelState>() <= 312);
+
 impl ChannelState {
     /// Fresh state for a channel of `class`.
     pub(crate) fn new(class: ChannelClass) -> ChannelState {
@@ -196,7 +206,7 @@ impl ChannelState {
             queued_mask: 0,
             inflight: VecDeque::new(),
             waiters: Vec::new(),
-            landing: PacketList::default(),
+            ingress: PacketList::default(),
             in_waitlist: false,
             listed: 0,
             full_mask: 0,
@@ -689,8 +699,8 @@ mod tests {
     fn channel_record_size_is_pinned() {
         // 12 VCs x 16 B (queue head/tail + occupancy; the full flags are
         // `full_mask`), the in-flight FIFO (32), the wait list (24), the
-        // landing list (8), five 8-byte counters (40), and 12 bytes of
-        // flags and masks padded to 16.
+        // ingress list (NIC or landing queue, 8), five 8-byte counters
+        // (40), and 12 bytes of flags and masks padded to 16.
         assert_eq!(std::mem::size_of::<VcState>(), 16);
         assert_eq!(std::mem::size_of::<ChannelState>(), 312);
     }

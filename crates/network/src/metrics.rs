@@ -449,15 +449,10 @@ mod tests {
     }
 
     fn snap(t: &Topology, id: ChannelId, traffic: u64, sat_ns: u64) -> ChannelSnapshot {
-        let info = t.channel(id);
-        let router = match info.src {
-            dfly_topology::ChannelEnd::Router(r) => r,
-            dfly_topology::ChannelEnd::Node(n) => t.node_router(n),
-        };
         ChannelSnapshot {
             id,
-            class: info.class,
-            src_router: Some(router),
+            class: t.channel_class(id),
+            src_router: Some(t.channel_owner(id)),
             traffic_bytes: traffic,
             saturated_time: Ns(sat_ns),
             busy_time: Ns(traffic * 2),

@@ -18,9 +18,7 @@
 use crate::arbiter;
 use crate::arena::SimArena;
 use crate::audit::{AuditReport, Auditor};
-use crate::channel::{
-    ChannelActivity, ChannelState, ChannelStore, InFlight, LinkTable, PacketList,
-};
+use crate::channel::{ChannelActivity, ChannelState, ChannelStore, InFlight, LinkTable};
 use crate::metrics::{class_index, ChannelFootprint, ChannelSnapshot, NetworkMetrics};
 use crate::obs::{self, ObsCollector};
 use crate::packet::{MessageId, MessageKind, MessageState, Packet, PacketId, Route, MAX_ROUTE_LEN};
@@ -112,7 +110,6 @@ pub struct Network {
     free_packets: Vec<PacketId>,
     messages: Vec<MessageState>,
     free_messages: Vec<MessageId>,
-    nic: Vec<PacketList>,
     queue: EventQueue<NetEvent>,
     deliveries: VecDeque<Delivery>,
     router: RouteComputer,
@@ -163,7 +160,6 @@ impl Network {
         let router_latency = topo.config().router_latency;
         let links = LinkTable::new(&topo);
         let channels = ChannelStore::for_topology(&topo);
-        let nodes = topo.config().total_nodes() as usize;
         let audit = params
             .audit
             .then(|| Box::new(Auditor::new(topo.channel_count())));
@@ -203,7 +199,6 @@ impl Network {
             free_packets,
             messages,
             free_messages,
-            nic: vec![PacketList::default(); nodes],
             queue: EventQueue::with_capacity(1024),
             deliveries,
             router,
@@ -716,7 +711,6 @@ impl Network {
         if let Some(a) = self.audit.as_mut() {
             a.full_sweep(
                 &self.channels,
-                &self.nic,
                 &self.packets,
                 &self.free_packets,
                 &self.activity,
@@ -777,7 +771,11 @@ impl Network {
                     pid
                 }
             };
-            self.nic[src.index()].push_back(&mut self.packets, pid);
+            // The NIC queue is the terminal-up channel's ingress list.
+            self.channels
+                .get_mut(self.topo.terminal_up(src))
+                .ingress
+                .push_back(&mut self.packets, pid);
             if let Some(a) = self.audit.as_mut() {
                 a.on_packet_injected(pid, msg, size, src.0, self.queue.now());
             }
@@ -785,17 +783,17 @@ impl Network {
         self.nic_push(src);
     }
 
-    /// Move packets from a node's NIC queue into its terminal-up VC0
-    /// buffer while space allows.
+    /// Move packets from a node's NIC queue (its terminal-up channel's
+    /// ingress list) into that channel's VC0 buffer while space allows.
     fn nic_push(&mut self, node: NodeId) {
         let ch_id = self.topo.terminal_up(node);
         loop {
-            let Some(pid) = self.nic[node.index()].front() else {
+            let ch = self.channels.get_mut(ch_id);
+            let Some(pid) = ch.ingress.front() else {
                 return;
             };
             let size = self.packets[pid.0 as usize].size as u64;
             let now = self.queue.now();
-            let ch = self.channels.get_mut(ch_id);
             let cap = self.params.vc_capacity(ch.class);
             if ch.vcs[0].occupancy + size > cap {
                 // NIC blocked: the injection buffer is full.
@@ -804,7 +802,7 @@ impl Network {
                 return;
             }
             self.activity.fill(ch_id, ch, 0, size);
-            self.nic[node.index()].pop_front(&self.packets);
+            ch.ingress.pop_front(&self.packets);
             ch.push_vc(&mut self.packets, 0, pid);
             if let Some(a) = self.audit.as_mut() {
                 a.on_nic_to_vc(pid, node.0, ch_id, now);
@@ -960,8 +958,7 @@ impl Network {
         if class == ChannelClass::TerminalUp {
             // terminal-up channel id == node id by construction
             self.nic_push(NodeId(ch_id.0));
-        }
-        if self.shard.is_some() {
+        } else if self.shard.is_some() {
             if class == ChannelClass::Global {
                 self.export_packet(pid, ch_id, now);
             }
@@ -1051,20 +1048,17 @@ impl Network {
     /// Put a fresh network into shard mode as the replica owning `group`.
     /// The replica simulates only the channels whose transmitting end sits
     /// in its group; packets crossing a global link leave as
-    /// [`WireRecord`]s and enter via [`Network::import_records`]. `owner`
-    /// and `global_dst` are the machine-wide maps every replica shares
-    /// (see [`ShardState`]).
-    pub(crate) fn enable_shard(&mut self, group: u32, owner: Arc<[u32]>, global_dst: Arc<[u32]>) {
+    /// [`WireRecord`]s and enter via [`Network::import_records`].
+    pub(crate) fn enable_shard(&mut self, group: u32) {
         assert!(
             self.events_processed == 0 && self.messages.is_empty(),
             "shard mode can only be enabled on a fresh network"
         );
-        assert_eq!(owner.len(), self.topo.channel_count());
         let groups = self.topo.config().groups as usize;
         if let Some(obs) = self.obs.as_mut() {
-            obs.set_owner(owner.clone(), group);
+            obs.set_owner(self.topo.clone(), group);
         }
-        self.shard = Some(Box::new(ShardState::new(group, groups, owner, global_dst)));
+        self.shard = Some(Box::new(ShardState::new(group, groups)));
     }
 
     /// The shard state, if this replica runs in shard mode.
@@ -1095,7 +1089,7 @@ impl Network {
         // router can own the next global channel).
         let terminates = !rec.route.as_slice()[hop as usize..]
             .iter()
-            .any(|&c| self.topo.channel(c).class == ChannelClass::Global);
+            .any(|&c| self.topo.channel_class(c) == ChannelClass::Global);
         let msg = if terminates {
             let shard = self.shard.as_mut().expect("import outside shard mode");
             match shard.remote.get(&rec.gid) {
@@ -1196,7 +1190,7 @@ impl Network {
         let ch = self.channels.get_mut(ch_id);
         let cap = self.params.vc_capacity(ch.class);
         if ch.vcs[v].occupancy + size > cap {
-            ch.landing.push_back(&mut self.packets, pid);
+            ch.ingress.push_back(&mut self.packets, pid);
             if let Some(a) = self.audit.as_mut() {
                 a.on_landing(pid, ch_id, now);
             }
@@ -1216,7 +1210,7 @@ impl Network {
     fn drain_landing(&mut self, ch_id: ChannelId) {
         loop {
             let ch = self.channels.get_mut(ch_id);
-            let Some(pid) = ch.landing.front() else {
+            let Some(pid) = ch.ingress.front() else {
                 return;
             };
             let now = self.queue.now();
@@ -1230,7 +1224,7 @@ impl Network {
                 return;
             }
             self.activity.fill(ch_id, ch, v, size);
-            ch.landing.pop_front(&self.packets);
+            ch.ingress.pop_front(&self.packets);
             ch.push_vc(&mut self.packets, v, pid);
             if let Some(a) = self.audit.as_mut() {
                 a.on_landing_to_vc(pid, ch_id, v, now);
@@ -1270,10 +1264,13 @@ impl Network {
             )
         };
         debug_assert!(gid != 0, "exported packet from a gid-less message");
+        let ChannelEnd::Router(entry) = self.topo.channel(ch_id).dst else {
+            unreachable!("global channel {ch_id} ends at a router")
+        };
+        let dst_group = self.topo.router_group(entry).0;
         {
             let shard = self.shard.as_mut().expect("export outside shard mode");
-            let dst_group = shard.global_dst[ch_id.index()];
-            debug_assert!(dst_group != u32::MAX && dst_group != shard.group);
+            debug_assert_ne!(dst_group, shard.group);
             let mut rec = rec;
             rec.src_group = shard.group;
             rec.emit_seq = shard.emit_seq[dst_group as usize];
@@ -1354,14 +1351,10 @@ impl Network {
 
     /// Snapshot one channel; open saturation intervals close at `t_end`.
     fn snapshot(&self, id: ChannelId, ch: Option<&ChannelState>, t_end: Ns) -> ChannelSnapshot {
-        let info = self.topo.channel(id);
         ChannelSnapshot {
             id,
-            class: info.class,
-            src_router: match info.src {
-                ChannelEnd::Router(r) => Some(r),
-                ChannelEnd::Node(n) => Some(self.topo.node_router(n)),
-            },
+            class: self.topo.channel_class(id),
+            src_router: Some(self.topo.channel_owner(id)),
             traffic_bytes: ch.map_or(0, |ch| ch.traffic),
             saturated_time: ch.map_or(Ns::ZERO, |ch| ch.saturated_until(t_end)),
             busy_time: ch.map_or(Ns::ZERO, |ch| ch.busy_time),

@@ -60,13 +60,13 @@ pub(crate) struct ObsCollector {
     window: WindowDeltas,
     /// Channels per class (the utilization denominators).
     class_counts: [u64; 5],
-    /// Shard mode: the machine's channel -> owning group map and this
-    /// replica's group. Occupancy histogram readings are restricted to
-    /// owned channels so a sharded run's merged histogram matches a
-    /// serial run (unowned channels are always empty here and would
-    /// flood bucket zero). Busy/stall/queued totals need no mask —
-    /// unowned channels contribute zeros.
-    owner: Option<(Arc<[u32]>, u32)>,
+    /// Shard mode: the machine (whose channel-owner arithmetic says which
+    /// group owns a channel) and this replica's group. Occupancy
+    /// histogram readings are restricted to owned channels so a sharded
+    /// run's merged histogram matches a serial run (unowned channels are
+    /// always empty here and would flood bucket zero). Busy/stall/queued
+    /// totals need no mask — unowned channels contribute zeros.
+    owner: Option<(Arc<Topology>, u32)>,
     /// Channels whose VCs the histogram reads each window (all channels,
     /// or the owned ones in shard mode).
     owned_channels: u64,
@@ -169,11 +169,13 @@ impl ObsCollector {
         }
     }
 
-    /// Restrict occupancy-histogram readings to the channels `owner`
-    /// maps to `group` (shard mode; see the `owner` field).
-    pub(crate) fn set_owner(&mut self, owner: Arc<[u32]>, group: u32) {
-        self.owned_channels = owner.iter().filter(|&&g| g == group).count() as u64;
-        self.owner = Some((owner, group));
+    /// Restrict occupancy-histogram readings to the channels of `topo`
+    /// that `group` owns (shard mode; see the `owner` field).
+    pub(crate) fn set_owner(&mut self, topo: Arc<Topology>, group: u32) {
+        // Every router owns the same number of channels of each class,
+        // so every group owns an equal share of the machine.
+        self.owned_channels = (topo.channel_count() / topo.config().groups as usize) as u64;
+        self.owner = Some((topo, group));
     }
 
     /// The sampling interval.
@@ -345,10 +347,10 @@ impl ObsCollector {
     }
 }
 
-/// True unless `owner` (shard mode's map and group) gives channel `id`
-/// to another replica.
-fn owns(owner: Option<&(Arc<[u32]>, u32)>, id: ChannelId) -> bool {
-    owner.is_none_or(|(map, group)| map[id.index()] == *group)
+/// True unless `owner` (shard mode's machine and group) gives channel
+/// `id` to another replica.
+fn owns(owner: Option<&(Arc<Topology>, u32)>, id: ChannelId) -> bool {
+    owner.is_none_or(|(topo, group)| crate::shard::owner_group(topo, id) == *group as usize)
 }
 
 /// The full-machine sweep that produced every telemetry window before
@@ -386,7 +388,7 @@ pub(crate) mod oracle {
             channels: &ChannelStore,
             params: &NetworkParams,
             route: Option<&RouteStats>,
-            owner: Option<&(Arc<[u32]>, u32)>,
+            owner: Option<&(Arc<Topology>, u32)>,
         ) {
             if at <= self.window.last_sample_at {
                 return;

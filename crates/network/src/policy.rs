@@ -396,15 +396,10 @@ impl PathPolicy for Progressive {
         let global_at = ctx
             .best
             .iter()
-            .position(|&c| ctx.topo.channel(c).class == ChannelClass::Global)
+            .position(|&c| ctx.topo.channel_class(c) == ChannelClass::Global)
             .expect("inter-group minimal path has a global hop");
         let planned = ctx.best[global_at];
-        let gateway = ctx
-            .topo
-            .channel(planned)
-            .src
-            .router()
-            .expect("global channel starts at a router");
+        let gateway = ctx.topo.channel_owner(planned);
 
         // The least-occupied sibling global channel of the same gateway
         // router (deterministic scan, ties to the first).

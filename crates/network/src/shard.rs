@@ -52,7 +52,7 @@ use crate::routing::Routing;
 use dfly_engine::shard::{min_horizon, Mailbox, ShardClock, Windows, IDLE};
 use dfly_engine::{Bytes, Ns};
 use dfly_obs::ObsReport;
-use dfly_topology::{ChannelClass, ChannelEnd, NodeId, Topology};
+use dfly_topology::{ChannelClass, ChannelId, NodeId, Topology};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,14 +95,9 @@ pub(crate) struct WireRecord {
 /// Per-replica shard state, owned by a [`Network`] in shard mode.
 #[derive(Debug)]
 pub(crate) struct ShardState {
-    /// The group this replica simulates.
+    /// The group this replica simulates: it owns the channels whose
+    /// [`Topology::channel_owner`] router sits in this group.
     pub(crate) group: u32,
-    /// Channel -> owning group (the group of the transmitting end).
-    /// Built once per run and shared by every replica.
-    pub(crate) owner: Arc<[u32]>,
-    /// For global channels: the receiving end's group (`u32::MAX`
-    /// otherwise). Shared like `owner`.
-    pub(crate) global_dst: Arc<[u32]>,
     /// Records exported this window, bucketed by destination group.
     pub(crate) outboxes: Vec<Vec<WireRecord>>,
     /// Per destination group: next emission sequence number.
@@ -117,16 +112,9 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    pub(crate) fn new(
-        group: u32,
-        groups: usize,
-        owner: Arc<[u32]>,
-        global_dst: Arc<[u32]>,
-    ) -> ShardState {
+    pub(crate) fn new(group: u32, groups: usize) -> ShardState {
         ShardState {
             group,
-            owner,
-            global_dst,
             outboxes: vec![Vec::new(); groups],
             emit_seq: vec![0; groups],
             remote: HashMap::new(),
@@ -136,26 +124,12 @@ impl ShardState {
     }
 }
 
-/// The machine-wide shard maps: each channel's owning group (the group
-/// of its transmitting end), and for global channels the receiving end's
-/// group (`u32::MAX` for every other channel).
-fn ownership_maps(topo: &Topology) -> (Arc<[u32]>, Arc<[u32]>) {
-    let mut global_dst = vec![u32::MAX; topo.channel_count()];
-    let owner = topo
-        .channels()
-        .map(|(id, info)| {
-            if info.class == ChannelClass::Global {
-                if let ChannelEnd::Router(r) = info.dst {
-                    global_dst[id.index()] = topo.router_group(r).0;
-                }
-            }
-            match info.src {
-                ChannelEnd::Router(r) => topo.router_group(r).0,
-                ChannelEnd::Node(n) => topo.node_group(n).0,
-            }
-        })
-        .collect();
-    (owner, global_dst.into())
+/// The group whose replica simulates channel `id`: the group of the
+/// channel's owning router (its transmitting end, or for terminal-up the
+/// injecting node's router).
+#[inline]
+pub(crate) fn owner_group(topo: &Topology, id: ChannelId) -> usize {
+    topo.router_group(topo.channel_owner(id)).index()
 }
 
 /// A driver injection buffered at the coordinator until the next window.
@@ -336,7 +310,6 @@ impl ShardedNetwork {
             queued_bytes: (0..groups).map(|_| AtomicU64::new(0)).collect(),
             in_flight: (0..groups).map(|_| AtomicU64::new(0)).collect(),
         });
-        let (owner, global_dst) = ownership_maps(&topo);
         let mut per_worker: Vec<Vec<(u32, Network)>> = (0..workers_n).map(|_| Vec::new()).collect();
         for g in 0..groups {
             let mut net = Network::with_arena(
@@ -346,7 +319,7 @@ impl ShardedNetwork {
                 seed.wrapping_add(g as u64),
                 &mut arenas[g],
             );
-            net.enable_shard(g as u32, owner.clone(), global_dst.clone());
+            net.enable_shard(g as u32);
             per_worker[g % workers_n].push((g as u32, net));
         }
         let (done_tx, done_rx) = channel();
@@ -640,9 +613,9 @@ impl ShardParts {
     /// of its transmitting end), so each replica contributes the records
     /// it holds for its own channels.
     pub fn metrics(&self) -> NetworkMetrics {
-        let owner = &self.nets[0].shard_state().expect("shard mode").owner;
+        let topo = &self.topo;
         let snapshots = self.nets.iter().enumerate().flat_map(|(g, net)| {
-            net.recorded_snapshots(self.final_time, move |id| owner[id.index()] as usize == g)
+            net.recorded_snapshots(self.final_time, move |id| owner_group(topo, id) == g)
         });
         NetworkMetrics::new(self.topo.clone(), snapshots).with_footprint(self.channel_footprint())
     }
@@ -651,13 +624,13 @@ impl ShardParts {
     /// replica: the reference [`ShardParts::metrics`] must equal.
     #[cfg(test)]
     pub(crate) fn full_snapshot(&self) -> Vec<crate::metrics::ChannelSnapshot> {
-        let owner = &self.nets[0].shard_state().expect("shard mode").owner;
+        let topo = &self.topo;
         let mut all: Vec<_> = self
             .nets
             .iter()
             .enumerate()
             .flat_map(|(g, net)| {
-                net.full_snapshot(self.final_time, |id| owner[id.index()] as usize == g)
+                net.full_snapshot(self.final_time, |id| owner_group(topo, id) == g)
             })
             .collect();
         all.sort_by_key(|c| c.id);
@@ -864,11 +837,10 @@ mod tests {
         assert!(traffic >= 2 * 4096 * nodes as u64, "traffic {traffic}");
         // A replica mutates only channels its group owns, so it holds
         // records just for the runs where its own channels moved traffic.
-        let owner = &parts.nets[0].shard_state().expect("shard mode").owner;
-        let mut runs: Vec<(u32, usize)> = metrics
+        let mut runs: Vec<(usize, usize)> = metrics
             .channels()
             .filter(|c| c.traffic_bytes > 0)
-            .map(|c| (owner[c.id.index()], c.id.index() / RUN_LEN))
+            .map(|c| (owner_group(&parts.topo, c.id), c.id.index() / RUN_LEN))
             .collect();
         runs.sort_unstable();
         runs.dedup();

@@ -83,14 +83,18 @@ impl GlobalArrangement {
                 // The exact historical loop: per-group cursors advanced by
                 // a stride coprime with the router count.
                 let stride = pick_stride(rpg);
+                // `(c + stride) % rpg` without the division: c < rpg and
+                // stride <= rpg, so one subtraction wraps.
+                debug_assert!(stride <= rpg);
+                let advance = |c: u32| c + stride - if c + stride >= rpg { rpg } else { 0 };
                 let mut cursor: Vec<u32> = (0..g).map(|grp| (grp * 7) % rpg).collect();
                 for ga in 0..g {
                     for gb in (ga + 1)..g {
                         for _ in 0..lpp {
                             let la = cursor[ga as usize];
-                            cursor[ga as usize] = (la + stride) % rpg;
+                            cursor[ga as usize] = advance(la);
                             let lb = cursor[gb as usize];
-                            cursor[gb as usize] = (lb + stride) % rpg;
+                            cursor[gb as usize] = advance(lb);
                             out.push((la, lb));
                         }
                     }

@@ -162,8 +162,8 @@ impl TopologyConfig {
     /// already valid.
     pub fn nearest_valid_global_links(&self) -> u32 {
         let peers = self.groups.saturating_sub(1).max(1);
-        let rpg = self.routers_per_group();
-        let ok = |h: u32| h > 0 && (rpg * h) % peers == 0;
+        let rpg = u64::from(self.rows) * u64::from(self.cols);
+        let ok = |h: u32| h > 0 && (rpg * u64::from(h)) % u64::from(peers) == 0;
         let h = self.global_links_per_router;
         if ok(h) {
             return h;
@@ -204,6 +204,38 @@ impl TopologyConfig {
             return Err(format!(
                 "rows ({}) must be a positive multiple of chassis_per_cabinet ({})",
                 self.rows, self.chassis_per_cabinet
+            ));
+        }
+        // Every id is a `u32` and the count accessors multiply in `u32`
+        // (wrapping silently in release builds): reject shapes whose
+        // routers, nodes or channels do not fit before anything counts
+        // them.
+        let limit = u128::from(u32::MAX);
+        let routers = u128::from(self.groups) * u128::from(self.rows) * u128::from(self.cols);
+        if routers > limit {
+            return Err(format!(
+                "total routers ({routers} = groups*rows*cols = {}*{}*{}) exceeds u32::MAX \
+                 ({limit}): router ids are u32",
+                self.groups, self.rows, self.cols
+            ));
+        }
+        let nodes = routers * u128::from(self.nodes_per_router);
+        if nodes > limit {
+            return Err(format!(
+                "total_nodes ({nodes} = {routers} routers * nodes_per_router {}) exceeds \
+                 u32::MAX ({limit}): node ids are u32",
+                self.nodes_per_router
+            ));
+        }
+        let per_router = u128::from(self.cols - 1)
+            + u128::from(self.rows - 1)
+            + u128::from(self.global_links_per_router);
+        let channels = 2 * nodes + routers * per_router;
+        if channels > limit {
+            return Err(format!(
+                "channel count ({channels} for {nodes} nodes and {routers} routers with \
+                 global_links_per_router {}) exceeds u32::MAX ({limit}): channel ids are u32",
+                self.global_links_per_router
             ));
         }
         let endpoints = self.routers_per_group() * self.global_links_per_router;
@@ -320,6 +352,36 @@ mod tests {
         t.groups = 8; // 384 endpoints not divisible by 7 peers
         let e = t.validate().unwrap_err();
         assert!(e.contains("6*16*4 = 384") && e.contains("7 peer"), "{e}");
+    }
+
+    #[test]
+    fn validate_rejects_shapes_whose_ids_overflow_u32() {
+        // 65,537 x 256 routers x 256 nodes = 4,295,032,832 nodes: the
+        // u32 node count would wrap to 65,536.
+        let e = TopologyConfig::canonical(256, 256, 256, 65537)
+            .validate()
+            .unwrap_err();
+        assert!(e.contains("total_nodes (4295032832"), "{e}");
+        // Routers past u32 are named before anything multiplies them.
+        let e = TopologyConfig::canonical(1, 65536, 65536, 65537)
+            .validate()
+            .unwrap_err();
+        assert!(e.contains("total routers (4295032832"), "{e}");
+        // Nodes fit, channels do not: 2^31 nodes need 2^32 terminal
+        // channels alone.
+        let mut t = TopologyConfig::canonical(128, 128, 1, 131_073);
+        t.global_links_per_router = t.nearest_valid_global_links();
+        assert!(u128::from(t.groups) * 128 * 128 <= u128::from(u32::MAX));
+        let e = t.validate().unwrap_err();
+        assert!(e.contains("channel count ("), "{e}");
+        assert!(e.contains(&format!(
+            "global_links_per_router {}",
+            t.global_links_per_router
+        )));
+        // The largest shapes in use stay valid.
+        TopologyConfig::canonical(16, 32, 16, 257)
+            .validate()
+            .unwrap();
     }
 
     #[test]

@@ -18,12 +18,20 @@
 //!
 //! All channels (directed links) are enumerated with dense integer ids and
 //! arithmetic index formulas so the simulator's hot path never hashes.
+//! No channel is stored: [`Topology::channel`] computes a channel's
+//! endpoints from its id, and only the global wiring (per-link endpoints,
+//! per-pair [`Gateway`]s, per-router global ports) is tabulated, so the
+//! topology's memory follows global links and router ports
+//! ([`Topology::heap_bytes`]), not the channel count. Ids are `u32`;
+//! [`TopologyConfig::validate`] rejects shapes whose counts do not fit.
 
 #![warn(missing_docs)]
 
 pub mod arrangement;
 pub mod config;
 pub mod ids;
+#[cfg(test)]
+mod oracle;
 pub mod paths;
 pub mod topology;
 
@@ -33,4 +41,4 @@ pub use ids::{
     CabinetId, ChannelClass, ChannelEnd, ChannelId, ChassisId, GroupId, NodeId, RouterId,
 };
 pub use paths::{Path, RouteKind};
-pub use topology::{ChannelInfo, Topology};
+pub use topology::{ChannelInfo, Gateway, GlobalLink, Topology};

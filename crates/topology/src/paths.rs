@@ -95,16 +95,10 @@ pub fn push_minimal(
     // Choose a gateway uniformly at random among the parallel links of the
     // group pair; this is the static load-spreading minimal routing the
     // CODES dragonfly-custom model applies per packet.
-    let gws = topo.gateways(sg, dg);
-    let &(gw_router, gw_channel) = rng.choose(gws);
-    push_intra_group(topo, src, gw_router, rng, out);
-    out.push(gw_channel);
-    let entry = topo
-        .channel(gw_channel)
-        .dst
-        .router()
-        .expect("global channel ends at a router");
-    push_intra_group(topo, entry, dst, rng, out);
+    let gw = *rng.choose(topo.gateways(sg, dg));
+    push_intra_group(topo, src, gw.router, rng, out);
+    out.push(gw.channel);
+    push_intra_group(topo, gw.far, dst, rng, out);
 }
 
 /// A complete minimal path.

@@ -1,5 +1,14 @@
-//! Machine construction: entity numbering, channel enumeration, global
+//! Machine construction: entity numbering, channel-id arithmetic, global
 //! wiring, and gateway tables.
+//!
+//! Nothing here is sized by the channel count. Terminal and local
+//! channels are pure id arithmetic; the global wiring is three flat
+//! tables filled from [`GlobalArrangement::plan`](crate::GlobalArrangement::plan):
+//! one endpoint pair per global link, one [`Gateway`] per directed link
+//! grouped by ordered group pair, and `global_links_per_router` outgoing
+//! channels per router. Their size follows the global links and router
+//! ports ([`Topology::heap_bytes`]), so a 131,584-node machine costs a few
+//! megabytes however few of its 649,696 channels a run touches.
 
 use crate::config::TopologyConfig;
 use crate::ids::{
@@ -7,7 +16,8 @@ use crate::ids::{
 };
 use dfly_engine::{Bandwidth, Ns};
 
-/// Static description of one directed channel.
+/// Static description of one directed channel, computed on demand by
+/// [`Topology::channel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelInfo {
     /// The channel class (terminal / local row / local col / global).
@@ -32,22 +42,44 @@ pub struct GlobalLink {
     pub ba: ChannelId,
 }
 
+/// One parallel link of an ordered group pair, seen from the source
+/// group: the gateway router holding it, the directed global channel
+/// leaving that router, and the router it lands on in the destination
+/// group. Carrying the far end lets minimal routing continue from the
+/// entry router without looking the channel up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gateway {
+    /// Gateway router in the source group.
+    pub router: RouterId,
+    /// Directed global channel from `router` into the destination group.
+    pub channel: ChannelId,
+    /// Entry router in the destination group (the channel's receiving end).
+    pub far: RouterId,
+}
+
 /// A fully constructed dragonfly machine.
 ///
 /// Construction is deterministic: the same [`TopologyConfig`] always yields
 /// the same wiring, which the study requires for config comparisons.
+/// Channel ids are numbered in contiguous per-class ranges: terminal-up
+/// (id = node), terminal-down, local row (`cols - 1` per router), local
+/// column (`rows - 1` per router), then global, two per link in link order.
+/// Every query answers from that arithmetic and the global-wiring tables.
 #[derive(Debug, Clone)]
 pub struct Topology {
     cfg: TopologyConfig,
-    channels: Vec<ChannelInfo>,
-    global_links: Vec<GlobalLink>,
-    /// `[src_group][dst_group]` -> (gateway router in src group, directed
-    /// channel src->dst). Empty vec on the diagonal.
-    gateways: Vec<Vec<Vec<(RouterId, ChannelId)>>>,
-    /// `[router]` -> every outgoing global channel of that router with the
-    /// group it lands in. Progressive adaptive routing re-evaluates its
-    /// minimal/non-minimal decision over these at the gateway.
-    router_globals: Vec<Vec<(ChannelId, GroupId)>>,
+    /// `[link]` -> its endpoint routers (raw [`RouterId`]s) in the lower-
+    /// and higher-numbered group. Links are numbered in canonical group
+    /// pair order; link `i` owns global channels `base_global + 2i`
+    /// (low -> high) and `base_global + 2i + 1` (high -> low).
+    links: Vec<(u32, u32)>,
+    /// `[pair_slot(src, dst) * links_per_pair + k]` -> the `k`th parallel
+    /// link from `src` to `dst`, in link order.
+    gateways: Vec<Gateway>,
+    /// `[router * global_links_per_router + k]` -> the router's `k`th
+    /// outgoing global channel and the group it lands in, in link order.
+    router_globals: Vec<(ChannelId, GroupId)>,
+    links_per_pair: u32,
     // Channel-id arithmetic bases.
     base_term_down: u32,
     base_row: u32,
@@ -63,66 +95,10 @@ impl Topology {
         }
         let n_nodes = cfg.total_nodes();
         let n_routers = cfg.total_routers();
-        let row_per_router = cfg.cols - 1;
-        let col_per_router = cfg.rows - 1;
-
         let base_term_down = n_nodes;
         let base_row = 2 * n_nodes;
-        let base_col = base_row + n_routers * row_per_router;
-        let base_global = base_col + n_routers * col_per_router;
-
-        let mut channels = Vec::with_capacity(
-            (base_global + cfg.groups * (cfg.groups - 1) * cfg.links_per_group_pair()) as usize,
-        );
-
-        // Terminal up: id = node.
-        for node in 0..n_nodes {
-            let router = node / cfg.nodes_per_router;
-            channels.push(ChannelInfo {
-                class: ChannelClass::TerminalUp,
-                src: ChannelEnd::Node(NodeId(node)),
-                dst: ChannelEnd::Router(RouterId(router)),
-            });
-        }
-        // Terminal down: id = base_term_down + node.
-        for node in 0..n_nodes {
-            let router = node / cfg.nodes_per_router;
-            channels.push(ChannelInfo {
-                class: ChannelClass::TerminalDown,
-                src: ChannelEnd::Router(RouterId(router)),
-                dst: ChannelEnd::Node(NodeId(node)),
-            });
-        }
-        // Local row: id = base_row + router*(cols-1) + rank(dst_col).
-        for r in 0..n_routers {
-            let (g, row, col) = decompose(&cfg, r);
-            for dst_col in 0..cfg.cols {
-                if dst_col == col {
-                    continue;
-                }
-                let dst = compose(&cfg, g, row, dst_col);
-                channels.push(ChannelInfo {
-                    class: ChannelClass::LocalRow,
-                    src: ChannelEnd::Router(RouterId(r)),
-                    dst: ChannelEnd::Router(RouterId(dst)),
-                });
-            }
-        }
-        // Local col: id = base_col + router*(rows-1) + rank(dst_row).
-        for r in 0..n_routers {
-            let (g, row, col) = decompose(&cfg, r);
-            for dst_row in 0..cfg.rows {
-                if dst_row == row {
-                    continue;
-                }
-                let dst = compose(&cfg, g, dst_row, col);
-                channels.push(ChannelInfo {
-                    class: ChannelClass::LocalCol,
-                    src: ChannelEnd::Router(RouterId(r)),
-                    dst: ChannelEnd::Router(RouterId(dst)),
-                });
-            }
-        }
+        let base_col = base_row + n_routers * (cfg.cols - 1);
+        let base_global = base_col + n_routers * (cfg.rows - 1);
 
         // Global wiring: the configured arrangement plans which router in
         // each group terminates each link; iterating group pairs in
@@ -131,56 +107,90 @@ impl Topology {
         // of the arrangement (see `GlobalArrangement::plan`). Channel ids
         // depend only on the iteration order, so every arrangement shares
         // the id arithmetic — and the default round-robin plan reproduces
-        // the historical wiring byte for byte.
-        let links_per_pair = cfg.links_per_group_pair();
+        // the historical wiring byte for byte. The plan's local endpoint
+        // indices are rewritten in place into the link table.
+        let g = cfg.groups;
+        let lpp = cfg.links_per_group_pair();
         let rpg = cfg.routers_per_group();
-        let plan = cfg.arrangement.plan(&cfg);
-        let mut endpoints = plan.iter();
-        let mut global_links = Vec::new();
-        let mut gateways = vec![vec![Vec::new(); cfg.groups as usize]; cfg.groups as usize];
-        let mut router_globals = vec![Vec::new(); n_routers as usize];
+        let h = cfg.global_links_per_router;
+        let mut links = cfg.arrangement.plan(&cfg);
+        assert_eq!(
+            links.len(),
+            (g * (g - 1) / 2 * lpp) as usize,
+            "arrangement plan length"
+        );
 
-        let mut next_id = base_global;
-        for ga in 0..cfg.groups {
-            for gb in (ga + 1)..cfg.groups {
-                for _ in 0..links_per_pair {
-                    let &(la, lb) = endpoints.next().expect("arrangement plan too short");
-                    let ra = RouterId(ga * rpg + la);
-                    let rb = RouterId(gb * rpg + lb);
-                    let ab = ChannelId(next_id);
-                    let ba = ChannelId(next_id + 1);
-                    next_id += 2;
-                    channels.push(ChannelInfo {
-                        class: ChannelClass::Global,
-                        src: ChannelEnd::Router(ra),
-                        dst: ChannelEnd::Router(rb),
-                    });
-                    channels.push(ChannelInfo {
-                        class: ChannelClass::Global,
-                        src: ChannelEnd::Router(rb),
-                        dst: ChannelEnd::Router(ra),
-                    });
-                    global_links.push(GlobalLink {
-                        a: ra,
-                        b: rb,
-                        ab,
-                        ba,
-                    });
-                    gateways[ga as usize][gb as usize].push((ra, ab));
-                    gateways[gb as usize][ga as usize].push((rb, ba));
-                    router_globals[ra.index()].push((ab, GroupId(gb)));
-                    router_globals[rb.index()].push((ba, GroupId(ga)));
+        // Gateways: each link fills one entry of the (lo, hi) pair's run
+        // and one of the (hi, lo) run. Walking the pair matrix in square
+        // tiles keeps both the link reads and the transposed writes
+        // within a few pages at a time (this halves the build's compute at
+        // 257 groups).
+        const TILE: u32 = 16;
+        let unset = Gateway {
+            router: RouterId(u32::MAX),
+            channel: ChannelId(u32::MAX),
+            far: RouterId(u32::MAX),
+        };
+        let mut gateways = vec![unset; (g * (g - 1) * lpp) as usize];
+        for lo_tile in (0..g).step_by(TILE as usize) {
+            for hi_tile in (lo_tile..g).step_by(TILE as usize) {
+                for lo in lo_tile..(lo_tile + TILE).min(g) {
+                    for hi in (lo + 1).max(hi_tile)..(hi_tile + TILE).min(g) {
+                        let first = pair_index(lo, hi, g) * lpp;
+                        let up = (pair_slot(lo, hi, g) * lpp) as usize;
+                        let down = (pair_slot(hi, lo, g) * lpp) as usize;
+                        for k in 0..lpp {
+                            let link = first + k;
+                            let (la, lb) = links[link as usize];
+                            let (a, b) = (lo * rpg + la, hi * rpg + lb);
+                            links[link as usize] = (a, b);
+                            let ab = ChannelId(base_global + 2 * link);
+                            gateways[up + k as usize] = Gateway {
+                                router: RouterId(a),
+                                channel: ab,
+                                far: RouterId(b),
+                            };
+                            gateways[down + k as usize] = Gateway {
+                                router: RouterId(b),
+                                channel: ChannelId(ab.0 + 1),
+                                far: RouterId(a),
+                            };
+                        }
+                    }
                 }
             }
         }
-        debug_assert!(endpoints.next().is_none(), "arrangement plan too long");
+
+        // A group's links in link order are its peers in increasing
+        // order, each pair's links in order (pairs with lower peers
+        // precede every pair with higher ones): exactly its run of the
+        // gateway table. Each router's outgoing globals are therefore its
+        // entries of that run, in order.
+        let mut router_globals = vec![(ChannelId(0), GroupId(0)); (g * rpg * h) as usize];
+        let mut degree = vec![0u32; rpg as usize];
+        let mut pairs = gateways.chunks_exact(lpp as usize);
+        for src in 0..g {
+            degree.fill(0);
+            for (dst, gws) in (0..g).filter(|&d| d != src).zip(&mut pairs) {
+                for gw in gws {
+                    let d = &mut degree[(gw.router.0 - src * rpg) as usize];
+                    assert!(
+                        *d < h,
+                        "arrangement gives {} more than {h} links",
+                        gw.router
+                    );
+                    router_globals[(gw.router.0 * h + *d) as usize] = (gw.channel, GroupId(dst));
+                    *d += 1;
+                }
+            }
+        }
 
         Topology {
             cfg,
-            channels,
-            global_links,
+            links,
             gateways,
             router_globals,
+            links_per_pair: lpp,
             base_term_down,
             base_row,
             base_col,
@@ -195,7 +205,7 @@ impl Topology {
 
     /// Total number of directed channels.
     pub fn channel_count(&self) -> usize {
-        self.channels.len()
+        self.base_global as usize + 2 * self.links.len()
     }
 
     /// Number of directed channels of `class` (O(1): channel ids are
@@ -206,28 +216,113 @@ impl Topology {
             ChannelClass::TerminalDown => (self.base_term_down, self.base_row),
             ChannelClass::LocalRow => (self.base_row, self.base_col),
             ChannelClass::LocalCol => (self.base_col, self.base_global),
-            ChannelClass::Global => (self.base_global, self.channels.len() as u32),
+            ChannelClass::Global => return 2 * self.links.len(),
         };
         (hi - lo) as usize
     }
 
-    /// Static info for a channel.
+    /// Heap bytes this machine holds: the global-wiring tables, sized by
+    /// global links and router ports (nothing grows with the channel
+    /// count).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.links.capacity() * size_of::<(u32, u32)>()
+            + self.gateways.capacity() * size_of::<Gateway>()
+            + self.router_globals.capacity() * size_of::<(ChannelId, GroupId)>()
+    }
+
+    /// The class of a channel (a few comparisons against the class
+    /// ranges; cheaper than [`Topology::channel`] when only the class is
+    /// needed).
     #[inline]
-    pub fn channel(&self, id: ChannelId) -> &ChannelInfo {
-        &self.channels[id.index()]
+    pub fn channel_class(&self, id: ChannelId) -> ChannelClass {
+        let i = id.0;
+        if i < self.base_term_down {
+            ChannelClass::TerminalUp
+        } else if i < self.base_row {
+            ChannelClass::TerminalDown
+        } else if i < self.base_col {
+            ChannelClass::LocalRow
+        } else if i < self.base_global {
+            ChannelClass::LocalCol
+        } else {
+            debug_assert!((i as usize) < self.channel_count(), "{id} out of range");
+            ChannelClass::Global
+        }
     }
 
-    /// Iterate all channels with their ids.
-    pub fn channels(&self) -> impl Iterator<Item = (ChannelId, &ChannelInfo)> {
-        self.channels
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (ChannelId(i as u32), c))
+    /// Static info for a channel, computed from its id. Panics if `id` is
+    /// out of range.
+    #[inline]
+    pub fn channel(&self, id: ChannelId) -> ChannelInfo {
+        let i = id.0;
+        if i < self.base_term_down {
+            let node = NodeId(i);
+            ChannelInfo {
+                class: ChannelClass::TerminalUp,
+                src: ChannelEnd::Node(node),
+                dst: ChannelEnd::Router(self.node_router(node)),
+            }
+        } else if i < self.base_row {
+            let node = NodeId(i - self.base_term_down);
+            ChannelInfo {
+                class: ChannelClass::TerminalDown,
+                src: ChannelEnd::Router(self.node_router(node)),
+                dst: ChannelEnd::Node(node),
+            }
+        } else if i < self.base_col {
+            // id = base_row + router*(cols-1) + rank(dst_col).
+            let per = self.cfg.cols - 1;
+            let (src, rank) = ((i - self.base_row) / per, (i - self.base_row) % per);
+            let (g, row, col) = decompose(&self.cfg, src);
+            let dst = compose(&self.cfg, g, row, rank + (rank >= col) as u32);
+            router_link(ChannelClass::LocalRow, src, dst)
+        } else if i < self.base_global {
+            // id = base_col + router*(rows-1) + rank(dst_row).
+            let per = self.cfg.rows - 1;
+            let (src, rank) = ((i - self.base_col) / per, (i - self.base_col) % per);
+            let (g, row, col) = decompose(&self.cfg, src);
+            let dst = compose(&self.cfg, g, rank + (rank >= row) as u32, col);
+            router_link(ChannelClass::LocalCol, src, dst)
+        } else {
+            // Link (id - base_global) / 2; even ids run low -> high group.
+            let off = i - self.base_global;
+            let (a, b) = self.links[(off / 2) as usize];
+            if off.is_multiple_of(2) {
+                router_link(ChannelClass::Global, a, b)
+            } else {
+                router_link(ChannelClass::Global, b, a)
+            }
+        }
     }
 
-    /// All undirected global links.
-    pub fn global_links(&self) -> &[GlobalLink] {
-        &self.global_links
+    /// The router owning a channel: its transmitting router, or for a
+    /// terminal-up channel the injecting node's router. This is the
+    /// partition [`Topology::router_channels`] lists.
+    #[inline]
+    pub fn channel_owner(&self, id: ChannelId) -> RouterId {
+        match self.channel(id).src {
+            ChannelEnd::Router(r) => r,
+            ChannelEnd::Node(n) => self.node_router(n),
+        }
+    }
+
+    /// Iterate all channels with their (computed) info, in id order.
+    pub fn channels(&self) -> impl Iterator<Item = (ChannelId, ChannelInfo)> + '_ {
+        (0..self.channel_count() as u32).map(move |i| (ChannelId(i), self.channel(ChannelId(i))))
+    }
+
+    /// All undirected global links, in link (channel id) order.
+    pub fn global_links(&self) -> impl ExactSizeIterator<Item = GlobalLink> + '_ {
+        self.links.iter().enumerate().map(move |(i, &(a, b))| {
+            let ab = ChannelId(self.base_global + 2 * i as u32);
+            GlobalLink {
+                a: RouterId(a),
+                b: RouterId(b),
+                ab,
+                ba: ChannelId(ab.0 + 1),
+            }
+        })
     }
 
     // ----- entity relations ---------------------------------------------
@@ -359,11 +454,17 @@ impl Topology {
         ChannelId(self.base_col + src.0 * (self.cfg.rows - 1) + rank)
     }
 
-    /// Gateways from `src_group` to `dst_group`: (router in src group,
-    /// directed global channel). Uniformly spread over the group's routers.
+    /// Gateways from `src_group` to `dst_group`: the group pair's
+    /// `links_per_group_pair` parallel links in link order, uniformly
+    /// spread over the group's routers. Empty when the groups are equal.
     #[inline]
-    pub fn gateways(&self, src_group: GroupId, dst_group: GroupId) -> &[(RouterId, ChannelId)] {
-        &self.gateways[src_group.index()][dst_group.index()]
+    pub fn gateways(&self, src_group: GroupId, dst_group: GroupId) -> &[Gateway] {
+        if src_group == dst_group {
+            return &[];
+        }
+        let lpp = self.links_per_pair as usize;
+        let start = pair_slot(src_group.0, dst_group.0, self.cfg.groups) as usize * lpp;
+        &self.gateways[start..start + lpp]
     }
 
     /// The first channel id of the global class (useful for metrics layout).
@@ -377,7 +478,8 @@ impl Topology {
     /// scans these to re-evaluate its decision at the gateway.
     #[inline]
     pub fn router_global_channels(&self, router: RouterId) -> &[(ChannelId, GroupId)] {
-        &self.router_globals[router.index()]
+        let h = self.cfg.global_links_per_router as usize;
+        &self.router_globals[router.index() * h..][..h]
     }
 
     /// The channels of `class` a router owns, in id order: the ones it
@@ -403,7 +505,8 @@ impl Topology {
                 let base = self.base_col + r * (rows - 1);
                 (base..base + rows - 1).map(ChannelId).collect()
             }
-            ChannelClass::Global => self.router_globals[router.index()]
+            ChannelClass::Global => self
+                .router_global_channels(router)
                 .iter()
                 .map(|&(ch, _)| ch)
                 .collect(),
@@ -429,6 +532,33 @@ impl Topology {
             ChannelClass::LocalRow | ChannelClass::LocalCol => self.cfg.local_latency,
             ChannelClass::Global => self.cfg.global_latency,
         }
+    }
+}
+
+/// Index of the unordered group pair `lo < hi` in canonical pair order
+/// (lexicographic over `(lo, hi)`), the order links are numbered in.
+#[inline]
+fn pair_index(lo: u32, hi: u32, groups: u32) -> u32 {
+    debug_assert!(lo < hi);
+    lo * (2 * groups - lo - 1) / 2 + (hi - lo - 1)
+}
+
+/// Index of the ordered group pair `(src, dst)`, `src != dst`, among the
+/// `groups * (groups - 1)` ordered pairs: source-major, destinations in
+/// increasing order skipping the source.
+#[inline]
+fn pair_slot(src: u32, dst: u32, groups: u32) -> u32 {
+    debug_assert_ne!(src, dst);
+    src * (groups - 1) + dst - (dst > src) as u32
+}
+
+/// A router-to-router channel between raw router ids.
+#[inline]
+fn router_link(class: ChannelClass, src: u32, dst: u32) -> ChannelInfo {
+    ChannelInfo {
+        class,
+        src: ChannelEnd::Router(RouterId(src)),
+        dst: ChannelEnd::Router(RouterId(dst)),
     }
 }
 
@@ -516,13 +646,13 @@ mod tests {
                     assert!(gws.is_empty());
                 } else {
                     assert_eq!(gws.len() as u32, t.config().links_per_group_pair());
-                    for &(router, ch) in gws {
-                        assert_eq!(t.router_group(router), GroupId(a));
-                        let info = t.channel(ch);
+                    for gw in gws {
+                        assert_eq!(t.router_group(gw.router), GroupId(a));
+                        let info = t.channel(gw.channel);
                         assert_eq!(info.class, ChannelClass::Global);
-                        assert_eq!(info.src.router(), Some(router));
-                        let dst = info.dst.router().unwrap();
-                        assert_eq!(t.router_group(dst), GroupId(b));
+                        assert_eq!(info.src.router(), Some(gw.router));
+                        assert_eq!(info.dst.router(), Some(gw.far));
+                        assert_eq!(t.router_group(gw.far), GroupId(b));
                     }
                 }
             }
@@ -536,8 +666,8 @@ mod tests {
         let t = theta();
         let gws = t.gateways(GroupId(0), GroupId(5));
         let mut per_router = std::collections::HashMap::new();
-        for &(r, _) in gws {
-            *per_router.entry(r).or_insert(0u32) += 1;
+        for gw in gws {
+            *per_router.entry(gw.router).or_insert(0u32) += 1;
         }
         // 48 links over 96 routers: no router should carry more than 2.
         assert!(per_router.values().all(|&c| c <= 2));
