@@ -1,9 +1,53 @@
 //! Engine micro-benchmarks: event queue and RNG throughput — the
 //! simulator's innermost loops.
 
-use dfly_bench::{criterion_group, criterion_main, BatchSize, Criterion};
+use dfly_bench::{criterion_group, criterion_main, BatchSize, Bencher, Criterion};
 use dfly_engine::{EventQueue, Ns, Xoshiro256};
 use std::hint::black_box;
+
+/// A delay drawn log-uniformly from `[lo, lo * 2^octaves)` ns.
+fn log_uniform(rng: &mut Xoshiro256, lo: f64, octaves: f64) -> u64 {
+    (lo * 2f64.powf(octaves * rng.next_f64())) as u64
+}
+
+/// A hold of 10k pending events (Theta's mean queue depth), one pop and
+/// one push per step, the push `delays` (cycled) after the popped event.
+/// Every other push is an in-flight arrival: its seq is reserved at the
+/// pop and the event handed back through `schedule_reserved` one step
+/// later, as a channel's FIFO head is. Pops must come in strictly
+/// increasing `(time, seq)` order. One iteration = 1,000 steps.
+fn hold(b: &mut Bencher, delays: Vec<u64>) {
+    let mut next_delay = delays.iter().copied().cycle();
+    let mut q = EventQueue::new();
+    for i in 0..10_000u64 {
+        q.schedule(Ns(next_delay.next().unwrap()), i);
+    }
+    let mut held: Option<(Ns, u64)> = None;
+    let mut last: Option<(Ns, u64)> = None;
+    let mut step = 0u64;
+    b.iter(|| {
+        for _ in 0..1_000 {
+            if let Some((t, seq)) = held.take() {
+                q.schedule_reserved(t, seq, seq);
+            }
+            let e = q.pop().expect("the hold never drains");
+            let key = (e.time, e.seq);
+            assert!(
+                last.is_none_or(|prev| key > prev),
+                "pop order broke: {key:?} after {last:?}"
+            );
+            last = Some(key);
+            let at = e.time + Ns(next_delay.next().unwrap());
+            step += 1;
+            if step.is_multiple_of(2) {
+                held = Some((at, q.reserve_seq()));
+            } else {
+                q.schedule(at, e.event);
+            }
+        }
+        black_box(q.len())
+    });
+}
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
@@ -44,46 +88,29 @@ fn bench_event_queue(c: &mut Criterion) {
         });
     });
     g.bench_function("hold_10k", |b| {
-        // The network's steady state: 10k pending events (Theta's mean
-        // queue depth), one pop and one push per step, delays drawn
-        // log-uniformly from the measured 64 ns – 4 µs mix. Every other
-        // push is an in-flight arrival: its seq is reserved at the pop
-        // and the event handed back through `schedule_reserved` one step
-        // later, as a channel's FIFO head is. One iteration = 1,000 steps.
+        // The network's steady state: delays drawn log-uniformly from the
+        // measured 64 ns – 4 µs mix, all inside the wheel.
         let mut rng = Xoshiro256::seed_from(4);
-        let delays: Vec<u64> = (0..4_096)
-            .map(|_| (64.0 * 2f64.powf(6.0 * rng.next_f64())) as u64)
+        let delays = (0..4_096)
+            .map(|_| log_uniform(&mut rng, 64.0, 6.0))
             .collect();
-        let mut next_delay = delays.iter().copied().cycle();
-        let mut q = EventQueue::new();
-        for i in 0..10_000u64 {
-            q.schedule(Ns(next_delay.next().unwrap()), i);
-        }
-        let mut held: Option<(Ns, u64)> = None;
-        let mut last: Option<(Ns, u64)> = None;
-        let mut step = 0u64;
-        b.iter(|| {
-            for _ in 0..1_000 {
-                if let Some((t, seq)) = held.take() {
-                    q.schedule_reserved(t, seq, seq);
-                }
-                let e = q.pop().expect("the hold never drains");
-                let key = (e.time, e.seq);
-                assert!(
-                    last.is_none_or(|prev| key > prev),
-                    "pop order broke: {key:?} after {last:?}"
-                );
-                last = Some(key);
-                let at = e.time + Ns(next_delay.next().unwrap());
-                step += 1;
-                if step.is_multiple_of(2) {
-                    held = Some((at, q.reserve_seq()));
+        hold(b, delays);
+    });
+    g.bench_function("wide_horizon_10k", |b| {
+        // hold_10k's mix with one delay in ten drawn log-uniformly from
+        // 4 µs – 1 ms instead, beyond the wheel: those events wait in the
+        // far heap and move into their slots as the clock reaches them.
+        let mut rng = Xoshiro256::seed_from(5);
+        let delays = (0..4_096)
+            .map(|i| {
+                if i % 10 == 9 {
+                    log_uniform(&mut rng, 4_096.0, 8.0)
                 } else {
-                    q.schedule(at, e.event);
+                    log_uniform(&mut rng, 64.0, 6.0)
                 }
-            }
-            black_box(q.len())
-        });
+            })
+            .collect();
+        hold(b, delays);
     });
     g.finish();
 }

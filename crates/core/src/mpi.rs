@@ -104,7 +104,10 @@ pub const JOB_SLOTS: usize = 1 << (u64::BITS - JOB_SHIFT);
 
 const RANK_MASK: u64 = (1 << RANK_BITS) - 1;
 const PHASE_MASK: u64 = (1 << (JOB_SHIFT - PHASE_SHIFT)) - 1;
-const NO_OWNER: (u32, u32) = (u32::MAX, u32::MAX);
+/// A `node_owner` entry no job holds. Entries pack `slot + 1` above the
+/// rank, so "no owner" is all-zero bits and the table's untouched pages
+/// are never made resident.
+const NO_OWNER: u64 = 0;
 
 /// Outcome of one job in a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,7 +169,7 @@ pub(crate) struct Job<'a, M> {
 pub(crate) struct JobEngine<'a, M> {
     slots: Vec<Option<Job<'a, M>>>,
     free_slots: Vec<u32>,
-    node_owner: Vec<(u32, u32)>,
+    node_owner: Vec<u64>,
 }
 
 impl<'a, M> JobEngine<'a, M> {
@@ -211,7 +214,7 @@ impl<'a, M> JobEngine<'a, M> {
         for (rank, &node) in placement.iter().enumerate() {
             let owner = &mut self.node_owner[node.index()];
             assert_eq!(*owner, NO_OWNER, "node {node} assigned twice");
-            *owner = (slot, rank as u32);
+            *owner = (u64::from(slot) + 1) << 32 | rank as u64;
         }
         let job = Job {
             ranks: trace
@@ -253,10 +256,11 @@ impl<'a, M> JobEngine<'a, M> {
     /// Account a delivery to its sender and receiver and advance both.
     /// Returns the job's slot, or `None` for background traffic.
     pub(crate) fn deliver<N: DriverNet>(&mut self, net: &mut N, d: &Delivery) -> Option<u32> {
-        let (slot, dst_rank) = self.node_owner[d.dst.index()];
-        if slot == NO_OWNER.0 {
+        let owner = self.node_owner[d.dst.index()];
+        if owner == NO_OWNER {
             return None;
         }
+        let (slot, dst_rank) = ((owner >> 32) as u32 - 1, owner as u32);
         let now = net.now();
         let phase = ((d.tag >> PHASE_SHIFT) & PHASE_MASK) as usize;
         let src_rank = (d.tag & RANK_MASK) as u32;

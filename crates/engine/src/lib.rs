@@ -8,10 +8,11 @@
 //!   bandwidth/serialization arithmetic ([`Bandwidth`]),
 //! * a total-ordered event queue ([`EventQueue`]) whose tie-breaking is a
 //!   monotone sequence number, so simulations are bit-for-bit reproducible;
-//!   it is a monotone radix queue (nothing is scheduled before the clock,
-//!   so an event is filed in O(1) into one of 64 chunked buckets by the
-//!   highest bit of `time ^ now`), and since a peek scans a bucket,
-//!   bounded loops pop with [`EventQueue::pop_until`] (see [`queue`]),
+//!   it is a timing wheel (nothing is scheduled before the clock, so an
+//!   event less than 4,096 ns ahead is filed once, in O(1), into the slot
+//!   of its nanosecond, and later ones wait in a heap until the clock
+//!   brings them inside the wheel), and bounded loops pop with
+//!   [`EventQueue::pop_until`] (see [`queue`]),
 //! * a small, self-contained xoshiro256** random number generator
 //!   ([`rng::Xoshiro256`]) so random placement/routing decisions are stable
 //!   across dependency upgrades,

@@ -1,39 +1,42 @@
 //! The discrete-event queue.
 //!
-//! A monotone radix queue keyed by `(time, sequence)`. The sequence number
-//! makes the ordering of same-timestamp events the order in which they
-//! were scheduled, which is what makes whole simulations deterministic
-//! and therefore comparable across configurations.
+//! A timing wheel keyed by `(time, sequence)` (a hashed timing wheel in
+//! the sense of Varghese & Lauck, SOSP 1987). The sequence number makes
+//! the ordering of same-timestamp events the order in which they were
+//! scheduled, which is what makes whole simulations deterministic and
+//! therefore comparable across configurations.
 //!
 //! The queue relies on one invariant: nothing is ever scheduled before
 //! the clock (`schedule` and `schedule_reserved` assert `time >= now` in
-//! release builds too). Keys therefore only move forward, and an event
-//! can be filed by how far it lies from the clock instead of being
-//! compared against its neighbours:
+//! release builds too). Keys therefore only move forward, and an event is
+//! filed by its distance from the clock:
 //!
-//! * events at exactly `now` form the *current run*, kept in `seq`
-//!   order — an append in the common case, a sorted insert when a
-//!   reserved seq comes back behind queued ties at the same timestamp;
-//! * every later event sits in one of 64 *buckets*, indexed by the
-//!   highest set bit of `time ^ now`, with a `u64` mask of the non-empty
-//!   ones.
+//! * an event less than `SLOTS` (4,096) ns ahead goes to *slot*
+//!   `time % SLOTS` of the wheel. The window `[now, now + SLOTS)` holds
+//!   each slot index once, so a slot holds one timestamp at a time. Its
+//!   events form an intrusive list through one slab of nodes with a free
+//!   list, kept in `seq` order: an append in the common case, a sorted
+//!   insert when a reserved seq comes back behind queued ties. Two levels
+//!   of `u64` bitmaps mark the non-empty slots, so the next one is a
+//!   `trailing_zeros` away;
+//! * a later event goes to a binary heap of *far* events keyed by
+//!   `(time, seq)`. When a pop moves the clock, the far events that now
+//!   fall inside the window move into their slots.
 //!
-//! When the current run is empty, a pop scans the lowest non-empty bucket
-//! for its minimum time `m`, moves the clock to `m` and refiles that
-//! bucket: the events at `m` become the current run, the rest land in
-//! strictly lower buckets. An event therefore moves at most 64 times over
-//! its life, and with the narrow scheduling horizon of a packet network
-//! (every delay below 2^12 ns on Theta) only a handful. Buckets are lists
-//! of fixed 64-entry chunks from one shared free list, so the queue's
-//! memory follows its peak population and no bucket keeps capacity of
-//! its own.
+//! A packet network schedules nearly everything within a few
+//! microseconds (no Theta event lies 4,096 ns or more ahead of the clock),
+//! so nearly every event is filed exactly once and popped from the head of
+//! its slot. The slot arrays (32 KB) are allocated on the first schedule,
+//! so a queue that never receives an event costs nothing, and the slab
+//! follows the peak population of the wheel.
 //!
-//! The price is the peek: [`EventQueue::peek_time`] scans one bucket.
-//! Loops that run up to a time bound use [`EventQueue::pop_until`], which
-//! folds the bound check into the pop.
+//! [`EventQueue::peek_time`] is a bitmap scan. Loops that run up to a time
+//! bound still use [`EventQueue::pop_until`], which folds the bound check
+//! into the pop.
 
 use crate::time::Ns;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// An event drawn from the queue: the firing time plus the user payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,43 +49,59 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-struct Entry<E> {
+/// Wheel width: events less than this many ns ahead of the clock are
+/// filed in a slot, later ones in the far heap.
+const SLOTS: usize = 4096;
+const MASK: u64 = SLOTS as u64 - 1;
+/// "No node": the end of a slot's list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One pending event in a slot's list, or a free node (`event: None`).
+/// Its time is the slot's.
+struct Node<E> {
+    seq: u64,
+    next: u32,
+    event: Option<E>,
+}
+
+/// First and last node of one slot (`NIL` when empty).
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY_SLOT: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+};
+
+/// An event at least `SLOTS` ns ahead of the clock, ordered so that the
+/// max-heap pops the earliest `(time, seq)` first.
+struct Far<E> {
     time: u64,
     seq: u64,
     event: E,
 }
 
-/// Entries per chunk.
-const CHUNK: usize = 64;
-/// "No chunk": the end of a bucket's list or of the free list.
-const NIL: u32 = u32::MAX;
-
-/// A fixed-capacity block of bucket entries, linked into one bucket's
-/// list or into the free list. Its allocation lives as long as the
-/// queue, so refiling a bucket allocates nothing.
-struct Chunk<E> {
-    entries: Vec<Entry<E>>,
-    next: u32,
+impl<E> PartialEq for Far<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.time, self.seq) == (other.time, other.seq)
+    }
 }
 
-/// First and last chunk of one bucket (`NIL` when empty). Pushes append
-/// to the last chunk; entries inside a bucket are in no particular order.
-#[derive(Clone, Copy)]
-struct Bucket {
-    head: u32,
-    tail: u32,
+impl<E> Eq for Far<E> {}
+
+impl<E> PartialOrd for Far<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
-const EMPTY_BUCKET: Bucket = Bucket {
-    head: NIL,
-    tail: NIL,
-};
-
-/// Bucket of a key that differs from the clock (`diff = time ^ now != 0`).
-#[inline]
-fn bucket_of(diff: u64) -> usize {
-    debug_assert_ne!(diff, 0);
-    63 - diff.leading_zeros() as usize
+impl<E> Ord for Far<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
 }
 
 /// A deterministic discrete-event queue.
@@ -101,16 +120,21 @@ fn bucket_of(diff: u64) -> usize {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    /// Pending events at exactly `now`, in `seq` order: the next pops.
-    current: VecDeque<Entry<E>>,
-    /// Pending events after `now`, filed by the highest bit of `time ^ now`.
-    buckets: [Bucket; 64],
-    /// Bit `i` is set iff bucket `i` holds an event.
-    occupied: u64,
-    /// Chunk storage shared by all buckets.
-    chunks: Vec<Chunk<E>>,
-    /// First chunk of the list of unused chunks.
+    /// Slot `t % SLOTS` lists the pending events at time `t`, for every
+    /// `t` in `[now, now + SLOTS)`. Empty until the first schedule.
+    slots: Vec<Slot>,
+    /// Bit `s % 64` of word `s / 64` is set iff slot `s` is non-empty.
+    words: [u64; SLOTS / 64],
+    /// Bit `w` is set iff `words[w] != 0`.
+    summary: u64,
+    /// Node storage shared by all slot lists.
+    nodes: Vec<Node<E>>,
+    /// First node of the list of unused nodes.
     free: u32,
+    /// Pending events at `now + SLOTS` or later.
+    far: BinaryHeap<Far<E>>,
+    /// Nodes to reserve with the slot arrays (see `with_capacity`).
+    cap_hint: usize,
     len: usize,
     next_seq: u64,
     now: Ns,
@@ -135,15 +159,18 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// An empty queue whose chunk table has room for about `cap` pending
-    /// events; the chunks themselves are allocated as events arrive.
+    /// An empty queue that will reserve room for about `cap` pending
+    /// events. Like the slot arrays, the room is allocated on the first
+    /// schedule.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            current: VecDeque::new(),
-            buckets: [EMPTY_BUCKET; 64],
-            occupied: 0,
-            chunks: Vec::with_capacity(cap.div_ceil(CHUNK)),
+            slots: Vec::new(),
+            words: [0; SLOTS / 64],
+            summary: 0,
+            nodes: Vec::new(),
             free: NIL,
+            far: BinaryHeap::new(),
+            cap_hint: cap,
             len: 0,
             next_seq: 0,
             now: Ns::ZERO,
@@ -219,23 +246,18 @@ impl<E> EventQueue<E> {
         self.insert(time, seq, event);
     }
 
-    /// File an event with `time >= now`.
+    /// File an event with `time >= now`: in its slot when it lies inside
+    /// the window, else in the far heap.
     #[inline]
     fn insert(&mut self, time: Ns, seq: u64, event: E) {
-        let entry = Entry {
-            time: time.0,
-            seq,
-            event,
-        };
-        let diff = time.0 ^ self.now.0;
-        if diff != 0 {
-            self.push_bucket(bucket_of(diff), entry);
-        } else if self.current.back().is_none_or(|last| last.seq < seq) {
-            self.current.push_back(entry);
+        if time.0 - self.now.0 < SLOTS as u64 {
+            self.file(time.0, seq, event);
         } else {
-            // A reserved seq coming back behind queued ties.
-            let at = self.current.partition_point(|e| e.seq < seq);
-            self.current.insert(at, entry);
+            self.far.push(Far {
+                time: time.0,
+                seq,
+                event,
+            });
         }
         self.len += 1;
         if self.len > self.high_water {
@@ -243,94 +265,104 @@ impl<E> EventQueue<E> {
         }
     }
 
+    #[cold]
+    fn allocate_wheel(&mut self) {
+        self.slots = vec![EMPTY_SLOT; SLOTS];
+        self.nodes.reserve(self.cap_hint);
+    }
+
+    /// Link an event at `time` (inside the window) into its slot's list,
+    /// keeping the list in `seq` order.
     #[inline]
-    fn push_bucket(&mut self, b: usize, entry: Entry<E>) {
-        let tail = self.buckets[b].tail;
-        if tail != NIL {
-            let entries = &mut self.chunks[tail as usize].entries;
-            if entries.len() < CHUNK {
-                entries.push(entry);
-                return;
-            }
+    fn file(&mut self, time: u64, seq: u64, event: E) {
+        if self.slots.is_empty() {
+            self.allocate_wheel();
         }
-        let c = self.alloc_chunk();
-        self.chunks[c as usize].entries.push(entry);
-        if tail == NIL {
-            self.buckets[b].head = c;
-            self.occupied |= 1 << b;
+        let s = (time & MASK) as usize;
+        let n = self.alloc_node(seq, event);
+        let Slot { head, tail } = self.slots[s];
+        if head == NIL {
+            self.slots[s] = Slot { head: n, tail: n };
+            self.words[s / 64] |= 1 << (s % 64);
+            self.summary |= 1 << (s / 64);
+        } else if self.nodes[tail as usize].seq < seq {
+            self.nodes[tail as usize].next = n;
+            self.slots[s].tail = n;
+        } else if seq < self.nodes[head as usize].seq {
+            // A reserved seq coming back ahead of every queued tie.
+            self.nodes[n as usize].next = head;
+            self.slots[s].head = n;
         } else {
-            self.chunks[tail as usize].next = c;
-        }
-        self.buckets[b].tail = c;
-    }
-
-    fn alloc_chunk(&mut self) -> u32 {
-        if self.free != NIL {
-            let c = self.free;
-            let chunk = &mut self.chunks[c as usize];
-            self.free = chunk.next;
-            chunk.next = NIL;
-            return c;
-        }
-        let c = u32::try_from(self.chunks.len())
-            .ok()
-            .filter(|&c| c != NIL)
-            .expect("event queue chunk space exhausted");
-        self.chunks.push(Chunk {
-            entries: Vec::with_capacity(CHUNK),
-            next: NIL,
-        });
-        c
-    }
-
-    /// Earliest time held in bucket `b` (which must be non-empty).
-    fn bucket_min(&self, b: usize) -> u64 {
-        let mut min = u64::MAX;
-        let mut c = self.buckets[b].head;
-        while c != NIL {
-            let chunk = &self.chunks[c as usize];
-            for e in &chunk.entries {
-                min = min.min(e.time);
-            }
-            c = chunk.next;
-        }
-        min
-    }
-
-    /// Advance the clock to `min`, the earliest time in bucket `b` (the
-    /// lowest non-empty bucket, with the current run empty), and refile
-    /// the bucket: its events at `min` become the current run, every
-    /// other one lands in a lower bucket.
-    fn refile(&mut self, b: usize, min: u64) {
-        debug_assert!(self.current.is_empty());
-        debug_assert_eq!(self.occupied.trailing_zeros() as usize, b);
-        self.now = Ns(min);
-        let mut c = self.buckets[b].head;
-        self.buckets[b] = EMPTY_BUCKET;
-        self.occupied &= !(1 << b);
-        let mut in_order = true;
-        while c != NIL {
-            let mut entries = std::mem::take(&mut self.chunks[c as usize].entries);
-            for e in entries.drain(..) {
-                let diff = e.time ^ min;
-                if diff != 0 {
-                    self.push_bucket(bucket_of(diff), e);
-                } else {
-                    in_order &= self.current.back().is_none_or(|last| last.seq < e.seq);
-                    self.current.push_back(e);
+            // ...or between them. The tail's seq is larger, so the walk
+            // stops before the end of the list.
+            let mut prev = head as usize;
+            loop {
+                let next = self.nodes[prev].next;
+                if self.nodes[next as usize].seq > seq {
+                    break;
                 }
+                prev = next as usize;
             }
-            let chunk = &mut self.chunks[c as usize];
-            chunk.entries = entries;
-            let next = chunk.next;
-            chunk.next = self.free;
-            self.free = c;
-            c = next;
+            self.nodes[n as usize].next = self.nodes[prev].next;
+            self.nodes[prev].next = n;
         }
-        if !in_order {
-            self.current
-                .make_contiguous()
-                .sort_unstable_by_key(|e| e.seq);
+    }
+
+    fn alloc_node(&mut self, seq: u64, event: E) -> u32 {
+        let node = Node {
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
+        if self.free != NIL {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            return n;
+        }
+        let n = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&n| n != NIL)
+            .expect("event queue node space exhausted");
+        self.nodes.push(node);
+        n
+    }
+
+    /// Time of the earliest pending event.
+    #[inline]
+    fn next_time(&self) -> Option<u64> {
+        if self.summary == 0 {
+            return self.far.peek().map(|f| f.time);
+        }
+        // Slots from the clock's onwards, then wrapped round to it: the
+        // cyclic order from `now % SLOTS` is time order.
+        let now = self.now.0;
+        let p = (now & MASK) as usize;
+        let w = p / 64;
+        let bits = self.words[w] & (u64::MAX << (p % 64));
+        let s = if bits != 0 {
+            w * 64 + bits.trailing_zeros() as usize
+        } else {
+            let later = self.summary & ((u64::MAX << w) << 1);
+            let w = if later != 0 { later } else { self.summary }.trailing_zeros() as usize;
+            w * 64 + self.words[w].trailing_zeros() as usize
+        };
+        Some(now + ((s as u64).wrapping_sub(now) & MASK))
+    }
+
+    /// Move the clock forward to `time` and bring the far events that now
+    /// fall inside the window into their slots. Their slots are empty:
+    /// they alias the times between the old clock and `time`, which held
+    /// no event.
+    fn advance(&mut self, time: u64) {
+        self.now = Ns(time);
+        while self
+            .far
+            .peek()
+            .is_some_and(|f| f.time - time < SLOTS as u64)
+        {
+            let f = self.far.pop().expect("peeked");
+            self.file(f.time, f.seq, f.event);
         }
     }
 
@@ -345,43 +377,53 @@ impl<E> EventQueue<E> {
     ///
     /// This is how a bounded loop should drain the queue: the bound check
     /// costs nothing extra, where a [`EventQueue::peek_time`] before every
-    /// pop would scan a bucket each time.
+    /// pop would repeat the slot search.
     pub fn pop_until(&mut self, limit: Ns) -> Option<ScheduledEvent<E>> {
-        if self.current.is_empty() {
-            if self.occupied == 0 {
-                return None;
-            }
-            let b = self.occupied.trailing_zeros() as usize;
-            let min = self.bucket_min(b);
-            if min > limit.0 {
-                return None;
-            }
-            self.refile(b, min);
-        } else if self.now > limit {
+        let time = self.next_time()?;
+        if time > limit.0 {
             return None;
         }
-        let e = self.current.pop_front()?;
-        debug_assert_eq!(e.time, self.now.0);
+        if time != self.now.0 {
+            self.advance(time);
+        }
+        let s = (time & MASK) as usize;
+        let n = self.slots[s].head;
+        let node = &mut self.nodes[n as usize];
+        let seq = node.seq;
+        let event = node.event.take().expect("a listed node holds an event");
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = n;
+        if next == NIL {
+            self.slots[s] = EMPTY_SLOT;
+            self.words[s / 64] &= !(1 << (s % 64));
+            if self.words[s / 64] == 0 {
+                self.summary &= !(1 << (s / 64));
+            }
+        } else {
+            self.slots[s].head = next;
+        }
         debug_assert!(
-            self.last_key.is_none_or(|last| (self.now, e.seq) > last),
+            self.far
+                .peek()
+                .is_none_or(|f| f.time - time >= SLOTS as u64),
+            "a far event inside the window"
+        );
+        debug_assert!(
+            self.last_key.is_none_or(|last| (self.now, seq) > last),
             "queue produced a key at or behind the last processed event"
         );
         self.len -= 1;
-        self.last_key = Some((self.now, e.seq));
+        self.last_key = Some((self.now, seq));
         Some(ScheduledEvent {
             time: self.now,
-            seq: e.seq,
-            event: e.event,
+            seq,
+            event,
         })
     }
 
-    /// The firing time of the earliest pending event. Scans one bucket
-    /// when no event is pending at the current time.
+    /// The firing time of the earliest pending event: a bitmap scan.
     pub fn peek_time(&self) -> Option<Ns> {
-        if !self.current.is_empty() {
-            return Some(self.now);
-        }
-        (self.occupied != 0).then(|| Ns(self.bucket_min(self.occupied.trailing_zeros() as usize)))
+        self.next_time().map(Ns)
     }
 
     /// Current simulation time (time of the most recently popped event).
@@ -618,15 +660,23 @@ mod tests {
     }
 
     #[test]
-    fn chunks_are_reused_across_refills() {
+    fn slab_follows_peak_population_and_starts_unallocated() {
+        // Nothing is allocated before the first schedule, even with a
+        // capacity hint: an idle queue costs only its struct.
+        let mut q = EventQueue::with_capacity(1_024);
+        assert_eq!(q.slots.capacity(), 0);
+        assert_eq!(q.nodes.capacity(), 0);
+        assert_eq!(q.far.capacity(), 0);
+        assert_eq!(q.peek_time(), None);
+        assert!(q.pop().is_none());
+        assert_eq!(q.slots.capacity(), 0);
         // A steady hold of 1,000 pending events over 100,000 pops recycles
-        // chunks through the free list: the pool stays at what one
-        // instant needs (full chunks plus one partial tail per bucket, and
-        // the chunk being refiled) instead of growing with every refile.
-        let mut q = EventQueue::new();
+        // nodes through the free list: the slab never outgrows the peak
+        // pending count.
         for i in 0..1_000u64 {
             q.schedule(Ns(1 + i % 97), i);
         }
+        assert_eq!(q.slots.len(), SLOTS);
         let mut popped = 0u64;
         while let Some(e) = q.pop() {
             popped += 1;
@@ -635,12 +685,26 @@ mod tests {
             }
         }
         assert_eq!(popped, 100_000 + 999);
-        let bound = 1_000 / CHUNK + 64 + 1;
+        assert_eq!(q.high_water(), 1_000);
         assert!(
-            q.chunks.len() <= bound,
-            "{} chunks > {bound}",
-            q.chunks.len()
+            q.nodes.len() <= q.high_water(),
+            "{} nodes > peak {}",
+            q.nodes.len(),
+            q.high_water()
         );
+    }
+
+    #[test]
+    fn near_events_are_filed_once_and_far_ones_wait_in_the_heap() {
+        let mut q = EventQueue::new();
+        q.schedule(Ns(SLOTS as u64 - 1), "near");
+        q.schedule(Ns(SLOTS as u64), "far");
+        assert_eq!(q.far.len(), 1);
+        assert_eq!(q.peek_time(), Some(Ns(SLOTS as u64 - 1)));
+        assert_eq!(q.pop().unwrap().event, "near");
+        // The clock moved to 4095: the far event is now inside the window.
+        assert!(q.far.is_empty());
+        assert_eq!(q.pop().unwrap().time, Ns(SLOTS as u64));
     }
 
     #[test]

@@ -253,16 +253,26 @@ fn queue_reserved_interleaving_total_order() {
     );
 }
 
-/// The radix queue against a `BTreeMap<(time, seq), payload>` oracle:
-/// random interleavings of ties at `now`, delays from 0 to 2^40 ns, times
-/// near `u64::MAX` (the top bucket), reserved seqs handed back (also
-/// behind queued events of the same timestamp), `pop`, and `pop_until`
-/// with limits below, at and above the next key. Every popped event,
-/// `len()`, `high_water()` and `scheduled_total()` must agree after each
-/// operation.
+/// The timing-wheel queue against a `BTreeMap<(time, seq), payload>`
+/// oracle: random interleavings of ties at `now`, delays from 0 to 2^40
+/// ns, times near `u64::MAX`, reserved seqs handed back (also behind
+/// queued events of the same timestamp), `pop`, and `pop_until` with
+/// limits below, at and above the next key. The wheel's edges get ops of
+/// their own: delays of exactly 4095, 4096 and 4097 ns, slots whose index
+/// wraps below the clock's, far events and far reservations bunched onto
+/// a few timestamps (so they migrate into the wheel as ties, and reserved
+/// seqs come back into migrated slots), new events tied with any pending
+/// key, a clock brought to exactly one window short of a far key and a
+/// tie scheduled there, and a window drained so that `pop_until` is refused and
+/// `peek_time` answered with only far events pending. Every popped event,
+/// `peek_time()`, `len()`, `high_water()` and `scheduled_total()` must
+/// agree after each operation, and a refused pop must leave the clock.
 #[test]
 fn queue_matches_btreemap_oracle() {
     use std::collections::BTreeMap;
+
+    /// The wheel's width in ns: the queue's private `SLOTS`.
+    const WHEEL: u64 = 4096;
 
     struct Model {
         q: EventQueue<u64>,
@@ -330,7 +340,14 @@ fn queue_matches_btreemap_oracle() {
                 }
                 _ => None,
             };
+            let before = self.now();
             let got = self.q.pop_until(limit).map(|e| (e.time, e.seq, e.event));
+            if got.is_none() && self.now() != before {
+                return Err(format!(
+                    "refused pop_until({limit:?}) moved the clock from {before:?} to {:?}",
+                    self.now()
+                ));
+            }
             if got != want {
                 return Err(format!(
                     "pop_until({limit:?}) at now={:?}: got {got:?}, want {want:?}",
@@ -341,6 +358,14 @@ fn queue_matches_btreemap_oracle() {
         }
 
         fn check_counters(&self) -> Result<(), String> {
+            let next = self.oracle.first_key_value().map(|(&(t, _), _)| t);
+            if self.q.peek_time() != next {
+                return Err(format!(
+                    "peek_time {:?} vs {next:?} at now={:?}",
+                    self.q.peek_time(),
+                    self.now()
+                ));
+            }
             if self.q.len() != self.oracle.len() {
                 return Err(format!("len {} vs {}", self.q.len(), self.oracle.len()));
             }
@@ -382,7 +407,7 @@ fn queue_matches_btreemap_oracle() {
                 // Saturating: once the clock reaches the top bucket, every
                 // later event lands at u64::MAX.
                 let after = |d: u64| Ns(now.0.saturating_add(d));
-                match op % 16 {
+                match op % 23 {
                     // Ties at the current time.
                     0 | 1 => m.schedule(now),
                     // Theta-like short delays.
@@ -404,6 +429,63 @@ fn queue_matches_btreemap_oracle() {
                         }
                     }
                     11..=13 => m.pop_until(Ns::MAX)?,
+                    // Exactly at the wheel's edge.
+                    14 => m.schedule(after([WHEEL - 1, WHEEL, WHEEL + 1][arg as usize % 3])),
+                    // A slot whose index wraps below the clock's.
+                    15 => {
+                        let wrap = WHEEL - now.0 % WHEEL;
+                        m.schedule(after(wrap + arg % (WHEEL - wrap).max(1)))
+                    }
+                    // Far events and far reservations on a few timestamps.
+                    16 => m.schedule(after(WHEEL + arg % 8)),
+                    17 => m.reserve(after(WHEEL + arg % 8)),
+                    // A tie with any pending key, in the wheel or the heap.
+                    18 => {
+                        if !m.oracle.is_empty() {
+                            let i = arg as usize % m.oracle.len();
+                            let &(t, _) = m.oracle.keys().nth(i).expect("i < len");
+                            m.schedule(t);
+                        }
+                    }
+                    // Drain the window, then pop short of the next key: it
+                    // is refused, and only far events may be pending.
+                    19 => {
+                        loop {
+                            m.hand_back_due();
+                            let next = m.oracle.first_key_value().map(|(&(t, _), _)| t);
+                            match next {
+                                Some(t) if t.0 - now.0 < WHEEL => {
+                                    m.pop_until(Ns(now.0.saturating_add(WHEEL - 1)))?
+                                }
+                                _ => break,
+                            }
+                        }
+                        m.check_counters()?;
+                        if let Some((&(t, _), _)) = m.oracle.first_key_value() {
+                            let short = m.now().0 + arg % (t.0 - m.now().0).max(1);
+                            m.pop_until(Ns(short.min(t.0 - 1)))?;
+                        }
+                    }
+                    // Bring the clock to exactly one window short of a
+                    // far key, the first instant it belongs in the wheel,
+                    // and tie a new event with it there.
+                    20 => {
+                        let far: Vec<Ns> = m
+                            .oracle
+                            .keys()
+                            .map(|&(t, _)| t)
+                            .filter(|t| t.0 - now.0 >= WHEEL)
+                            .collect();
+                        if !far.is_empty() {
+                            let t = far[arg as usize % far.len()];
+                            let edge = Ns(t.0 - (WHEEL - 1));
+                            m.schedule(edge);
+                            while m.now() < edge {
+                                m.pop_until(edge)?;
+                            }
+                            m.schedule(t);
+                        }
+                    }
                     _ => {
                         m.hand_back_due();
                         let next = m.oracle.first_key_value().map_or(now, |(&(t, _), _)| t);

@@ -244,8 +244,6 @@ pub struct ShardedNetwork {
     shared: Arc<Shared>,
     workers: Vec<(Sender<Cmd>, JoinHandle<Vec<(u32, Network)>>)>,
     done_rx: Receiver<()>,
-    /// Node -> group, for routing injections to their replica.
-    node_group: Vec<u32>,
     /// Coordinator-visible simulated time: the timestamp of the last
     /// surfaced event (monotone; lags the replicas by up to one window).
     cursor: Ns,
@@ -299,9 +297,6 @@ impl ShardedNetwork {
         if arenas.len() < groups {
             arenas.resize_with(groups, SimArena::new);
         }
-        let node_group = (0..topo.config().total_nodes())
-            .map(|n| topo.node_group(NodeId(n)).0)
-            .collect();
         let shared = Arc::new(Shared {
             clocks: (0..groups).map(|_| ShardClock::new()).collect(),
             edges: (0..2 * groups * groups).map(|_| Mailbox::new()).collect(),
@@ -341,7 +336,6 @@ impl ShardedNetwork {
             shared,
             workers,
             done_rx,
-            node_group,
             cursor: Ns::ZERO,
             fence: Ns::ZERO,
             next_window: 0,
@@ -454,9 +448,8 @@ impl ShardedNetwork {
     /// Run one lockstep window across all workers and collect its
     /// deliveries.
     fn run_window(&mut self, w: u64, end: Ns) {
-        for c in self.pending.drain(..) {
-            let g = self.node_group[c.src.index()] as usize;
-            let mut c = c;
+        for mut c in self.pending.drain(..) {
+            let g = self.topo.node_group(c.src).index();
             c.at = c.at.max(self.fence);
             self.inj_buckets[g].push(c);
         }
