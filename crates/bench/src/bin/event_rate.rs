@@ -28,8 +28,7 @@
 use dfly_bench::harness::{Mode, RunArgs};
 use dfly_core::config::{AppSelection, ExperimentConfig, RoutingPolicy};
 use dfly_core::report::ConfigLabel;
-use dfly_core::runner::{execute_experiment_with_arena, prepare_topology};
-use dfly_network::SimArena;
+use dfly_core::runner::{execute_experiment, prepare_topology};
 use dfly_placement::PlacementPolicy;
 use dfly_topology::TopologyConfig;
 use dfly_workloads::AppKind;
@@ -166,7 +165,6 @@ fn main() {
         .collect();
     cells.push((FULL_SCALE.to_string(), full_scale_cell(&base)));
 
-    let mut arena = SimArena::new();
     let mut outcomes = Vec::new();
     for (label, off_cfg) in cells {
         let topo = prepare_topology(&off_cfg);
@@ -177,9 +175,9 @@ fn main() {
         }
         on_cfg.network.obs_coarse_clock = cli.args.obs_coarse;
 
-        // Warmup pair: populate the arena, fault in code and topology.
-        let warm_off = execute_experiment_with_arena(&off_cfg, topo.clone(), &mut arena);
-        let warm_on = execute_experiment_with_arena(&on_cfg, topo.clone(), &mut arena);
+        // Warmup pair: fault in code and topology.
+        let warm_off = execute_experiment(&off_cfg, topo.clone());
+        let warm_on = execute_experiment(&on_cfg, topo.clone());
         assert_eq!(
             warm_off.rank_comm_times, warm_on.rank_comm_times,
             "obs-on run diverged from obs-off"
@@ -189,10 +187,10 @@ fn main() {
         let mut on_rates = Vec::with_capacity(cli.trials);
         for _ in 0..cli.trials {
             let t0 = Instant::now();
-            let off = execute_experiment_with_arena(&off_cfg, topo.clone(), &mut arena);
+            let off = execute_experiment(&off_cfg, topo.clone());
             off_rates.push(off.events as f64 / t0.elapsed().as_secs_f64());
             let t1 = Instant::now();
-            let on = execute_experiment_with_arena(&on_cfg, topo.clone(), &mut arena);
+            let on = execute_experiment(&on_cfg, topo.clone());
             on_rates.push(on.events as f64 / t1.elapsed().as_secs_f64());
             assert_eq!(off.events, warm_off.events, "run not deterministic");
             assert_eq!(on.events, warm_off.events, "obs-on changed the event count");

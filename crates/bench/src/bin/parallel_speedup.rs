@@ -23,9 +23,8 @@
 //! its own event count across trials.
 
 use dfly_core::config::{Parallelism, RoutingPolicy};
-use dfly_core::runner::{execute_experiment_with_arena, prepare_topology, ExperimentResult};
+use dfly_core::runner::{execute_experiment, prepare_topology, ExperimentResult};
 use dfly_core::ExperimentConfig;
-use dfly_network::SimArena;
 use dfly_placement::PlacementPolicy;
 use dfly_stats::CsvWriter;
 use dfly_workloads::AppKind;
@@ -133,16 +132,15 @@ fn main() {
     );
 
     let topo = prepare_topology(&base);
-    let mut arena = SimArena::new();
-    let mut run_mode = |p: Parallelism| -> (ExperimentResult, f64) {
+    let run_mode = |p: Parallelism| -> (ExperimentResult, f64) {
         let mut cfg = base.clone();
         cfg.parallelism = p;
         let t0 = Instant::now();
-        let r = execute_experiment_with_arena(&cfg, topo.clone(), &mut arena);
+        let r = execute_experiment(&cfg, topo.clone());
         (r, t0.elapsed().as_secs_f64())
     };
 
-    // Warmup sweep: fault in code paths, grow arenas, pin reference runs.
+    // Warmup sweep: fault in code paths, pin reference runs.
     let refs: Vec<ExperimentResult> = modes.iter().map(|&(_, p)| run_mode(p).0).collect();
     for (i, r) in refs.iter().enumerate().skip(2) {
         assert_eq!(

@@ -6,7 +6,7 @@ use dfly_core::runner::ExperimentResult;
 use dfly_obs::{EventKind, ObsReport};
 use dfly_stats::{render_boxplot_row, sparkline, AsciiTable, BoxStats, Cdf, CsvWriter};
 use dfly_topology::{GlobalArrangement, TopologyConfig};
-use dfly_workloads::AppKind;
+use dfly_workloads::{check_msg_scale, AppKind};
 use std::path::PathBuf;
 
 /// Reproduction fidelity mode.
@@ -218,6 +218,16 @@ impl RunArgs {
     }
 }
 
+/// Parse a `--scale` factor; it is a message-size multiplier, so it
+/// passes the same check as every `msg_scale` field.
+pub fn parse_scale(v: &str) -> Result<f64, String> {
+    let scale: f64 = v
+        .parse()
+        .map_err(|_| format!("--scale: {v:?} is not a number"))?;
+    check_msg_scale(scale).map_err(|e| format!("--scale: {e}"))?;
+    Ok(scale)
+}
+
 /// Parse `--quick` / `--full` / `--out DIR` / `--obs` / `--scale X` /
 /// `--obs-stride N` / `--obs-coarse` / `--shards N` / `--topo SPEC` /
 /// `--arrangement SPEC` from `std::env::args`.
@@ -244,8 +254,7 @@ pub fn parse_args() -> RunArgs {
             }
             "--scale" => {
                 let v = args.next().expect("--scale needs a factor");
-                parsed.scale = v.parse().expect("--scale needs a number");
-                assert!(parsed.scale > 0.0, "--scale must be positive");
+                parsed.scale = parse_scale(&v).unwrap_or_else(|e| panic!("{e}"));
             }
             "--topo" => {
                 let v = args.next().expect("--topo needs a machine spec");
@@ -520,6 +529,16 @@ mod tests {
         let cfg = args.base_config(AppKind::CrystalRouter);
         assert_eq!(cfg.parallelism, Parallelism::IntraRun(4));
         cfg.validate().unwrap();
+    }
+
+    #[test]
+    fn scale_flag_rejects_non_finite_and_non_positive() {
+        assert_eq!(parse_scale("0.25"), Ok(0.25));
+        for bad in ["inf", "NaN", "0", "-1"] {
+            let err = parse_scale(bad).unwrap_err();
+            assert!(err.contains("--scale: msg_scale"), "{bad}: {err}");
+        }
+        assert!(parse_scale("x").unwrap_err().contains("not a number"));
     }
 
     #[test]

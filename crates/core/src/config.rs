@@ -5,7 +5,7 @@ use dfly_engine::Xoshiro256;
 use dfly_network::NetworkParams;
 use dfly_placement::{PlacementPolicy, TaskMapping};
 use dfly_topology::TopologyConfig;
-use dfly_workloads::{AppKind, BackgroundSpec, WorkloadSpec};
+use dfly_workloads::{check_msg_scale, AppKind, BackgroundSpec, WorkloadSpec};
 
 /// Routing mechanism — re-exported network type under the study's name.
 pub type RoutingPolicy = dfly_network::Routing;
@@ -242,9 +242,7 @@ impl ExperimentConfig {
     pub fn validate(&self) -> Result<(), String> {
         self.topology.validate()?;
         self.network.validate()?;
-        if self.msg_scale <= 0.0 {
-            return Err("msg_scale must be positive".into());
-        }
+        check_msg_scale(self.msg_scale)?;
         if self.parallelism == Parallelism::IntraRun(0) {
             return Err("intra-run parallelism needs at least one worker".into());
         }
@@ -371,9 +369,12 @@ mod tests {
 
     #[test]
     fn validate_catches_bad_scale() {
-        let mut cfg = ExperimentConfig::small_test();
-        cfg.msg_scale = 0.0;
-        assert!(cfg.validate().is_err());
+        for bad in [0.0, f64::INFINITY, f64::NAN, f64::NEG_INFINITY] {
+            let mut cfg = ExperimentConfig::small_test();
+            cfg.msg_scale = bad;
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("msg_scale"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use dfly_network::{MetricsFilter, Network, NetworkMetrics, NetworkParams};
 use dfly_placement::{NodePool, PlacementPolicy};
 use dfly_stats::BoxStats;
 use dfly_topology::{NodeId, RouterId, Topology, TopologyConfig};
-use dfly_workloads::generate;
+use dfly_workloads::{check_msg_scale, generate};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -74,9 +74,7 @@ impl MultiJobConfig {
             ));
         }
         for (i, j) in self.jobs.iter().enumerate() {
-            if j.msg_scale <= 0.0 {
-                return Err(format!("job {i}: msg_scale must be positive"));
-            }
+            check_msg_scale(j.msg_scale).map_err(|e| format!("job {i}: {e}"))?;
         }
         Ok(())
     }
@@ -271,6 +269,19 @@ mod tests {
         ]);
         assert!(c.validate().is_err());
         assert!(cfg(vec![]).validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_scale() {
+        for bad in [f64::INFINITY, f64::NAN] {
+            let c = cfg(vec![JobSpec {
+                app: AppSelection::CrystalRouter { ranks: 8 },
+                placement: PlacementPolicy::RandomNode,
+                msg_scale: bad,
+            }]);
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("job 0: msg_scale"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -1,26 +1,24 @@
 //! End-to-end experiment execution.
+//!
+//! Every run builds its network cold, through [`Network::new`] or
+//! [`ShardedNetwork::new`] as [`Parallelism`](crate::config::Parallelism)
+//! picks, configured by the experiment's
+//! [`NetworkParams`](dfly_network::NetworkParams); no state outlives the
+//! run but the shared topology.
 
 use crate::config::{ExperimentConfig, SeedStreams};
 use crate::mpi::{BackgroundRunner, MpiDriver};
 use dfly_engine::Ns;
 use dfly_network::{
-    AuditReport, ChannelSnapshot, MetricsFilter, Network, NetworkMetrics, ShardedNetwork, SimArena,
+    AuditReport, ChannelSnapshot, MetricsFilter, Network, NetworkMetrics, ShardedNetwork,
 };
 use dfly_obs::ObsReport;
 use dfly_placement::NodePool;
 use dfly_stats::{BoxStats, Cdf};
 use dfly_topology::{ChannelClass, NodeId, RouterId, Topology};
 use dfly_workloads::{generate, BackgroundTraffic};
-use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
-
-thread_local! {
-    /// Per-group arena pool for sharded runs, one pool per (sweep) worker
-    /// thread — mirrors the per-worker `SimArena` the serial path gets
-    /// passed explicitly.
-    static SHARD_ARENAS: RefCell<Vec<SimArena>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Everything one experiment produced.
 #[derive(Debug, Clone)]
@@ -153,21 +151,6 @@ pub fn prepare_topology(config: &ExperimentConfig) -> Arc<Topology> {
 /// equivalence test in `tests/refactor_equivalence.rs` holds this path to
 /// bit-identical output against a fresh per-cell build.
 pub fn execute_experiment(config: &ExperimentConfig, topo: Arc<Topology>) -> ExperimentResult {
-    execute_experiment_with_arena(config, topo, &mut SimArena::new())
-}
-
-/// [`execute_experiment`] with buffer recycling: the network is built
-/// over `arena`'s warm allocations and donates them back when the run
-/// finishes. Sweeps keep one arena per worker thread so consecutive grid
-/// cells skip re-growing packet/message/telemetry buffers from zero.
-///
-/// Recycling is capacity-only, so results are bit-identical to the
-/// fresh-arena path (`tests/determinism.rs` covers both).
-pub fn execute_experiment_with_arena(
-    config: &ExperimentConfig,
-    topo: Arc<Topology>,
-    arena: &mut SimArena,
-) -> ExperimentResult {
     config.validate().expect("invalid experiment config");
     assert_eq!(
         topo.config(),
@@ -206,47 +189,32 @@ pub fn execute_experiment_with_arena(
 
     let (result, metrics, audit, obs, events) = match config.parallelism.workers(&config.topology) {
         None => {
-            // The legacy serial event loop, over the arena's recycled
-            // buffers (cold on the first run) — the golden-run reference
+            // The legacy serial event loop — the golden-run reference
             // path, byte-identical to earlier single-thread releases.
-            let mut net = Network::with_arena(
-                topo.clone(),
-                config.network,
-                config.routing,
-                seeds.routing,
-                arena,
-            );
+            let mut net = Network::new(topo.clone(), config.network, config.routing, seeds.routing);
             let result = MpiDriver::new(&mut net, &trace, &placement, background).run();
             let metrics = net.metrics();
             let audit = net.audit_report();
             let obs = net.obs_report();
             let events = net.events_processed();
-            net.recycle(arena);
             (result, metrics, audit, obs, events)
         }
         Some(n) => {
-            // Per-group PDES sharding. Each worker thread of the *sweep*
-            // keeps its own pool of per-group arenas (capacity-only, so
-            // recycling cannot change results).
-            SHARD_ARENAS.with(|pool| {
-                let pool = &mut *pool.borrow_mut();
-                let mut net = ShardedNetwork::with_arenas(
-                    topo.clone(),
-                    config.network,
-                    config.routing,
-                    seeds.routing,
-                    n,
-                    pool,
-                );
-                let result = MpiDriver::new(&mut net, &trace, &placement, background).run();
-                let mut parts = net.finish();
-                let metrics = parts.metrics();
-                let audit = parts.audit_report();
-                let obs = parts.obs_report();
-                let events = parts.events();
-                parts.recycle(pool);
-                (result, metrics, audit, obs, events)
-            })
+            // Per-group PDES sharding.
+            let mut net = ShardedNetwork::new(
+                topo.clone(),
+                config.network,
+                config.routing,
+                seeds.routing,
+                n,
+            );
+            let result = MpiDriver::new(&mut net, &trace, &placement, background).run();
+            let mut parts = net.finish();
+            let metrics = parts.metrics();
+            let audit = parts.audit_report();
+            let obs = parts.obs_report();
+            let events = parts.events();
+            (result, metrics, audit, obs, events)
         }
     };
     let app_routers: HashSet<RouterId> = placement.iter().map(|&n| topo.node_router(n)).collect();

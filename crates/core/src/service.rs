@@ -28,7 +28,8 @@ use dfly_placement::{NodePool, PlacementPolicy};
 use dfly_stats::percentile;
 use dfly_topology::{GroupId, Topology, TopologyConfig};
 use dfly_workloads::{
-    generate, generate_pattern, Arrival, ArrivalKind, JobTrace, Pattern, PatternSpec,
+    check_msg_scale, generate, generate_pattern, Arrival, ArrivalKind, JobTrace, Pattern,
+    PatternSpec,
 };
 use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
@@ -169,10 +170,7 @@ impl ServiceJob {
         if ranks > nodes {
             return Err(format!("{ranks} ranks exceed the {nodes}-node machine"));
         }
-        if !(self.msg_scale > 0.0) {
-            return Err("msg_scale must be positive".into());
-        }
-        Ok(())
+        check_msg_scale(self.msg_scale)
     }
 }
 
@@ -1086,6 +1084,12 @@ mod tests {
         let mut c = base.clone();
         c.submissions[0].job.msg_scale = 0.0;
         assert!(c.validate().unwrap_err().contains("msg_scale"));
+        for bad in [f64::INFINITY, f64::NAN] {
+            let mut job = app_job(16, PlacementPolicy::Contiguous);
+            job.msg_scale = bad;
+            let err = job.validate(64).unwrap_err();
+            assert!(err.contains("msg_scale"), "{bad}: {err}");
+        }
         let mut c = base;
         c.submissions[0].job.workload = ServiceWorkload::Pattern {
             pattern: Pattern::Ring,

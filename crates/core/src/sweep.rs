@@ -8,12 +8,13 @@
 //! The immutable topology is built **once per distinct
 //! [`TopologyConfig`]** and shared across every cell and worker thread as
 //! an `Arc` — a grid over the Theta machine constructs its 864 routers
-//! and thousands of channels one time, not once per cell.
+//! and thousands of channels one time, not once per cell. Nothing else
+//! carries over between cells: each one runs [`execute_experiment`] on a
+//! freshly built network.
 
 use crate::config::ExperimentConfig;
 use crate::report::ConfigLabel;
-use crate::runner::{execute_experiment_with_arena, prepare_topology, ExperimentResult};
-use dfly_network::SimArena;
+use crate::runner::{execute_experiment, prepare_topology, ExperimentResult};
 use dfly_topology::Topology;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -86,13 +87,10 @@ pub fn run_many(configs: &[ExperimentConfig]) -> Vec<ExperimentResult> {
         .collect();
     let workers = sweep_workers(configs.len());
     if workers <= 1 || configs.len() <= 1 {
-        // One arena carried across the whole batch: cell N+1 reuses the
-        // buffer capacities cell N grew.
-        let mut arena = SimArena::new();
         return configs
             .iter()
             .zip(&topos)
-            .map(|(cfg, topo)| execute_experiment_with_arena(cfg, topo.clone(), &mut arena))
+            .map(|(cfg, topo)| execute_experiment(cfg, topo.clone()))
             .collect();
     }
     // Lock-free work claiming: a panicking worker must not poison shared
@@ -104,22 +102,13 @@ pub fn run_many(configs: &[ExperimentConfig]) -> Vec<ExperimentResult> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|| {
-                    // Arenas are per-worker (SimArena is deliberately not
-                    // shared): each thread warms its own buffer set.
-                    let mut arena = SimArena::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= configs.len() {
-                            break;
-                        }
-                        let r = execute_experiment_with_arena(
-                            &configs[i],
-                            topos[i].clone(),
-                            &mut arena,
-                        );
-                        *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= configs.len() {
+                        break;
                     }
+                    let r = execute_experiment(&configs[i], topos[i].clone());
+                    *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
                 })
             })
             .collect();

@@ -23,11 +23,19 @@
 //! Time a channel spends with a refused-full buffer is accumulated as
 //! **link saturation time**, and transmitted bytes as **channel traffic** —
 //! the two link-level metrics of the paper's evaluation.
+//!
+//! ## Construction
+//!
+//! A network is built one way: cold, by [`Network::new`] (serial) or
+//! [`ShardedNetwork::new`] (one replica per group), and configured only by
+//! [`NetworkParams`] — auditing, telemetry and its timing stride and clock
+//! are fields read at construction. The one setter,
+//! [`Network::set_obs_interval`], picks a non-default telemetry sampling
+//! interval and, like the fields, is only valid before the first event.
 
 #![warn(missing_docs)]
 
 mod arbiter;
-pub mod arena;
 pub mod audit;
 mod channel;
 pub mod metrics;
@@ -39,7 +47,6 @@ pub mod policy;
 pub mod routing;
 pub mod shard;
 
-pub use arena::SimArena;
 pub use audit::{AuditKind, AuditReport, AuditViolation};
 pub use channel::RUN_LEN as CHANNEL_RUN_LEN;
 pub use dfly_obs::{CoarseTimeline, ObsReport};

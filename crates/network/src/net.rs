@@ -16,7 +16,6 @@
 //!   accumulated exactly once per packet / full interval.
 
 use crate::arbiter;
-use crate::arena::SimArena;
 use crate::audit::{AuditReport, Auditor};
 use crate::channel::{ChannelActivity, ChannelState, ChannelStore, InFlight, LinkTable};
 use crate::metrics::{class_index, ChannelFootprint, ChannelSnapshot, NetworkMetrics};
@@ -139,23 +138,9 @@ pub struct Network {
 
 impl Network {
     /// Build a network over `topo` with the given parameters, routing
-    /// policy, and RNG seed (used only for routing decisions).
+    /// policy, and RNG seed (used only for routing decisions). Auditing
+    /// and telemetry are configured by `params` (see [`NetworkParams`]).
     pub fn new(topo: Arc<Topology>, params: NetworkParams, routing: Routing, seed: u64) -> Network {
-        Network::with_arena(topo, params, routing, seed, &mut SimArena::new())
-    }
-
-    /// Like [`Network::new`], but reusing the buffer capacities a
-    /// previous run donated to `arena` (see [`Network::recycle`]). A
-    /// fresh arena is equivalent to [`Network::new`]: recycling reuses
-    /// only *capacity*, never content, so results are bit-identical
-    /// either way.
-    pub fn with_arena(
-        topo: Arc<Topology>,
-        params: NetworkParams,
-        routing: Routing,
-        seed: u64,
-        arena: &mut SimArena,
-    ) -> Network {
         params.validate().expect("invalid network params");
         let router_latency = topo.config().router_latency;
         let links = LinkTable::new(&topo);
@@ -164,45 +149,30 @@ impl Network {
             .audit
             .then(|| Box::new(Auditor::new(topo.channel_count())));
         let mut router = RouteComputer::new(routing, Xoshiro256::seed_from(seed));
-        router.adopt_buffers(arena.take_router_buffers());
         let obs = params.obs.then(|| {
             Box::new(ObsCollector::new(
                 ObsCollector::DEFAULT_INTERVAL,
                 params.obs_stride,
                 params.obs_coarse_clock,
                 obs::class_counts(&topo),
-                arena.take_sample_buffer(),
             ))
         });
         if obs.is_some() {
             router.enable_stats();
         }
-        let mut packets = arena.take_packets();
-        packets.clear();
-        let mut free_packets = arena.take_free_packets();
-        free_packets.clear();
-        let mut messages = arena.take_messages();
-        messages.clear();
-        let mut free_messages = arena.take_free_messages();
-        free_messages.clear();
-        let mut deliveries = arena.take_deliveries();
-        deliveries.clear();
-        let mut route_scratch = arena.take_route_scratch();
-        route_scratch.clear();
-        route_scratch.reserve(MAX_ROUTE_LEN);
         Network {
             params,
             router_latency,
             links,
             channels,
-            packets,
-            free_packets,
-            messages,
-            free_messages,
+            packets: Vec::new(),
+            free_packets: Vec::new(),
+            messages: Vec::new(),
+            free_messages: Vec::new(),
             queue: EventQueue::with_capacity(1024),
-            deliveries,
+            deliveries: VecDeque::new(),
             router,
-            route_scratch,
+            route_scratch: Vec::with_capacity(MAX_ROUTE_LEN),
             woken: Vec::new(),
             events_processed: 0,
             packets_delivered: 0,
@@ -213,45 +183,6 @@ impl Network {
             obs,
             shard: None,
             topo,
-        }
-    }
-
-    /// Donate this network's buffer capacities back to `arena` for the
-    /// next [`Network::with_arena`] over the same (or a similar)
-    /// topology. Consumes the network: call it after the final metrics /
-    /// report reads.
-    pub fn recycle(mut self, arena: &mut SimArena) {
-        arena.put_packets(std::mem::take(&mut self.packets));
-        arena.put_free_packets(std::mem::take(&mut self.free_packets));
-        arena.put_messages(std::mem::take(&mut self.messages));
-        arena.put_free_messages(std::mem::take(&mut self.free_messages));
-        arena.put_deliveries(std::mem::take(&mut self.deliveries));
-        arena.put_route_scratch(std::mem::take(&mut self.route_scratch));
-        arena.put_router_buffers(self.router.release_buffers());
-        if let Some(obs) = self.obs.as_mut() {
-            arena.put_sample_buffer(obs.take_sample_buffer());
-        }
-        arena.note_recycled();
-    }
-
-    /// Turn the audit layer on or off. Only valid on a fresh network —
-    /// the shadow ledger must observe every event from the first
-    /// injection, or its books cannot balance.
-    ///
-    /// Auditing never perturbs the simulation: audited and unaudited runs
-    /// are bit-identical (enforced by `tests/determinism.rs`).
-    pub fn set_audit(&mut self, enabled: bool) {
-        assert!(
-            self.events_processed == 0 && self.messages.is_empty(),
-            "audit can only be toggled on a fresh network"
-        );
-        self.params.audit = enabled;
-        if enabled {
-            if self.audit.is_none() {
-                self.audit = Some(Box::new(Auditor::new(self.topo.channel_count())));
-            }
-        } else {
-            self.audit = None;
         }
     }
 
@@ -271,85 +202,27 @@ impl Network {
         self.audit.as_ref().map(|a| a.report().clone())
     }
 
-    /// Turn the telemetry layer on or off. Only valid on a fresh network —
-    /// the sample windows and decision counters must cover the run from
-    /// the first injection to mean anything.
+    /// Enable telemetry with a custom sampling interval (simulation
+    /// time); [`NetworkParams::obs`] alone samples every 50 µs. Only
+    /// valid on a fresh network — the sample windows and decision
+    /// counters must cover the run from the first injection to mean
+    /// anything.
     ///
     /// Telemetry never perturbs the simulation: obs-on and obs-off runs
-    /// are bit-identical (enforced by `tests/determinism.rs`). Samples are
-    /// taken every [`Network::set_obs_interval`]'s default of 50 µs.
-    pub fn set_obs(&mut self, enabled: bool) {
-        assert!(
-            self.events_processed == 0 && self.messages.is_empty(),
-            "telemetry can only be toggled on a fresh network"
-        );
-        self.params.obs = enabled;
-        if enabled {
-            if self.obs.is_none() {
-                self.rebuild_obs(ObsCollector::DEFAULT_INTERVAL);
-            }
-            self.router.enable_stats();
-        } else {
-            self.obs = None;
-        }
-    }
-
-    /// Enable telemetry with a custom sampling interval (simulation
-    /// time). Same fresh-network restriction as [`Network::set_obs`].
+    /// are bit-identical (enforced by `tests/determinism.rs`).
     pub fn set_obs_interval(&mut self, interval: Ns) {
         assert!(
             self.events_processed == 0 && self.messages.is_empty(),
             "telemetry can only be toggled on a fresh network"
         );
         self.params.obs = true;
-        self.rebuild_obs(interval);
-        self.router.enable_stats();
-    }
-
-    /// Set the telemetry timing stride (see `NetworkParams::obs_stride`).
-    /// Same fresh-network restriction as [`Network::set_obs`]; takes
-    /// effect on the active collector immediately.
-    pub fn set_obs_stride(&mut self, stride: u32) {
-        assert!(
-            self.events_processed == 0 && self.messages.is_empty(),
-            "telemetry can only be toggled on a fresh network"
-        );
-        assert!(stride >= 1, "obs_stride must be at least 1");
-        self.params.obs_stride = stride;
-        if let Some(interval) = self.obs.as_ref().map(|o| o.interval()) {
-            self.rebuild_obs(interval);
-        }
-    }
-
-    /// Switch telemetry timing to the coarse monotonic clock (see
-    /// `NetworkParams::obs_coarse_clock`). Same fresh-network restriction
-    /// as [`Network::set_obs`].
-    pub fn set_obs_coarse_clock(&mut self, coarse: bool) {
-        assert!(
-            self.events_processed == 0 && self.messages.is_empty(),
-            "telemetry can only be toggled on a fresh network"
-        );
-        self.params.obs_coarse_clock = coarse;
-        if let Some(interval) = self.obs.as_ref().map(|o| o.interval()) {
-            self.rebuild_obs(interval);
-        }
-    }
-
-    /// (Re)build the collector from the current params, keeping any
-    /// sample-buffer capacity the old collector held.
-    fn rebuild_obs(&mut self, interval: Ns) {
-        let buf = self
-            .obs
-            .as_mut()
-            .map(|o| o.take_sample_buffer())
-            .unwrap_or_default();
         self.obs = Some(Box::new(ObsCollector::new(
             interval,
             self.params.obs_stride,
             self.params.obs_coarse_clock,
             obs::class_counts(&self.topo),
-            buf,
         )));
+        self.router.enable_stats();
     }
 
     /// True if the telemetry layer is active.
@@ -1465,8 +1338,12 @@ mod tests {
     use dfly_topology::TopologyConfig;
 
     fn net(routing: Routing) -> Network {
+        net_with(routing, NetworkParams::default())
+    }
+
+    fn net_with(routing: Routing, params: NetworkParams) -> Network {
         let topo = Arc::new(Topology::build(TopologyConfig::small_test()));
-        Network::new(topo, NetworkParams::default(), routing, 12345)
+        Network::new(topo, params, routing, 12345)
     }
 
     #[test]
@@ -1881,8 +1758,11 @@ mod tests {
     /// A network with audits forced on (not just debug-default), mid-run
     /// under enough load that queues, waitlists, and full flags are live.
     fn audited_congested_net() -> Network {
-        let mut n = net(Routing::Minimal);
-        n.set_audit(true);
+        let params = NetworkParams {
+            audit: true,
+            ..NetworkParams::default()
+        };
+        let mut n = net_with(Routing::Minimal, params);
         for src in 1..24u32 {
             n.send(Ns::ZERO, NodeId(src), NodeId(0), 64 * 1024, src as u64);
         }
@@ -1905,20 +1785,15 @@ mod tests {
 
     #[test]
     fn audit_off_reports_none_and_skips_shadow() {
-        let mut n = net(Routing::Minimal);
-        n.set_audit(false);
+        let params = NetworkParams {
+            audit: false,
+            ..NetworkParams::default()
+        };
+        let mut n = net_with(Routing::Minimal, params);
         n.send(Ns::ZERO, NodeId(0), NodeId(9), 4096, 0);
         n.run_to_idle();
         assert!(!n.audit_enabled());
         assert!(n.audit_report().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "fresh network")]
-    fn audit_toggle_after_traffic_is_rejected() {
-        let mut n = net(Routing::Minimal);
-        n.send(Ns::ZERO, NodeId(0), NodeId(1), 100, 0);
-        n.set_audit(true);
     }
 
     #[test]
@@ -2250,8 +2125,11 @@ mod tests {
 
     #[test]
     fn obs_off_reports_none() {
-        let mut n = net(Routing::Adaptive);
-        n.set_obs(false);
+        let params = NetworkParams {
+            obs: false,
+            ..NetworkParams::default()
+        };
+        let mut n = net_with(Routing::Adaptive, params);
         n.send(Ns::ZERO, NodeId(0), NodeId(9), 4096, 0);
         n.run_to_idle();
         assert!(!n.obs_enabled());
@@ -2262,8 +2140,11 @@ mod tests {
     fn obs_report_final_sweep_closes_tail_window() {
         // A run shorter than the sampling interval still yields one
         // sample: obs_report closes the open tail window.
-        let mut n = net(Routing::Minimal);
-        n.set_obs(true); // default 50 µs interval
+        let params = NetworkParams {
+            obs: true, // default 50 µs interval
+            ..NetworkParams::default()
+        };
+        let mut n = net_with(Routing::Minimal, params);
         n.send(Ns::ZERO, NodeId(0), NodeId(1), 512, 0);
         n.run_to_idle();
         assert!(n.now() < ObsCollector::DEFAULT_INTERVAL);
@@ -2280,7 +2161,7 @@ mod tests {
         let mut n = net(Routing::Minimal);
         n.send(Ns::ZERO, NodeId(0), NodeId(1), 512, 0);
         n.poll_delivery();
-        n.set_obs(true);
+        n.set_obs_interval(Ns(1_000));
     }
 
     #[test]
@@ -2306,46 +2187,6 @@ mod tests {
         }
         let tail = samples.last().unwrap();
         assert_eq!(tail.at, n.now(), "tail window closes at the final event");
-    }
-
-    #[test]
-    fn arena_recycling_is_bit_identical_and_warm() {
-        let topo = Arc::new(Topology::build(TopologyConfig::small_test()));
-        let run = |arena: &mut SimArena| {
-            let mut n = Network::with_arena(
-                topo.clone(),
-                NetworkParams::default(),
-                Routing::Adaptive,
-                42,
-                arena,
-            );
-            let mut rng = Xoshiro256::seed_from(99);
-            for i in 0..60u64 {
-                let s = NodeId(rng.next_below(64) as u32);
-                let d = NodeId(rng.next_below(64) as u32);
-                n.send(Ns(i * 100), s, d, 20_000, i);
-            }
-            n.run_to_idle();
-            let out: Vec<(u64, Ns)> = n
-                .drain_deliveries()
-                .iter()
-                .map(|d| (d.tag, d.completed_at))
-                .collect();
-            n.recycle(arena);
-            out
-        };
-        let mut arena = SimArena::new();
-        let first = run(&mut arena);
-        assert_eq!(arena.recycled_runs(), 1);
-        let warm_cap = arena.packet_capacity();
-        assert!(warm_cap > 0, "finished run must donate packet capacity");
-        let second = run(&mut arena);
-        assert_eq!(first, second, "recycled buffers changed results");
-        assert_eq!(arena.recycled_runs(), 2);
-        assert!(
-            arena.packet_capacity() >= warm_cap,
-            "identical rerun must not shrink the arena"
-        );
     }
 
     #[test]
@@ -2387,9 +2228,12 @@ mod tests {
     #[test]
     fn obs_stride_changes_timing_cost_not_results() {
         let run = |stride: u32| {
-            let mut n = net(Routing::Adaptive);
+            let params = NetworkParams {
+                obs_stride: stride,
+                ..NetworkParams::default()
+            };
+            let mut n = net_with(Routing::Adaptive, params);
             n.set_obs_interval(Ns(1_000));
-            n.set_obs_stride(stride);
             for src in 1..24u32 {
                 n.send(Ns::ZERO, NodeId(src), NodeId(0), 64 * 1024, src as u64);
             }

@@ -137,21 +137,19 @@ impl ObsCollector {
 
     /// Fresh collector sampling every `interval` of simulation time,
     /// timing every `stride`th event per kind with a precise or `coarse`
-    /// clock, reusing `sample_buf`'s capacity for the series.
-    /// `class_counts` is the machine's channels per class (see
+    /// clock. `class_counts` is the machine's channels per class (see
     /// [`class_counts`]).
     pub(crate) fn new(
         interval: Ns,
         stride: u32,
         coarse_clock: bool,
         class_counts: [u64; 5],
-        sample_buf: Vec<NetSample>,
     ) -> ObsCollector {
         assert!(stride >= 1, "obs stride must be at least 1");
         let clock = ObsClock::new(coarse_clock);
         ObsCollector {
             profile: EventLoopProfile::new(),
-            series: SampleSeries::with_buffer(interval, sample_buf),
+            series: SampleSeries::new(interval),
             vc_occupancy: OccupancyHistogram::new(),
             coarse_unavailable: coarse_clock && !clock.is_coarse(),
             clock,
@@ -176,16 +174,6 @@ impl ObsCollector {
         // so every group owns an equal share of the machine.
         self.owned_channels = (topo.channel_count() / topo.config().groups as usize) as u64;
         self.owner = Some((topo, group));
-    }
-
-    /// The sampling interval.
-    pub(crate) fn interval(&self) -> Ns {
-        self.series.interval()
-    }
-
-    /// Take the sample storage back out for arena recycling.
-    pub(crate) fn take_sample_buffer(&mut self) -> Vec<NetSample> {
-        self.series.take_buffer()
     }
 
     /// Decide whether the upcoming event of `kind` gets its handler
@@ -474,7 +462,7 @@ pub(crate) mod tests {
     const CLASS_COUNTS: [u64; 5] = [1, 0, 1, 0, 1];
 
     fn collector(interval: Ns) -> ObsCollector {
-        ObsCollector::new(interval, 1, false, CLASS_COUNTS, Vec::new())
+        ObsCollector::new(interval, 1, false, CLASS_COUNTS)
     }
 
     /// Channels 0, 1, 2 are terminal-up, local-row and global, each
@@ -659,7 +647,7 @@ pub(crate) mod tests {
 
     #[test]
     fn stride_times_first_then_every_nth_per_kind() {
-        let mut c = ObsCollector::new(Ns(1_000), 4, false, CLASS_COUNTS, Vec::new());
+        let mut c = ObsCollector::new(Ns(1_000), 4, false, CLASS_COUNTS);
         let timed: Vec<bool> = (0..9).map(|_| c.timing_due(EventKind::Arrive)).collect();
         assert_eq!(
             timed,
@@ -672,7 +660,7 @@ pub(crate) mod tests {
 
     #[test]
     fn sampled_profile_counts_all_events_but_times_a_subset() {
-        let mut c = ObsCollector::new(Ns(1_000), 8, false, CLASS_COUNTS, Vec::new());
+        let mut c = ObsCollector::new(Ns(1_000), 8, false, CLASS_COUNTS);
         for _ in 0..100 {
             let started = c.timing_due(EventKind::TxDone).then(|| c.clock_now());
             c.note_event(EventKind::TxDone, started, 3);

@@ -27,16 +27,16 @@ pub struct NetworkParams {
     /// occupancy/list/waitlist/saturation counters against an independent
     /// ledger. Auditing observes only — results are bit-identical either
     /// way — but costs time, so it defaults to on in debug builds and off
-    /// in release builds. [`Network::set_audit`](crate::Network::set_audit)
-    /// overrides it on a fresh network.
+    /// in release builds.
     pub audit: bool,
     /// Enable the telemetry layer (see `dfly-obs`): event-loop profiling,
     /// periodic per-class utilization/occupancy samples, and UGAL decision
     /// counters. Like auditing, telemetry observes only — obs-on and
     /// obs-off runs are bit-identical in every simulation output — but it
-    /// costs time per event, so it defaults to off everywhere.
-    /// [`Network::set_obs`](crate::Network::set_obs) overrides it on a
-    /// fresh network.
+    /// costs time per event, so it defaults to off everywhere. Samples
+    /// are taken every 50 µs unless
+    /// [`Network::set_obs_interval`](crate::Network::set_obs_interval)
+    /// picks another interval.
     pub obs: bool,
     /// Telemetry timing stride: with obs on, every event is counted but
     /// only every Nth event per kind has its handler wall-clock measured,

@@ -115,29 +115,6 @@ impl RouteComputer {
         self.routing
     }
 
-    /// Replace the candidate buffers with recycled ones (arena reuse —
-    /// see `SimArena`). Capacity-only: both buffers are cleared before
-    /// use, so routing results are unaffected.
-    pub(crate) fn adopt_buffers(
-        &mut self,
-        (mut scratch, mut best): (Vec<ChannelId>, Vec<ChannelId>),
-    ) {
-        scratch.clear();
-        best.clear();
-        scratch.reserve(paths::MAX_ROUTER_HOPS);
-        best.reserve(paths::MAX_ROUTER_HOPS);
-        self.scratch = scratch;
-        self.best = best;
-    }
-
-    /// Hand the candidate buffers back for arena recycling.
-    pub(crate) fn release_buffers(&mut self) -> (Vec<ChannelId>, Vec<ChannelId>) {
-        (
-            std::mem::take(&mut self.scratch),
-            std::mem::take(&mut self.best),
-        )
-    }
-
     /// Start recording UGAL decision counters (telemetry). Recording does
     /// not change which routes are chosen.
     pub fn enable_stats(&mut self) {

@@ -42,7 +42,6 @@
 //! the global minimum. Exports from window `w` arrive strictly inside
 //! window `w + 1`, so a skip never strands a mailbox record.
 
-use crate::arena::SimArena;
 use crate::audit::{AuditKind, AuditReport, AuditViolation};
 use crate::metrics::{ChannelFootprint, NetworkMetrics};
 use crate::net::{Delivery, Network, NetworkEvent};
@@ -275,28 +274,12 @@ impl ShardedNetwork {
         seed: u64,
         workers: usize,
     ) -> ShardedNetwork {
-        ShardedNetwork::with_arenas(topo, params, routing, seed, workers, &mut Vec::new())
-    }
-
-    /// Like [`ShardedNetwork::new`] but reusing per-group arena
-    /// capacities from a previous run (see [`ShardParts::recycle`]).
-    pub fn with_arenas(
-        topo: Arc<Topology>,
-        params: NetworkParams,
-        routing: Routing,
-        seed: u64,
-        workers: usize,
-        arenas: &mut Vec<SimArena>,
-    ) -> ShardedNetwork {
         let groups = topo.config().groups as usize;
         assert!(groups >= 2, "sharding needs at least two groups");
         assert!(workers >= 1, "at least one worker thread required");
         let workers_n = workers.min(groups);
         let lookahead = topo.class_latency(ChannelClass::Global) + topo.config().router_latency;
         let windows = Windows::new(lookahead);
-        if arenas.len() < groups {
-            arenas.resize_with(groups, SimArena::new);
-        }
         let shared = Arc::new(Shared {
             clocks: (0..groups).map(|_| ShardClock::new()).collect(),
             edges: (0..2 * groups * groups).map(|_| Mailbox::new()).collect(),
@@ -307,13 +290,7 @@ impl ShardedNetwork {
         });
         let mut per_worker: Vec<Vec<(u32, Network)>> = (0..workers_n).map(|_| Vec::new()).collect();
         for g in 0..groups {
-            let mut net = Network::with_arena(
-                topo.clone(),
-                params,
-                routing,
-                seed.wrapping_add(g as u64),
-                &mut arenas[g],
-            );
+            let mut net = Network::new(topo.clone(), params, routing, seed.wrapping_add(g as u64));
             net.enable_shard(g as u32);
             per_worker[g % workers_n].push((g as u32, net));
         }
@@ -700,17 +677,6 @@ impl ShardParts {
     /// [`Network::metric_bytes_approx`]).
     pub fn metric_bytes_approx(&self) -> usize {
         self.nets.iter().map(Network::metric_bytes_approx).sum()
-    }
-
-    /// Donate every replica's buffer capacities back into the per-group
-    /// arena pool for the next sharded run.
-    pub fn recycle(self, arenas: &mut Vec<SimArena>) {
-        if arenas.len() < self.nets.len() {
-            arenas.resize_with(self.nets.len(), SimArena::new);
-        }
-        for (g, net) in self.nets.into_iter().enumerate() {
-            net.recycle(&mut arenas[g]);
-        }
     }
 }
 

@@ -66,28 +66,12 @@ impl SampleSeries {
 
     /// Empty series sampling every `interval`.
     pub fn new(interval: Ns) -> SampleSeries {
-        SampleSeries::with_buffer(interval, Vec::new())
-    }
-
-    /// Empty series reusing `buffer`'s allocation — the arena path for
-    /// sweeps that build one collector per grid cell. The buffer is
-    /// cleared; its capacity is kept.
-    pub fn with_buffer(interval: Ns, mut buffer: Vec<NetSample>) -> SampleSeries {
         assert!(interval > Ns::ZERO, "sampling interval must be positive");
-        buffer.clear();
         SampleSeries {
             interval,
-            samples: buffer,
+            samples: Vec::new(),
             dropped: 0,
         }
-    }
-
-    /// Take the sample storage back out (for arena recycling), leaving
-    /// the series empty. The returned buffer still holds the samples; the
-    /// next [`SampleSeries::with_buffer`] clears it.
-    pub fn take_buffer(&mut self) -> Vec<NetSample> {
-        self.dropped = 0;
-        std::mem::take(&mut self.samples)
     }
 
     /// The sampling interval.
@@ -321,25 +305,6 @@ mod tests {
     #[should_panic(expected = "interval must be positive")]
     fn zero_interval_rejected() {
         let _ = SampleSeries::new(Ns::ZERO);
-    }
-
-    #[test]
-    fn recycled_buffer_keeps_capacity_and_drops_stale_samples() {
-        let mut s = SampleSeries::new(Ns(10));
-        for i in 0..100u64 {
-            s.push(NetSample {
-                at: Ns(i * 10),
-                ..NetSample::default()
-            });
-        }
-        let buf = s.take_buffer();
-        assert!(s.samples().is_empty());
-        let cap = buf.capacity();
-        assert!(cap >= 100);
-        let reused = SampleSeries::with_buffer(Ns(20), buf);
-        assert!(reused.samples().is_empty(), "stale samples leaked through");
-        assert_eq!(reused.samples.capacity(), cap);
-        assert_eq!(reused.interval(), Ns(20));
     }
 
     #[test]

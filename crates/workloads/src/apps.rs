@@ -63,10 +63,23 @@ impl WorkloadSpec {
     }
 }
 
+/// The one check every `msg_scale` field passes: finite and above zero.
+/// (`inf` would turn every message into `u64::MAX` bytes; `NaN` compares
+/// false against every bound.)
+pub fn check_msg_scale(scale: f64) -> Result<(), String> {
+    if scale.is_finite() && scale > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("msg_scale: must be finite and > 0 (got {scale})"))
+    }
+}
+
 /// Generate the trace for a workload spec.
 pub fn generate(spec: &WorkloadSpec) -> JobTrace {
     assert!(spec.ranks >= 2, "need at least 2 ranks");
-    assert!(spec.msg_scale > 0.0, "msg_scale must be positive");
+    if let Err(e) = check_msg_scale(spec.msg_scale) {
+        panic!("{e}");
+    }
     let mut rng = Xoshiro256::seed_from(spec.seed);
     let trace = match spec.kind {
         AppKind::CrystalRouter => crystal_router(spec, &mut rng),
@@ -427,6 +440,16 @@ mod tests {
             amg.avg_load_per_rank(),
             cr.avg_load_per_rank()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "msg_scale: must be finite")]
+    fn infinite_msg_scale_is_rejected() {
+        let spec = WorkloadSpec {
+            msg_scale: f64::INFINITY,
+            ..WorkloadSpec::paper(AppKind::CrystalRouter)
+        };
+        generate(&spec);
     }
 
     #[test]

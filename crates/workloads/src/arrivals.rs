@@ -8,7 +8,7 @@
 //! simple CSV text format — both as plain [`Arrival`] records the service
 //! simulator in `dfly-core` turns into placed, traced jobs.
 
-use crate::apps::AppKind;
+use crate::apps::{check_msg_scale, AppKind};
 use crate::patterns::Pattern;
 use dfly_engine::{Ns, Xoshiro256};
 
@@ -128,10 +128,7 @@ impl ArrivalPlan {
                 self.min_ranks, self.max_ranks
             ));
         }
-        if !(self.msg_scale > 0.0) {
-            return Err("msg_scale: must be positive".into());
-        }
-        Ok(())
+        check_msg_scale(self.msg_scale)
     }
 }
 
@@ -207,6 +204,7 @@ pub fn parse_arrivals(text: &str) -> Result<Vec<Arrival>, String> {
         let at_us: f64 = fields[0]
             .parse()
             .map_err(|_| format!("line {}: bad arrival time {:?}", lineno + 1, fields[0]))?;
+        check_time_us(at_us, "at_us").map_err(|e| format!("line {}: {e}", lineno + 1))?;
         let kind = match fields[1] {
             "cr" => ArrivalKind::App(AppKind::CrystalRouter),
             "fb" => ArrivalKind::App(AppKind::FillBoundary),
@@ -225,11 +223,16 @@ pub fn parse_arrivals(text: &str) -> Result<Vec<Arrival>, String> {
         let msg_scale: f64 = fields[3]
             .parse()
             .map_err(|_| format!("line {}: bad msg_scale {:?}", lineno + 1, fields[3]))?;
+        check_msg_scale(msg_scale).map_err(|e| format!("line {}: {e}", lineno + 1))?;
         let estimate = match fields.get(4) {
-            Some(f) => Ns((1_000.0
-                * f.parse::<f64>()
-                    .map_err(|_| format!("line {}: bad estimate {f:?}", lineno + 1))?)
-                as u64),
+            Some(f) => {
+                let estimate_us: f64 = f
+                    .parse()
+                    .map_err(|_| format!("line {}: bad estimate {f:?}", lineno + 1))?;
+                check_time_us(estimate_us, "estimate_us")
+                    .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+                Ns((1_000.0 * estimate_us) as u64)
+            }
             None => runtime_estimate(kind, ranks, msg_scale),
         };
         out.push(Arrival {
@@ -242,6 +245,16 @@ pub fn parse_arrivals(text: &str) -> Result<Vec<Arrival>, String> {
     }
     out.sort_by_key(|a| a.at);
     Ok(out)
+}
+
+/// A trace time in microseconds must be finite and not negative (the
+/// cast to [`Ns`] would otherwise clamp it to 0 or `u64::MAX`).
+fn check_time_us(us: f64, field: &str) -> Result<(), String> {
+    if us.is_finite() && us >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{field}: must be finite and >= 0 (got {us})"))
+    }
 }
 
 #[cfg(test)]
@@ -333,6 +346,12 @@ mod tests {
         assert!(p.validate().unwrap_err().contains("duration"));
         p.min_jobs = 10;
         assert!(p.validate().is_ok());
+        for bad in [0.0, f64::INFINITY, f64::NAN] {
+            let mut p = plan();
+            p.msg_scale = bad;
+            let err = p.validate().unwrap_err();
+            assert!(err.contains("msg_scale"), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -370,6 +389,23 @@ mod tests {
             .unwrap_err()
             .contains("warp"));
         assert!(parse_arrivals("0, cr, 4").unwrap_err().contains("want"));
+        let cases = [
+            ("-5, cr, 32, 0.5", "at_us"),
+            ("inf, cr, 32, 0.5", "at_us"),
+            ("NaN, cr, 32, 0.5", "at_us"),
+            ("0, cr, 32, inf", "msg_scale"),
+            ("0, cr, 32, NaN", "msg_scale"),
+            ("0, cr, 32, 0", "msg_scale"),
+            ("0, cr, 32, 0.5, -1", "estimate_us"),
+            ("0, cr, 32, 0.5, inf", "estimate_us"),
+        ];
+        for (text, field) in cases {
+            let err = parse_arrivals(&format!("0, fb, 8, 1.0\n{text}")).unwrap_err();
+            assert!(
+                err.contains("line 2") && err.contains(field),
+                "{text:?}: {err}"
+            );
+        }
     }
 
     #[test]

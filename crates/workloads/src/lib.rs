@@ -34,7 +34,7 @@ pub mod patterns;
 pub mod trace;
 pub mod traceio;
 
-pub use apps::{generate, AppKind, WorkloadSpec};
+pub use apps::{check_msg_scale, generate, AppKind, WorkloadSpec};
 pub use arrivals::{
     parse_arrivals, poisson_arrivals, runtime_estimate, tenant_label, Arrival, ArrivalKind,
     ArrivalPlan,
