@@ -227,15 +227,15 @@ impl Bencher {
     ) {
         let warm_start = Instant::now();
         let mut calls = 0u32;
-        let mut routine_time = Duration::ZERO;
         while calls < WARMUP_MIN_CALLS || warm_start.elapsed() < WARMUP_TIME {
             let input = setup();
-            let t = Instant::now();
             std::hint::black_box(routine(input));
-            routine_time += t.elapsed();
             calls += 1;
         }
-        let per_call = routine_time.as_secs_f64() / calls as f64;
+        // A sample runs setup as often as the routine, so it is sized by
+        // both: sized by the routine alone, a slow setup would run until
+        // the routine's time filled the sample.
+        let per_call = warm_start.elapsed().as_secs_f64() / calls as f64;
         let iters = iters_per_sample(per_call);
         let mut samples = Vec::with_capacity(self.sample_size);
         for _ in 0..self.sample_size {

@@ -18,7 +18,9 @@
 //!   list, kept in `seq` order: an append in the common case, a sorted
 //!   insert when a reserved seq comes back behind queued ties. Two levels
 //!   of `u64` bitmaps mark the non-empty slots, so the next one is a
-//!   `trailing_zeros` away;
+//!   `trailing_zeros` away. The queue keeps the first two non-empty slots
+//!   at hand (`ahead`): a pop reads its slot from there, and scans the
+//!   bitmaps only when it empties a slot, to find the new second;
 //! * a later event goes to a binary heap of *far* events keyed by
 //!   `(time, seq)`. When a pop moves the clock, the far events that now
 //!   fall inside the window move into their slots.
@@ -30,9 +32,9 @@
 //! so a queue that never receives an event costs nothing, and the slab
 //! follows the peak population of the wheel.
 //!
-//! [`EventQueue::peek_time`] is a bitmap scan. Loops that run up to a time
-//! bound still use [`EventQueue::pop_until`], which folds the bound check
-//! into the pop.
+//! [`EventQueue::peek_time`] and [`EventQueue::lookahead`] read the kept
+//! slots and scan nothing. Loops that run up to a time bound use
+//! [`EventQueue::pop_until`], which folds the bound check into the pop.
 
 use crate::time::Ns;
 use std::cmp::Ordering;
@@ -55,6 +57,8 @@ const SLOTS: usize = 4096;
 const MASK: u64 = SLOTS as u64 - 1;
 /// "No node": the end of a slot's list or of the free list.
 const NIL: u32 = u32::MAX;
+/// "No slot" in `EventQueue::ahead`.
+const NO_SLOT: usize = usize::MAX;
 
 /// One pending event in a slot's list, or a free node (`event: None`).
 /// Its time is the slot's.
@@ -127,6 +131,9 @@ pub struct EventQueue<E> {
     words: [u64; SLOTS / 64],
     /// Bit `w` is set iff `words[w] != 0`.
     summary: u64,
+    /// The earliest non-empty slot and the next non-empty one after it,
+    /// in time order (`NO_SLOT` where the wheel holds fewer).
+    ahead: [usize; 2],
     /// Node storage shared by all slot lists.
     nodes: Vec<Node<E>>,
     /// First node of the list of unused nodes.
@@ -167,6 +174,7 @@ impl<E> EventQueue<E> {
             slots: Vec::new(),
             words: [0; SLOTS / 64],
             summary: 0,
+            ahead: [NO_SLOT; 2],
             nodes: Vec::new(),
             free: NIL,
             far: BinaryHeap::new(),
@@ -285,6 +293,7 @@ impl<E> EventQueue<E> {
             self.slots[s] = Slot { head: n, tail: n };
             self.words[s / 64] |= 1 << (s % 64);
             self.summary |= 1 << (s / 64);
+            self.keep_ahead(s);
         } else if self.nodes[tail as usize].seq < seq {
             self.nodes[tail as usize].next = n;
             self.slots[s].tail = n;
@@ -328,26 +337,46 @@ impl<E> EventQueue<E> {
         n
     }
 
+    /// Distance in ns from the clock to the time slot `s` holds.
+    #[inline]
+    fn dist(&self, s: usize) -> u64 {
+        (s as u64).wrapping_sub(self.now.0) & MASK
+    }
+
+    /// Slot `s` just became non-empty: keep it if it is one of the first
+    /// two.
+    #[inline]
+    fn keep_ahead(&mut self, s: usize) {
+        let [first, second] = self.ahead;
+        let d = self.dist(s);
+        if first == NO_SLOT || d < self.dist(first) {
+            self.ahead = [s, first];
+        } else if second == NO_SLOT || d < self.dist(second) {
+            self.ahead[1] = s;
+        }
+    }
+
+    /// The first non-empty slot at or after slot `p` in cyclic order.
+    /// The wheel must hold an event.
+    #[inline]
+    fn next_slot_from(&self, p: usize) -> usize {
+        let w = p / 64;
+        let bits = self.words[w] & (u64::MAX << (p % 64));
+        if bits != 0 {
+            return w * 64 + bits.trailing_zeros() as usize;
+        }
+        let later = self.summary & ((u64::MAX << w) << 1);
+        let w = if later != 0 { later } else { self.summary }.trailing_zeros() as usize;
+        w * 64 + self.words[w].trailing_zeros() as usize
+    }
+
     /// Time of the earliest pending event.
     #[inline]
     fn next_time(&self) -> Option<u64> {
-        if self.summary == 0 {
-            return self.far.peek().map(|f| f.time);
+        match self.ahead[0] {
+            NO_SLOT => self.far.peek().map(|f| f.time),
+            s => Some(self.now.0 + self.dist(s)),
         }
-        // Slots from the clock's onwards, then wrapped round to it: the
-        // cyclic order from `now % SLOTS` is time order.
-        let now = self.now.0;
-        let p = (now & MASK) as usize;
-        let w = p / 64;
-        let bits = self.words[w] & (u64::MAX << (p % 64));
-        let s = if bits != 0 {
-            w * 64 + bits.trailing_zeros() as usize
-        } else {
-            let later = self.summary & ((u64::MAX << w) << 1);
-            let w = if later != 0 { later } else { self.summary }.trailing_zeros() as usize;
-            w * 64 + self.words[w].trailing_zeros() as usize
-        };
-        Some(now + ((s as u64).wrapping_sub(now) & MASK))
     }
 
     /// Move the clock forward to `time` and bring the far events that now
@@ -376,8 +405,7 @@ impl<E> EventQueue<E> {
     /// are and return `None`.
     ///
     /// This is how a bounded loop should drain the queue: the bound check
-    /// costs nothing extra, where a [`EventQueue::peek_time`] before every
-    /// pop would repeat the slot search.
+    /// costs nothing extra.
     pub fn pop_until(&mut self, limit: Ns) -> Option<ScheduledEvent<E>> {
         let time = self.next_time()?;
         if time > limit.0 {
@@ -387,6 +415,7 @@ impl<E> EventQueue<E> {
             self.advance(time);
         }
         let s = (time & MASK) as usize;
+        debug_assert_eq!(s, self.ahead[0], "the kept first slot is stale");
         let n = self.slots[s].head;
         let node = &mut self.nodes[n as usize];
         let seq = node.seq;
@@ -399,6 +428,18 @@ impl<E> EventQueue<E> {
             if self.words[s / 64] == 0 {
                 self.summary &= !(1 << (s / 64));
             }
+            // The second slot moves up; the scan for the slot after it,
+            // which starts just past it in time order, is the only bitmap
+            // scan a pop makes.
+            let first = self.ahead[1];
+            let second = match first {
+                NO_SLOT => NO_SLOT,
+                f => match self.next_slot_from((f + 1) & MASK as usize) {
+                    wrapped if wrapped == f => NO_SLOT,
+                    s => s,
+                },
+            };
+            self.ahead = [first, second];
         } else {
             self.slots[s].head = next;
         }
@@ -421,9 +462,37 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// The firing time of the earliest pending event: a bitmap scan.
+    /// The firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Ns> {
         self.next_time().map(Ns)
+    }
+
+    /// The events the next two pops would return if nothing were
+    /// scheduled before them, without popping them or scanning.
+    ///
+    /// The first is `None` only on an empty queue. The second is `None`
+    /// when the queue holds one event, and also when the wheel is empty
+    /// (every pending event lies a whole window or more ahead of the
+    /// clock), since the far heap shows only its earliest entry. A loop
+    /// can use the answer as a hint (to warm what the coming events will
+    /// touch): scheduling may put new events first, and reading ahead
+    /// changes nothing.
+    #[inline]
+    pub fn lookahead(&self) -> [Option<&E>; 2] {
+        let far = || self.far.peek().map(|f| &f.event);
+        let [first, second] = self.ahead;
+        if first == NO_SLOT {
+            return [far(), None];
+        }
+        let head = &self.nodes[self.slots[first].head as usize];
+        let next = if head.next != NIL {
+            self.nodes[head.next as usize].event.as_ref()
+        } else if second != NO_SLOT {
+            self.nodes[self.slots[second].head as usize].event.as_ref()
+        } else {
+            far()
+        };
+        [head.event.as_ref(), next]
     }
 
     /// Current simulation time (time of the most recently popped event).

@@ -265,8 +265,9 @@ fn queue_reserved_interleaving_total_order() {
 /// key, a clock brought to exactly one window short of a far key and a
 /// tie scheduled there, and a window drained so that `pop_until` is refused and
 /// `peek_time` answered with only far events pending. Every popped event,
-/// `peek_time()`, `len()`, `high_water()` and `scheduled_total()` must
-/// agree after each operation, and a refused pop must leave the clock.
+/// `peek_time()`, `lookahead()`, `len()`, `high_water()` and
+/// `scheduled_total()` must agree after each operation, and a refused pop
+/// must leave the clock.
 #[test]
 fn queue_matches_btreemap_oracle() {
     use std::collections::BTreeMap;
@@ -358,6 +359,29 @@ fn queue_matches_btreemap_oracle() {
         }
 
         fn check_counters(&self) -> Result<(), String> {
+            // The lookahead reads the oracle's first two keys: the second
+            // may be missing only when every pending event is far.
+            let [first, second] = self.q.lookahead().map(|e| e.copied());
+            let mut keys = self.oracle.iter();
+            let (want1, want2) = (keys.next(), keys.next());
+            if first != want1.map(|(_, &p)| p) {
+                return Err(format!(
+                    "lookahead first {first:?} vs {want1:?} at now={:?}",
+                    self.now()
+                ));
+            }
+            let far_only = want1.is_some_and(|(&(t, _), _)| t.0 - self.now().0 >= WHEEL);
+            match (second, want2) {
+                (Some(p), Some((_, &w))) if p == w => {}
+                (None, None) => {}
+                (None, Some(_)) if far_only => {}
+                _ => {
+                    return Err(format!(
+                        "lookahead second {second:?} vs {want2:?} at now={:?}",
+                        self.now()
+                    ))
+                }
+            }
             let next = self.oracle.first_key_value().map(|(&(t, _), _)| t);
             if self.q.peek_time() != next {
                 return Err(format!(
@@ -505,6 +529,69 @@ fn queue_matches_btreemap_oracle() {
             }
             if m.q.pop().is_some() {
                 return Err("queue not empty after the oracle drained".into());
+            }
+            Ok(())
+        },
+    );
+}
+
+/// `lookahead` names the events of the next two pops when nothing is
+/// scheduled between them, over random schedules of near events, far-heap
+/// events and reserved seqs handed back (at the clock too, behind queued
+/// ties). Only when every pending event lies a whole window ahead may the
+/// second be unknown. Looking ahead moves no counter and not the clock.
+#[test]
+fn queue_lookahead_predicts_the_next_two_pops() {
+    /// The wheel's width in ns: the queue's private `SLOTS`.
+    const WHEEL: u64 = 4096;
+
+    check(
+        "queue_lookahead_predicts_the_next_two_pops",
+        &Config::with_cases(64),
+        |rng| gen::vec_u64(rng, 1, 400, 0, u64::MAX),
+        |ops| {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut held = Vec::new();
+            let counters =
+                |q: &EventQueue<u64>| (q.len(), q.now(), q.scheduled_total(), q.high_water());
+            for (payload, &op) in ops.iter().enumerate() {
+                let payload = payload as u64;
+                let arg = op >> 3;
+                let now = q.now();
+                match op % 8 {
+                    0..=2 => q.schedule(now + Ns(arg % WHEEL), payload),
+                    3 => q.schedule(now + Ns(WHEEL + arg % (1 << 20)), payload),
+                    4 | 5 => {
+                        let seq = q.reserve_seq();
+                        held.push((now + Ns(arg % 3 * (arg % 64)), seq, payload));
+                    }
+                    _ => {
+                        // Hand every reservation back (they come back in
+                        // random order), then read two ahead and pop twice.
+                        while !held.is_empty() {
+                            let (t, seq, p) = held.swap_remove(arg as usize % held.len());
+                            q.schedule_reserved(t, seq, p);
+                        }
+                        let before = counters(&q);
+                        let [first, second] = q.lookahead().map(|e| e.copied());
+                        if counters(&q) != before {
+                            return Err(format!(
+                                "lookahead moved {before:?} to {:?}",
+                                counters(&q)
+                            ));
+                        }
+                        let pop1 = q.pop();
+                        let far_only = pop1.as_ref().is_some_and(|e| e.time.0 - now.0 >= WHEEL);
+                        let pop1 = pop1.map(|e| e.event);
+                        let pop2 = q.pop().map(|e| e.event);
+                        if first != pop1 {
+                            return Err(format!("lookahead first {first:?}, popped {pop1:?}"));
+                        }
+                        if second != pop2 && !(second.is_none() && far_only) {
+                            return Err(format!("lookahead second {second:?}, popped {pop2:?}"));
+                        }
+                    }
+                }
             }
             Ok(())
         },

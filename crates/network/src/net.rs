@@ -17,7 +17,7 @@
 
 use crate::arbiter;
 use crate::audit::{AuditReport, Auditor};
-use crate::channel::{ChannelActivity, ChannelState, ChannelStore, InFlight, LinkTable};
+use crate::channel::{prefetch, ChannelActivity, ChannelState, ChannelStore, InFlight, LinkTable};
 use crate::metrics::{class_index, ChannelFootprint, ChannelSnapshot, NetworkMetrics};
 use crate::obs::{self, ObsCollector};
 use crate::packet::{MessageId, MessageKind, MessageState, Packet, PacketId, Route, MAX_ROUTE_LEN};
@@ -460,6 +460,7 @@ impl Network {
     /// Handle one popped event.
     #[inline]
     fn dispatch(&mut self, ev: ScheduledEvent<NetEvent>) {
+        self.prefetch_ahead();
         match ev.event {
             NetEvent::Inject(slot) => {
                 let started = self.event_begin(EventKind::Inject);
@@ -499,6 +500,37 @@ impl Network {
                         .schedule_reserved(next.at, next.seq, NetEvent::Arrive(ch_id));
                 }
             }
+        }
+    }
+
+    /// Warm what the next two events will touch while this one runs, a
+    /// two-stage software pipeline over [`EventQueue::lookahead`]: start
+    /// loading the channel record of the event after next, and read the
+    /// next event's record (warmed one event ago) to start loading its
+    /// packet: the head of the transmitting VC for a `TxDone`, the front
+    /// of the in-flight FIFO for an `Arrive`. Only reads and cache hints:
+    /// if the events handled first schedule something earlier, the hint
+    /// is wasted, never wrong.
+    #[inline]
+    fn prefetch_ahead(&self) {
+        let [next, after] = self.queue.lookahead();
+        if let Some(&(NetEvent::TxDone(ch) | NetEvent::Arrive(ch))) = after {
+            self.channels.prefetch(ch);
+        }
+        let pid = match next {
+            Some(&NetEvent::TxDone(ch)) => self
+                .channels
+                .get(ch)
+                .and_then(|c| c.vcs[c.tx_vc as usize].queue.front()),
+            Some(&NetEvent::Arrive(ch)) => self
+                .channels
+                .get(ch)
+                .and_then(|c| c.inflight.front())
+                .map(|f| f.pid),
+            _ => None,
+        };
+        if let Some(p) = pid.and_then(|pid| self.packets.get(pid.0 as usize)) {
+            prefetch(p);
         }
     }
 
@@ -1771,6 +1803,8 @@ mod tests {
         n
     }
 
+    /// Every event is dispatched behind `prefetch_ahead`, so this also
+    /// holds the read-ahead pipeline to a clean audit under congestion.
     #[test]
     fn audited_run_is_clean_and_covers_events() {
         let mut n = audited_congested_net();

@@ -67,10 +67,16 @@ impl WorkloadSpec {
 /// (`inf` would turn every message into `u64::MAX` bytes; `NaN` compares
 /// false against every bound.)
 pub fn check_msg_scale(scale: f64) -> Result<(), String> {
-    if scale.is_finite() && scale > 0.0 {
+    check_finite_positive("msg_scale", scale)
+}
+
+/// Finite and above zero, or an error naming `field`: the check behind
+/// every scale and rate.
+pub(crate) fn check_finite_positive(field: &str, value: f64) -> Result<(), String> {
+    if value.is_finite() && value > 0.0 {
         Ok(())
     } else {
-        Err(format!("msg_scale: must be finite and > 0 (got {scale})"))
+        Err(format!("{field}: must be finite and > 0 (got {value})"))
     }
 }
 

@@ -8,7 +8,7 @@
 //! simple CSV text format — both as plain [`Arrival`] records the service
 //! simulator in `dfly-core` turns into placed, traced jobs.
 
-use crate::apps::{check_msg_scale, AppKind};
+use crate::apps::{check_finite_positive, check_msg_scale, AppKind};
 use crate::patterns::Pattern;
 use dfly_engine::{Ns, Xoshiro256};
 
@@ -113,9 +113,9 @@ pub struct ArrivalPlan {
 impl ArrivalPlan {
     /// Validate the plan.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.rate_per_ms > 0.0) {
-            return Err("rate_per_ms: must be positive".into());
-        }
+        // An infinite rate draws every inter-arrival gap as 0 ns, and the
+        // stream would never reach its duration.
+        check_finite_positive("rate_per_ms", self.rate_per_ms)?;
         if self.duration == Ns::ZERO && self.min_jobs == 0 {
             return Err("duration: zero-length stream with no min_jobs floor".into());
         }
@@ -282,6 +282,17 @@ mod tests {
         assert!(a.windows(2).all(|w| w[0].at <= w[1].at));
         // ~2 jobs/ms * 50 ms: statistically comfortably within 2x.
         assert!(a.len() > 50 && a.len() < 200, "{} arrivals", a.len());
+    }
+
+    #[test]
+    fn validate_rejects_a_rate_that_is_not_finite_and_positive() {
+        for rate in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            let mut p = plan();
+            p.rate_per_ms = rate;
+            let err = p.validate().expect_err("rate accepted");
+            assert!(err.starts_with("rate_per_ms: "), "{err}");
+        }
+        assert!(plan().validate().is_ok());
     }
 
     #[test]
