@@ -12,24 +12,17 @@ fn log_uniform(rng: &mut Xoshiro256, lo: f64, octaves: f64) -> u64 {
 
 /// A hold of 10k pending events (Theta's mean queue depth), one pop and
 /// one push per step, the push `delays` (cycled) after the popped event.
-/// Every other push is an in-flight arrival: its seq is reserved at the
-/// pop and the event handed back through `schedule_reserved` one step
-/// later, as a channel's FIFO head is. Pops must come in strictly
-/// increasing `(time, seq)` order. One iteration = 1,000 steps.
+/// Pops must come in strictly increasing `(time, seq)` order. One
+/// iteration = 1,000 steps.
 fn hold(b: &mut Bencher, delays: Vec<u64>) {
     let mut next_delay = delays.iter().copied().cycle();
     let mut q = EventQueue::new();
     for i in 0..10_000u64 {
         q.schedule(Ns(next_delay.next().unwrap()), i);
     }
-    let mut held: Option<(Ns, u64)> = None;
     let mut last: Option<(Ns, u64)> = None;
-    let mut step = 0u64;
     b.iter(|| {
         for _ in 0..1_000 {
-            if let Some((t, seq)) = held.take() {
-                q.schedule_reserved(t, seq, seq);
-            }
             let e = q.pop().expect("the hold never drains");
             let key = (e.time, e.seq);
             assert!(
@@ -37,13 +30,7 @@ fn hold(b: &mut Bencher, delays: Vec<u64>) {
                 "pop order broke: {key:?} after {last:?}"
             );
             last = Some(key);
-            let at = e.time + Ns(next_delay.next().unwrap());
-            step += 1;
-            if step.is_multiple_of(2) {
-                held = Some((at, q.reserve_seq()));
-            } else {
-                q.schedule(at, e.event);
-            }
+            q.schedule(e.time + Ns(next_delay.next().unwrap()), e.event);
         }
         black_box(q.len())
     });

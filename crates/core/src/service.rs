@@ -324,6 +324,20 @@ pub struct ServiceSim<'a, N: DriverNet> {
     completed: Vec<ServiceOutcome>,
     peak_active: usize,
     next_uid: u64,
+    /// Re-attempt admission after an event once `now` reaches this: the
+    /// earliest queued arrival that was not yet due at the last attempt,
+    /// `ZERO` once a job retired since (or always, under
+    /// [`AdmissionPolicy::CongestionAware`]), `MAX` when neither can
+    /// come. Between such events the pool, the slots and the due set are
+    /// fixed, and a backfill candidate's `now + estimate <= shadow` only
+    /// gets harder as `now` grows, so an attempt would admit nothing.
+    admit_at: Ns,
+    /// Running jobs' `(estimated end, uid, nodes)`, the backfill's
+    /// reservation walk; kept to reuse its buffer.
+    ends: Vec<(Ns, u64, u32)>,
+    /// Admission attempts made.
+    #[cfg(test)]
+    attempts: u64,
 }
 
 impl<'a, N: DriverNet> ServiceSim<'a, N> {
@@ -356,6 +370,10 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
             completed: Vec::new(),
             peak_active: 0,
             next_uid: 0,
+            admit_at: Ns::ZERO,
+            ends: Vec::new(),
+            #[cfg(test)]
+            attempts: 0,
         }
     }
 
@@ -381,8 +399,10 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
     }
 
     /// Advance the simulation until `t` (or until every event drains,
-    /// whichever comes first). Admission re-attempts after every network
-    /// event.
+    /// whichever comes first). Admission is attempted on entry, then after
+    /// each delivery or wakeup that can change its outcome: one that
+    /// retired a job or brought a queued arrival due (after every one
+    /// under [`AdmissionPolicy::CongestionAware`]).
     pub fn step_until(&mut self, t: Ns) {
         if t > self.net.now() {
             self.net.schedule_wakeup(t);
@@ -391,16 +411,18 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
         while self.net.now() < t {
             let Some(ev) = self.net.poll() else { break };
             self.handle(ev);
-            self.try_admit();
+            self.admit_if_due();
         }
     }
 
     /// Drain the simulation: run until every submitted job has completed.
-    /// Panics if jobs remain queued on an idle machine (an admission
-    /// dead-end, which validated submissions cannot reach).
+    /// Admission is attempted as in [`ServiceSim::step_until`], and again
+    /// whenever the network drains. Panics if jobs remain queued on an
+    /// idle machine (an admission dead-end, which validated submissions
+    /// cannot reach).
     pub fn run_to_idle(&mut self) {
+        self.try_admit();
         loop {
-            self.try_admit();
             let Some(ev) = self.net.poll() else {
                 // Drained. A congestion gate may only now be open —
                 // re-attempt, and keep going if it admitted anything.
@@ -412,6 +434,7 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
                 continue;
             };
             self.handle(ev);
+            self.admit_if_due();
         }
         assert!(
             self.queue.is_empty() && self.active_jobs() == 0,
@@ -471,10 +494,39 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
         }
     }
 
-    /// Admit queued jobs per the policy. Called after every event and
-    /// submission, so completions and congestion drains re-trigger it.
+    /// Attempt admission if the last event can have changed its outcome
+    /// (see `admit_at`).
+    #[inline]
+    fn admit_if_due(&mut self) {
+        if self.net.now() >= self.admit_at {
+            self.try_admit();
+        }
+    }
+
+    /// Admit queued jobs per the policy, then note when the next attempt
+    /// is due.
     fn try_admit(&mut self) {
+        #[cfg(test)]
+        {
+            self.attempts += 1;
+        }
         let now = self.net.now();
+        // A job retired during the attempt lowers this to ZERO.
+        self.admit_at = Ns::MAX;
+        self.admit(now);
+        let next_arrival = match self.admission {
+            AdmissionPolicy::CongestionAware { .. } => Ns::ZERO,
+            _ => self
+                .queue
+                .iter()
+                .map(|q| q.arrival)
+                .find(|&a| a > now)
+                .unwrap_or(Ns::MAX),
+        };
+        self.admit_at = self.admit_at.min(next_arrival);
+    }
+
+    fn admit(&mut self, now: Ns) {
         loop {
             let Some(head) = self.queue.front() else {
                 return;
@@ -485,7 +537,7 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
             if let AdmissionPolicy::CongestionAware { max_queued_bytes } = self.admission {
                 if self.net.total_queued_bytes() > max_queued_bytes {
                     // The gate re-opens as deliveries drain the buffers;
-                    // every drained event re-attempts admission.
+                    // under this policy every event re-attempts admission.
                     return;
                 }
             }
@@ -522,22 +574,19 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
             .job
             .workload
             .ranks();
-        let mut ends: Vec<(Ns, u64, u32)> = self
-            .engine
-            .jobs_mut()
-            .map(|j| {
-                (
-                    Ns(j.meta.started_at.0.saturating_add(j.meta.estimate.0)),
-                    j.meta.uid,
-                    j.placement.len() as u32,
-                )
-            })
-            .collect();
-        ends.sort_unstable();
+        self.ends.clear();
+        self.ends.extend(self.engine.jobs_mut().map(|j| {
+            (
+                Ns(j.meta.started_at.0.saturating_add(j.meta.estimate.0)),
+                j.meta.uid,
+                j.placement.len() as u32,
+            )
+        }));
+        self.ends.sort_unstable();
         let mut avail = self.pool.free_count();
         let mut shadow = Ns::MAX;
         let mut surplus = 0u32;
-        for (end, _, freed) in ends {
+        for &(end, _, freed) in &self.ends {
             avail += freed;
             if avail >= head_ranks {
                 shadow = end;
@@ -624,6 +673,7 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
     /// Retire a finished job: release its nodes, recycle its slot, and
     /// keep only the compact outcome record.
     fn retire(&mut self, slot: u32) {
+        self.admit_at = Ns::ZERO;
         let now = self.net.now();
         let job = self.engine.remove(slot);
         self.pool.release(&job.placement);
@@ -928,6 +978,52 @@ mod tests {
         assert_eq!(sim.completed().len(), 2);
         let second = sim.completed().iter().find(|o| o.uid == 1).unwrap();
         assert!(second.arrival >= Ns::from_us(5), "arrival clamped to now");
+    }
+
+    #[test]
+    fn admission_is_attempted_only_when_an_event_can_change_it() {
+        // A stream that blocks its head, backfills and completes jobs, run
+        // under EASY and under a congestion gate that never closes: the
+        // gate's policy is EASY that re-attempts after every event, so the
+        // two must make the same decisions. EASY attempts on entry, after
+        // events that retired a job or brought an arrival due, and once
+        // more when the network drains.
+        let arrivals = [0u64, 1, 2, 2, 3_000, 3_000, 40_000, 41_000];
+        let jobs = [48, 48, 8, 4, 16, 8, 32, 4];
+        let run = |admission| {
+            let topo = Arc::new(Topology::build(TopologyConfig::small_test()));
+            let mut net = Network::new(
+                topo.clone(),
+                NetworkParams::default(),
+                RoutingPolicy::Adaptive,
+                11,
+            );
+            let mut sim = ServiceSim::new(&mut net, topo, admission, 11);
+            for (&at, &ranks) in arrivals.iter().zip(&jobs) {
+                sim.submit(app_job(ranks, PlacementPolicy::Contiguous), Ns(at))
+                    .unwrap();
+            }
+            sim.run_to_idle();
+            (sim.attempts, sim.completed().to_vec())
+        };
+        let (easy_attempts, easy) = run(AdmissionPolicy::EasyBackfill);
+        let (every_event, gated) = run(AdmissionPolicy::CongestionAware {
+            max_queued_bytes: u64::MAX,
+        });
+        assert_eq!(easy, gated);
+        assert_eq!(easy.len(), jobs.len());
+        let started = |uid: u64| easy.iter().find(|o| o.uid == uid).unwrap().started_at;
+        assert!(started(2) < started(1), "the stream backfills");
+        let distinct_arrivals = 6;
+        let bound = 1 + jobs.len() as u64 + distinct_arrivals + 1;
+        assert!(
+            easy_attempts <= bound,
+            "{easy_attempts} attempts, at most {bound} can change anything"
+        );
+        assert!(
+            every_event > 10 * easy_attempts,
+            "{every_event} attempts after every event vs {easy_attempts}"
+        );
     }
 
     #[test]

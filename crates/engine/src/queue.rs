@@ -7,16 +7,17 @@
 //! therefore comparable across configurations.
 //!
 //! The queue relies on one invariant: nothing is ever scheduled before
-//! the clock (`schedule` and `schedule_reserved` assert `time >= now` in
-//! release builds too). Keys therefore only move forward, and an event is
-//! filed by its distance from the clock:
+//! the clock (`schedule` asserts `time >= now` in release builds too).
+//! Keys therefore only move forward, and an event is filed by its
+//! distance from the clock:
 //!
 //! * an event less than `SLOTS` (4,096) ns ahead goes to *slot*
 //!   `time % SLOTS` of the wheel. The window `[now, now + SLOTS)` holds
 //!   each slot index once, so a slot holds one timestamp at a time. Its
 //!   events form an intrusive list through one slab of nodes with a free
-//!   list, kept in `seq` order: an append in the common case, a sorted
-//!   insert when a reserved seq comes back behind queued ties. Two levels
+//!   list, and every filing is an append: a new event takes the next
+//!   `seq`, larger than any queued one, and far events migrate into
+//!   empty slots in `(time, seq)` order. Two levels
 //!   of `u64` bitmaps mark the non-empty slots, so the next one is a
 //!   `trailing_zeros` away. The queue keeps the first two non-empty slots
 //!   at hand (`ahead`): a pop reads its slot from there, and scans the
@@ -147,11 +148,6 @@ pub struct EventQueue<E> {
     now: Ns,
     scheduled_total: u64,
     high_water: usize,
-    /// `(time, seq)` of the most recently popped event. Guards the
-    /// reserved-sequence protocol: a reserved seq handed back *after* the
-    /// clock passed its slot would fire behind later-seq events of the
-    /// same timestamp, silently breaking total order.
-    last_key: Option<(Ns, u64)>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -184,7 +180,6 @@ impl<E> EventQueue<E> {
             now: Ns::ZERO,
             scheduled_total: 0,
             high_water: 0,
-            last_key: None,
         }
     }
 
@@ -199,59 +194,16 @@ impl<E> EventQueue<E> {
             "event scheduled in the past: t={time:?} < now={:?}",
             self.now
         );
-        let seq = self.reserve_seq();
+        assert!(self.next_seq != u64::MAX, "event sequence space exhausted");
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.scheduled_total += 1;
         self.insert(time, seq, event);
     }
 
     /// Schedule `event` to fire `delay` after the current time.
     pub fn schedule_after(&mut self, delay: Ns, event: E) {
         self.schedule(self.now + delay, event);
-    }
-
-    /// Reserve the next sequence number for an event the caller will keep
-    /// outside the queue and hand back later via
-    /// [`EventQueue::schedule_reserved`].
-    ///
-    /// The reservation counts as one scheduled event: the caller is
-    /// promising that the event will eventually be processed in `(time,
-    /// seq)` order, it just does not need a queue entry yet. This is what
-    /// lets per-channel FIFOs hold their tail events out of the queue
-    /// without perturbing the global deterministic order.
-    pub fn reserve_seq(&mut self) -> u64 {
-        assert!(self.next_seq != u64::MAX, "event sequence space exhausted");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        seq
-    }
-
-    /// Schedule `event` under a sequence number previously obtained from
-    /// [`EventQueue::reserve_seq`].
-    ///
-    /// Unlike [`EventQueue::schedule`] this allocates no new sequence
-    /// number and does not bump the scheduled-event total — the event was
-    /// already accounted for when its number was reserved.
-    pub fn schedule_reserved(&mut self, time: Ns, seq: u64, event: E) {
-        assert!(
-            time >= self.now,
-            "reserved event scheduled in the past: t={time:?} < now={:?}",
-            self.now
-        );
-        debug_assert!(
-            seq < self.next_seq,
-            "sequence number {seq} was never reserved"
-        );
-        // A reserved seq handed back after the clock already processed a
-        // later key at the same timestamp would pop *behind* events it
-        // should precede — the total (time, seq) order would silently
-        // break even though `time >= now` holds.
-        debug_assert!(
-            self.last_key.is_none_or(|last| (time, seq) > last),
-            "reserved event (t={time:?}, seq={seq}) scheduled behind the \
-             already-processed key {:?} — equal-timestamp order violated",
-            self.last_key
-        );
-        self.insert(time, seq, event);
     }
 
     /// File an event with `time >= now`: in its slot when it lies inside
@@ -279,8 +231,9 @@ impl<E> EventQueue<E> {
         self.nodes.reserve(self.cap_hint);
     }
 
-    /// Link an event at `time` (inside the window) into its slot's list,
-    /// keeping the list in `seq` order.
+    /// Append an event at `time` (inside the window) to its slot's list.
+    /// Its `seq` is larger than any the slot holds (see the module docs),
+    /// so the list stays in `seq` order.
     #[inline]
     fn file(&mut self, time: u64, seq: u64, event: E) {
         if self.slots.is_empty() {
@@ -288,32 +241,16 @@ impl<E> EventQueue<E> {
         }
         let s = (time & MASK) as usize;
         let n = self.alloc_node(seq, event);
-        let Slot { head, tail } = self.slots[s];
-        if head == NIL {
+        let tail = self.slots[s].tail;
+        if tail == NIL {
             self.slots[s] = Slot { head: n, tail: n };
             self.words[s / 64] |= 1 << (s % 64);
             self.summary |= 1 << (s / 64);
             self.keep_ahead(s);
-        } else if self.nodes[tail as usize].seq < seq {
+        } else {
+            debug_assert!(self.nodes[tail as usize].seq < seq, "an out-of-order filing");
             self.nodes[tail as usize].next = n;
             self.slots[s].tail = n;
-        } else if seq < self.nodes[head as usize].seq {
-            // A reserved seq coming back ahead of every queued tie.
-            self.nodes[n as usize].next = head;
-            self.slots[s].head = n;
-        } else {
-            // ...or between them. The tail's seq is larger, so the walk
-            // stops before the end of the list.
-            let mut prev = head as usize;
-            loop {
-                let next = self.nodes[prev].next;
-                if self.nodes[next as usize].seq > seq {
-                    break;
-                }
-                prev = next as usize;
-            }
-            self.nodes[n as usize].next = self.nodes[prev].next;
-            self.nodes[prev].next = n;
         }
     }
 
@@ -449,12 +386,7 @@ impl<E> EventQueue<E> {
                 .is_none_or(|f| f.time - time >= SLOTS as u64),
             "a far event inside the window"
         );
-        debug_assert!(
-            self.last_key.is_none_or(|last| (self.now, seq) > last),
-            "queue produced a key at or behind the last processed event"
-        );
         self.len -= 1;
-        self.last_key = Some((self.now, seq));
         Some(ScheduledEvent {
             time: self.now,
             seq,
@@ -581,16 +513,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "reserved event scheduled in the past")]
-    fn reserved_event_in_the_past_panics() {
-        let mut q = EventQueue::new();
-        q.schedule(Ns(10), ());
-        let held = q.reserve_seq();
-        q.pop();
-        q.schedule_reserved(Ns(5), held, ());
-    }
-
-    #[test]
     fn len_and_empty() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
@@ -666,66 +588,11 @@ mod tests {
     }
 
     #[test]
-    fn reserved_events_keep_schedule_order() {
-        // A reserved event interleaved with normal schedules must pop in
-        // reservation order, not insertion order.
-        let mut q = EventQueue::new();
-        q.schedule(Ns(10), "a"); // seq 0
-        let seq = q.reserve_seq(); // seq 1
-        q.schedule(Ns(10), "c"); // seq 2
-        q.schedule_reserved(Ns(10), seq, "b");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-
-        // Handed back once the clock already sits at its timestamp, with
-        // ties pending there: it is inserted between them, not appended.
-        q.schedule(Ns(20), "d"); // seq 3
-        let seq = q.reserve_seq(); // seq 4
-        q.schedule(Ns(20), "f"); // seq 5
-        q.schedule(Ns(20), "g"); // seq 6
-        assert_eq!(q.pop().unwrap().event, "d");
-        q.schedule_reserved(Ns(20), seq, "e");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        assert_eq!(order, vec!["e", "f", "g"]);
-    }
-
-    #[test]
-    fn reservation_counts_once_toward_scheduled_total() {
-        let mut q = EventQueue::new();
-        q.schedule(Ns(1), ());
-        let seq = q.reserve_seq();
-        assert_eq!(q.scheduled_total(), 2);
-        q.schedule_reserved(Ns(2), seq, ());
-        assert_eq!(
-            q.scheduled_total(),
-            2,
-            "late queue insertion double-counted"
-        );
-    }
-
-    #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "debug_assert-only guard")]
-    #[should_panic(expected = "equal-timestamp order violated")]
-    fn stale_reserved_seq_behind_processed_tie_is_caught() {
-        // seq 0 is reserved, then two direct events at the same timestamp
-        // are scheduled *and processed*. Handing seq 0 back now would make
-        // it pop after events it should precede — the exact interleaving
-        // the (time, seq) total order exists to forbid.
-        let mut q = EventQueue::new();
-        let stale = q.reserve_seq(); // seq 0, held at Ns(10)
-        q.schedule(Ns(10), "a"); // seq 1
-        q.schedule(Ns(10), "b"); // seq 2
-        q.pop();
-        q.pop();
-        q.schedule_reserved(Ns(10), stale, "late");
-    }
-
-    #[test]
     #[should_panic(expected = "sequence space exhausted")]
     fn seq_exhaustion_is_detected() {
         let mut q: EventQueue<()> = EventQueue::new();
         q.next_seq = u64::MAX; // simulate 2^64 prior schedules
-        q.reserve_seq();
+        q.schedule(Ns(1), ());
     }
 
     #[test]
@@ -797,5 +664,83 @@ mod tests {
             }
         }
         assert_eq!(count, 2 * 2_000 + 1);
+    }
+
+    /// Every slot list is in `seq` order with its tail at the end, and the
+    /// bitmaps mark exactly the non-empty slots.
+    fn check_slot_lists<E>(q: &EventQueue<E>) -> Result<(), String> {
+        for (s, slot) in q.slots.iter().enumerate() {
+            let marked = q.words[s / 64] & (1 << (s % 64)) != 0;
+            if marked != (slot.head != NIL) {
+                return Err(format!("slot {s}: bitmap {marked}, head {}", slot.head));
+            }
+            let (mut n, mut last) = (slot.head, NIL);
+            while n != NIL {
+                if last != NIL && q.nodes[last as usize].seq >= q.nodes[n as usize].seq {
+                    return Err(format!("slot {s}: seq order broken at node {n}"));
+                }
+                (last, n) = (n, q.nodes[n as usize].next);
+            }
+            if last != slot.tail {
+                return Err(format!("slot {s}: tail {} but the list ends at {last}", slot.tail));
+            }
+        }
+        Ok(())
+    }
+
+    /// Slot lists stay append-only when far events migrate into the wheel
+    /// as ties: far events bunched on a few timestamps, new events tied
+    /// with pending keys (in the wheel or the heap) and pops that pull the
+    /// far ones in. Every list keeps `seq` order after each operation, and
+    /// pops come out in strictly increasing `(time, seq)`.
+    #[test]
+    fn slot_lists_stay_append_only_under_far_migration() {
+        crate::proptest::check(
+            "slot_lists_stay_append_only_under_far_migration",
+            &crate::proptest::Config::with_cases(64),
+            |rng| crate::proptest::gen::vec_u64(rng, 1, 500, 0, u64::MAX),
+            |ops| {
+                let mut q = EventQueue::new();
+                let mut pending: Vec<Ns> = Vec::new();
+                let mut last = None;
+                let mut pop = |q: &mut EventQueue<()>, pending: &mut Vec<Ns>| {
+                    let Some(e) = q.pop() else {
+                        return Ok(());
+                    };
+                    let i = pending.iter().position(|&t| t == e.time).expect("popped a pending time");
+                    pending.swap_remove(i);
+                    if last.is_some_and(|l| (e.time, e.seq) <= l) {
+                        return Err(format!("popped {:?} after {last:?}", (e.time, e.seq)));
+                    }
+                    last = Some((e.time, e.seq));
+                    Ok(())
+                };
+                for &op in ops {
+                    let arg = op >> 3;
+                    let now = q.now();
+                    let t = match op % 8 {
+                        // Far events on a few timestamps.
+                        0 | 1 => Some(now + Ns(SLOTS as u64 + arg % 4)),
+                        // A tie with a pending key.
+                        2 | 3 if !pending.is_empty() => Some(pending[arg as usize % pending.len()]),
+                        4 => Some(now + Ns(arg % SLOTS as u64)),
+                        _ => None,
+                    };
+                    match t {
+                        Some(t) => {
+                            q.schedule(t, ());
+                            pending.push(t);
+                        }
+                        None => pop(&mut q, &mut pending)?,
+                    }
+                    check_slot_lists(&q)?;
+                }
+                while !q.is_empty() {
+                    pop(&mut q, &mut pending)?;
+                    check_slot_lists(&q)?;
+                }
+                Ok(())
+            },
+        );
     }
 }

@@ -172,43 +172,47 @@ fn rng_split_streams_differ() {
     );
 }
 
-/// The reserved-sequence protocol (per-channel in-flight FIFOs keeping
-/// their tails out of the queue) preserves the global (time, seq) total
-/// order under arbitrary interleavings of direct schedules, FIFO
-/// reservations, and pops. As in the network, only the FIFO head holds a
-/// queue entry, and each popped head hands its successor back through
-/// `schedule_reserved`.
+/// Arrivals reserve their `(time, seq)` key the way the network's do: by
+/// being scheduled at transmission start, with landing times monotone per
+/// channel. Under arbitrary interleavings with direct schedules and pops
+/// they keep the global (time, seq) total order, and each channel's
+/// arrivals pop in the order they were scheduled.
 #[test]
 fn queue_reserved_interleaving_total_order() {
     #[derive(Debug)]
     enum Ev {
         Direct,
-        FifoHead,
+        /// The `n`-th arrival scheduled on channel `ch`.
+        Arrive { ch: usize, n: u64 },
     }
-    use std::collections::VecDeque;
+    const CHANNELS: usize = 4;
 
-    fn process_one(
-        q: &mut EventQueue<Ev>,
-        fifo: &mut VecDeque<(Ns, u64)>,
-        processed: &mut Vec<(Ns, u64)>,
-    ) -> Result<(), String> {
-        let Some(e) = q.pop() else {
-            return Ok(());
-        };
-        processed.push((e.time, e.seq));
-        if matches!(e.event, Ev::FifoHead) {
-            let head = fifo.pop_front().ok_or("FIFO marker without an entry")?;
-            if head != (e.time, e.seq) {
-                return Err(format!(
-                    "marker {:?} vs FIFO head {head:?}",
-                    (e.time, e.seq)
-                ));
+    struct Run {
+        q: EventQueue<Ev>,
+        /// Per channel: arrivals scheduled, arrivals popped, last landing.
+        scheduled: [u64; CHANNELS],
+        popped: [u64; CHANNELS],
+        last_at: [Ns; CHANNELS],
+        processed: Vec<(Ns, u64)>,
+    }
+
+    impl Run {
+        fn process_one(&mut self) -> Result<(), String> {
+            let Some(e) = self.q.pop() else {
+                return Ok(());
+            };
+            self.processed.push((e.time, e.seq));
+            if let Ev::Arrive { ch, n } = e.event {
+                if n != self.popped[ch] {
+                    return Err(format!(
+                        "channel {ch}: arrival {n} popped, expected {}",
+                        self.popped[ch]
+                    ));
+                }
+                self.popped[ch] += 1;
             }
-            if let Some(&(t, seq)) = fifo.front() {
-                q.schedule_reserved(t, seq, Ev::FifoHead);
-            }
+            Ok(())
         }
-        Ok(())
     }
 
     check(
@@ -216,34 +220,40 @@ fn queue_reserved_interleaving_total_order() {
         &Config::with_cases(64),
         |rng| gen::vec_u64(rng, 1, 400, 0, 999_999),
         |ops| {
-            let mut q: EventQueue<Ev> = EventQueue::new();
-            let mut fifo: VecDeque<(Ns, u64)> = VecDeque::new();
-            let mut processed: Vec<(Ns, u64)> = Vec::new();
+            let mut r = Run {
+                q: EventQueue::new(),
+                scheduled: [0; CHANNELS],
+                popped: [0; CHANNELS],
+                last_at: [Ns::ZERO; CHANNELS],
+                processed: Vec::new(),
+            };
             for &op in ops {
                 let delay = Ns((op / 4) % 64);
                 match op % 4 {
-                    0 => q.schedule(q.now() + delay, Ev::Direct),
+                    0 => r.q.schedule(r.q.now() + delay, Ev::Direct),
                     1 => {
-                        // Reserved times are monotone within the FIFO, as
-                        // serialization times are on a real channel.
-                        let t = (q.now() + delay).max(fifo.back().map_or(Ns::ZERO, |&(t, _)| t));
-                        let seq = q.reserve_seq();
-                        let was_empty = fifo.is_empty();
-                        fifo.push_back((t, seq));
-                        if was_empty {
-                            q.schedule_reserved(t, seq, Ev::FifoHead);
-                        }
+                        // Landing times are monotone per channel, as
+                        // serialized transmissions make them.
+                        let ch = (op / 256) as usize % CHANNELS;
+                        let t = (r.q.now() + delay).max(r.last_at[ch]);
+                        let n = r.scheduled[ch];
+                        r.q.schedule(t, Ev::Arrive { ch, n });
+                        r.scheduled[ch] += 1;
+                        r.last_at[ch] = t;
                     }
-                    _ => process_one(&mut q, &mut fifo, &mut processed)?,
+                    _ => r.process_one()?,
                 }
             }
-            while !q.is_empty() {
-                process_one(&mut q, &mut fifo, &mut processed)?;
+            while !r.q.is_empty() {
+                r.process_one()?;
             }
-            if !fifo.is_empty() {
-                return Err(format!("{} reserved events never processed", fifo.len()));
+            if r.popped != r.scheduled {
+                return Err(format!(
+                    "arrivals popped {:?}, scheduled {:?}",
+                    r.popped, r.scheduled
+                ));
             }
-            for w in processed.windows(2) {
+            for w in r.processed.windows(2) {
                 if w[1] <= w[0] {
                     return Err(format!("total order violated: {:?} then {:?}", w[0], w[1]));
                 }
@@ -255,13 +265,11 @@ fn queue_reserved_interleaving_total_order() {
 
 /// The timing-wheel queue against a `BTreeMap<(time, seq), payload>`
 /// oracle: random interleavings of ties at `now`, delays from 0 to 2^40
-/// ns, times near `u64::MAX`, reserved seqs handed back (also behind
-/// queued events of the same timestamp), `pop`, and `pop_until` with
-/// limits below, at and above the next key. The wheel's edges get ops of
-/// their own: delays of exactly 4095, 4096 and 4097 ns, slots whose index
-/// wraps below the clock's, far events and far reservations bunched onto
-/// a few timestamps (so they migrate into the wheel as ties, and reserved
-/// seqs come back into migrated slots), new events tied with any pending
+/// ns, times near `u64::MAX`, `pop`, and `pop_until` with limits below,
+/// at and above the next key. The wheel's edges get ops of their own:
+/// delays of exactly 4095, 4096 and 4097 ns, slots whose index wraps
+/// below the clock's, far events bunched onto a few timestamps (so they
+/// migrate into the wheel as ties), new events tied with any pending
 /// key, a clock brought to exactly one window short of a far key and a
 /// tie scheduled there, and a window drained so that `pop_until` is refused and
 /// `peek_time` answered with only far events pending. Every popped event,
@@ -278,8 +286,6 @@ fn queue_matches_btreemap_oracle() {
     struct Model {
         q: EventQueue<u64>,
         oracle: BTreeMap<(Ns, u64), u64>,
-        /// Reserved events not yet handed back: (time, seq, payload).
-        held: Vec<(Ns, u64, u64)>,
         next_seq: u64,
         high_water: usize,
         next_payload: u64,
@@ -303,37 +309,7 @@ fn queue_matches_btreemap_oracle() {
             self.high_water = self.high_water.max(self.oracle.len());
         }
 
-        fn reserve(&mut self, t: Ns) {
-            let seq = self.q.reserve_seq();
-            if seq != self.next_seq {
-                panic!("reserved seq {seq}, oracle expected {}", self.next_seq);
-            }
-            self.next_seq += 1;
-            let p = self.payload();
-            self.held.push((t, seq, p));
-        }
-
-        fn hand_back(&mut self, i: usize) {
-            let (t, seq, p) = self.held.swap_remove(i);
-            self.q.schedule_reserved(t, seq, p);
-            self.oracle.insert((t, seq), p);
-            self.high_water = self.high_water.max(self.oracle.len());
-        }
-
-        /// A held event must be queued before the clock can pass it: hand
-        /// back every one that precedes the oracle's next key.
-        fn hand_back_due(&mut self) {
-            while let Some(i) = self.held.iter().position(|&(t, seq, _)| {
-                self.oracle
-                    .first_key_value()
-                    .is_none_or(|(&key, _)| (t, seq) < key)
-            }) {
-                self.hand_back(i);
-            }
-        }
-
         fn pop_until(&mut self, limit: Ns) -> Result<(), String> {
-            self.hand_back_due();
             let want = match self.oracle.first_key_value() {
                 Some((&(t, seq), &p)) if t <= limit => {
                     self.oracle.pop_first();
@@ -420,7 +396,6 @@ fn queue_matches_btreemap_oracle() {
             let mut m = Model {
                 q: EventQueue::new(),
                 oracle: BTreeMap::new(),
-                held: Vec::new(),
                 next_seq: 0,
                 high_water: 0,
                 next_payload: 0,
@@ -431,7 +406,7 @@ fn queue_matches_btreemap_oracle() {
                 // Saturating: once the clock reaches the top bucket, every
                 // later event lands at u64::MAX.
                 let after = |d: u64| Ns(now.0.saturating_add(d));
-                match op % 23 {
+                match op % 18 {
                     // Ties at the current time.
                     0 | 1 => m.schedule(now),
                     // Theta-like short delays.
@@ -443,28 +418,18 @@ fn queue_matches_btreemap_oracle() {
                     }
                     // The top bucket.
                     6 => m.schedule(Ns(u64::MAX - arg % 1_024).max(now)),
-                    // Reserve, possibly at `now` so the hand-back lands
-                    // among queued ties.
-                    7 | 8 => m.reserve(after(arg % 3 * (arg % 64))),
-                    9 | 10 => {
-                        if !m.held.is_empty() {
-                            let i = arg as usize % m.held.len();
-                            m.hand_back(i);
-                        }
-                    }
-                    11..=13 => m.pop_until(Ns::MAX)?,
+                    7..=9 => m.pop_until(Ns::MAX)?,
                     // Exactly at the wheel's edge.
-                    14 => m.schedule(after([WHEEL - 1, WHEEL, WHEEL + 1][arg as usize % 3])),
+                    10 => m.schedule(after([WHEEL - 1, WHEEL, WHEEL + 1][arg as usize % 3])),
                     // A slot whose index wraps below the clock's.
-                    15 => {
+                    11 => {
                         let wrap = WHEEL - now.0 % WHEEL;
                         m.schedule(after(wrap + arg % (WHEEL - wrap).max(1)))
                     }
-                    // Far events and far reservations on a few timestamps.
-                    16 => m.schedule(after(WHEEL + arg % 8)),
-                    17 => m.reserve(after(WHEEL + arg % 8)),
+                    // Far events on a few timestamps.
+                    12 => m.schedule(after(WHEEL + arg % 8)),
                     // A tie with any pending key, in the wheel or the heap.
-                    18 => {
+                    13 => {
                         if !m.oracle.is_empty() {
                             let i = arg as usize % m.oracle.len();
                             let &(t, _) = m.oracle.keys().nth(i).expect("i < len");
@@ -473,9 +438,8 @@ fn queue_matches_btreemap_oracle() {
                     }
                     // Drain the window, then pop short of the next key: it
                     // is refused, and only far events may be pending.
-                    19 => {
+                    14 => {
                         loop {
-                            m.hand_back_due();
                             let next = m.oracle.first_key_value().map(|(&(t, _), _)| t);
                             match next {
                                 Some(t) if t.0 - now.0 < WHEEL => {
@@ -493,7 +457,7 @@ fn queue_matches_btreemap_oracle() {
                     // Bring the clock to exactly one window short of a
                     // far key, the first instant it belongs in the wheel,
                     // and tie a new event with it there.
-                    20 => {
+                    15 => {
                         let far: Vec<Ns> = m
                             .oracle
                             .keys()
@@ -511,7 +475,6 @@ fn queue_matches_btreemap_oracle() {
                         }
                     }
                     _ => {
-                        m.hand_back_due();
                         let next = m.oracle.first_key_value().map_or(now, |(&(t, _), _)| t);
                         let limit = match arg % 3 {
                             0 => Ns(next.0.saturating_sub(1 + (arg >> 2) % 8)),
@@ -523,7 +486,7 @@ fn queue_matches_btreemap_oracle() {
                 }
                 m.check_counters()?;
             }
-            while !m.oracle.is_empty() || !m.held.is_empty() {
+            while !m.oracle.is_empty() {
                 m.pop_until(Ns::MAX)?;
                 m.check_counters()?;
             }
@@ -537,8 +500,7 @@ fn queue_matches_btreemap_oracle() {
 
 /// `lookahead` names the events of the next two pops when nothing is
 /// scheduled between them, over random schedules of near events, far-heap
-/// events and reserved seqs handed back (at the clock too, behind queued
-/// ties). Only when every pending event lies a whole window ahead may the
+/// events and ties at the clock. Only when every pending event lies a whole window ahead may the
 /// second be unknown. Looking ahead moves no counter and not the clock.
 #[test]
 fn queue_lookahead_predicts_the_next_two_pops() {
@@ -551,7 +513,6 @@ fn queue_lookahead_predicts_the_next_two_pops() {
         |rng| gen::vec_u64(rng, 1, 400, 0, u64::MAX),
         |ops| {
             let mut q: EventQueue<u64> = EventQueue::new();
-            let mut held = Vec::new();
             let counters =
                 |q: &EventQueue<u64>| (q.len(), q.now(), q.scheduled_total(), q.high_water());
             for (payload, &op) in ops.iter().enumerate() {
@@ -561,17 +522,10 @@ fn queue_lookahead_predicts_the_next_two_pops() {
                 match op % 8 {
                     0..=2 => q.schedule(now + Ns(arg % WHEEL), payload),
                     3 => q.schedule(now + Ns(WHEEL + arg % (1 << 20)), payload),
-                    4 | 5 => {
-                        let seq = q.reserve_seq();
-                        held.push((now + Ns(arg % 3 * (arg % 64)), seq, payload));
-                    }
+                    // Ties at the clock, or just past it.
+                    4 | 5 => q.schedule(now + Ns(arg % 3 * (arg % 64)), payload),
                     _ => {
-                        // Hand every reservation back (they come back in
-                        // random order), then read two ahead and pop twice.
-                        while !held.is_empty() {
-                            let (t, seq, p) = held.swap_remove(arg as usize % held.len());
-                            q.schedule_reserved(t, seq, p);
-                        }
+                        // Read two ahead and pop twice.
                         let before = counters(&q);
                         let [first, second] = q.lookahead().map(|e| e.copied());
                         if counters(&q) != before {

@@ -284,6 +284,13 @@ impl Auditor {
         &self.report
     }
 
+    /// Packets the ledger places on a wire (between `TxDone` and their
+    /// landing).
+    #[cfg(test)]
+    pub(crate) fn packets_on_wire(&self) -> usize {
+        self.packets.iter().filter(|p| p.loc == Loc::InFlight).count()
+    }
+
     fn violate(
         &mut self,
         kind: AuditKind,

@@ -17,24 +17,6 @@ use crate::metrics::{class_index, CLASSES};
 use crate::packet::{Packet, PacketId, MAX_ROUTE_LEN, NO_PACKET};
 use dfly_engine::{Bandwidth, Bytes, Ns};
 use dfly_topology::{ChannelClass, ChannelId, Topology};
-use std::collections::VecDeque;
-
-/// One packet in flight on a channel's wire: it left the transmitter
-/// earlier and lands in its next buffer (or delivers) at `at`, ordered
-/// globally by the event sequence number reserved at transmission start.
-///
-/// A channel's in-flight packets arrive in strictly increasing `(at,
-/// seq)` order — transmissions are serialized by the `busy` flag and
-/// `arrival_extra` is a per-channel constant — so a plain FIFO holds
-/// them and only the *head* needs an entry in the event queue (see
-/// `Network::dispatch`). This keeps the queue population proportional to
-/// active channels rather than in-flight packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct InFlight {
-    pub(crate) pid: PacketId,
-    pub(crate) at: Ns,
-    pub(crate) seq: u64,
-}
 
 /// Intrusive FIFO of packets; links live in the packet arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,9 +136,6 @@ pub(crate) struct ChannelState {
     /// Bit `v` set exactly when `vcs[v].queue` is non-empty: arbitration
     /// scans only these VCs (see [`crate::arbiter::rr_queued`]).
     pub(crate) queued_mask: u16,
-    /// Packets transmitted but not yet landed, in arrival order. Only
-    /// the front has an `Arrive` entry in the event queue.
-    pub(crate) inflight: VecDeque<InFlight>,
     /// Channels whose head packet is waiting for space in our buffers.
     pub(crate) waiters: Vec<ChannelId>,
     /// Packets waiting outside the buffers for VC space, a head-blocking
@@ -189,9 +168,9 @@ pub(crate) struct ChannelState {
 }
 
 // The NIC queue rides in the terminal-up record's `ingress` list rather
-// than a field of its own: a record stays within 312 bytes.
+// than a field of its own: a record stays within 280 bytes.
 #[cfg(target_pointer_width = "64")]
-const _: () = assert!(std::mem::size_of::<ChannelState>() <= 312);
+const _: () = assert!(std::mem::size_of::<ChannelState>() <= 280);
 
 impl ChannelState {
     /// Fresh state for a channel of `class`.
@@ -204,7 +183,6 @@ impl ChannelState {
             tx_vc: 0,
             rr_next: 0,
             queued_mask: 0,
-            inflight: VecDeque::new(),
             waiters: Vec::new(),
             ingress: PacketList::default(),
             in_waitlist: false,
@@ -435,16 +413,13 @@ impl ChannelStore {
     }
 
     /// Heap bytes the store holds: the run table, the allocated runs, and
-    /// the in-flight FIFOs and wait lists of their records.
+    /// the wait lists of their records.
     pub(crate) fn heap_bytes(&self) -> usize {
         let table = self.runs.capacity() * std::mem::size_of::<Option<Run>>();
         let runs = self.allocated_runs * std::mem::size_of::<[ChannelState; RUN_LEN]>();
         let lists: usize = self
             .iter()
-            .map(|(_, ch)| {
-                ch.inflight.capacity() * std::mem::size_of::<InFlight>()
-                    + ch.waiters.capacity() * std::mem::size_of::<ChannelId>()
-            })
+            .map(|(_, ch)| ch.waiters.capacity() * std::mem::size_of::<ChannelId>())
             .sum();
         table + runs + lists
     }
@@ -734,11 +709,12 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     fn channel_record_size_is_pinned() {
         // 12 VCs x 16 B (queue head/tail + occupancy; the full flags are
-        // `full_mask`), the in-flight FIFO (32), the wait list (24), the
-        // ingress list (NIC or landing queue, 8), five 8-byte counters
-        // (40), and 12 bytes of flags and masks padded to 16.
+        // `full_mask`), the wait list (24), the ingress list (NIC or
+        // landing queue, 8), five 8-byte counters (40), and 12 bytes of
+        // flags and masks padded to 16. In-flight packets live in their
+        // `Arrive` events, not here.
         assert_eq!(std::mem::size_of::<VcState>(), 16);
-        assert_eq!(std::mem::size_of::<ChannelState>(), 312);
+        assert_eq!(std::mem::size_of::<ChannelState>(), 280);
     }
 
     #[test]

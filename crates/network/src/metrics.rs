@@ -66,7 +66,7 @@ pub struct ChannelFootprint {
     /// Channel records allocated (summed over replicas in a sharded run).
     pub records: usize,
     /// Heap bytes of per-channel state: records, their run table, and
-    /// their in-flight and wait lists.
+    /// their wait lists.
     pub bytes: usize,
 }
 

@@ -17,7 +17,7 @@
 
 use crate::arbiter;
 use crate::audit::{AuditReport, Auditor};
-use crate::channel::{prefetch, ChannelActivity, ChannelState, ChannelStore, InFlight, LinkTable};
+use crate::channel::{prefetch, ChannelActivity, ChannelState, ChannelStore, LinkTable};
 use crate::metrics::{class_index, ChannelFootprint, ChannelSnapshot, NetworkMetrics};
 use crate::obs::{self, ObsCollector};
 use crate::packet::{MessageId, MessageKind, MessageState, Packet, PacketId, Route, MAX_ROUTE_LEN};
@@ -67,18 +67,16 @@ enum NetEvent {
     Inject(u32),
     /// A channel finished serializing its in-flight packet.
     TxDone(ChannelId),
-    /// The *head* of this channel's in-flight FIFO lands at the element
-    /// following `hop - 1`. The packet, its landing time, and its
-    /// reserved sequence number live in the FIFO (see
-    /// [`crate::channel::InFlight`]); the queue holds at most one arrival
-    /// entry per channel, so the event population tracks active channels
-    /// rather than in-flight packets.
-    Arrive(ChannelId),
+    /// A packet lands at the end of the channel it was transmitted on:
+    /// in the buffer of `route[hop + 1]`, or at its destination node.
+    /// Scheduled at transmission start, so the queue holds one entry per
+    /// packet in flight.
+    Arrive(PacketId),
     /// A caller-requested wakeup (see [`Network::schedule_wakeup`]).
     Wakeup,
     /// Shard mode only: a packet imported from another group-replica
     /// lands at its first channel inside this group (profiled as an
-    /// arrival — that is what it is, minus the in-flight FIFO).
+    /// arrival).
     Import(PacketId),
 }
 
@@ -482,55 +480,52 @@ impl Network {
                 self.handle_import(pid);
                 self.event_end(EventKind::Arrive, started);
             }
-            NetEvent::Arrive(ch_id) => {
-                let rec = self
-                    .channels
-                    .get_mut(ch_id)
-                    .inflight
-                    .pop_front()
-                    .expect("Arrive fired for a channel with no packets in flight");
-                debug_assert_eq!((rec.at, rec.seq), (ev.time, ev.seq));
+            NetEvent::Arrive(pid) => {
                 let started = self.event_begin(EventKind::Arrive);
-                self.handle_arrive(rec.pid);
+                self.handle_arrive(pid);
                 self.event_end(EventKind::Arrive, started);
-                // The channel's next in-flight record takes over its one
-                // queue entry, under the seq reserved at its tx start.
-                if let Some(&next) = self.channels.get(ch_id).and_then(|ch| ch.inflight.front()) {
-                    self.queue
-                        .schedule_reserved(next.at, next.seq, NetEvent::Arrive(ch_id));
-                }
             }
         }
     }
 
     /// Warm what the next two events will touch while this one runs, a
-    /// two-stage software pipeline over [`EventQueue::lookahead`]: start
-    /// loading the channel record of the event after next, and read the
-    /// next event's record (warmed one event ago) to start loading its
-    /// packet: the head of the transmitting VC for a `TxDone`, the front
-    /// of the in-flight FIFO for an `Arrive`. Only reads and cache hints:
-    /// if the events handled first schedule something earlier, the hint
-    /// is wasted, never wrong.
+    /// two-stage software pipeline over [`EventQueue::lookahead`]. For
+    /// the event after next, start loading what it names: the channel
+    /// record of a `TxDone`, the packet of an `Arrive`. For the next
+    /// event, read what was warmed one event ago to start loading the
+    /// rest: a `TxDone`'s record names the head packet of its
+    /// transmitting VC, and an `Arrive`'s packet names the channel record
+    /// it lands in, `route[hop + 1]`. Only reads and cache hints: if the
+    /// events handled first schedule something earlier, the hint is
+    /// wasted, never wrong.
     #[inline]
     fn prefetch_ahead(&self) {
         let [next, after] = self.queue.lookahead();
-        if let Some(&(NetEvent::TxDone(ch) | NetEvent::Arrive(ch))) = after {
-            self.channels.prefetch(ch);
+        match after {
+            Some(&NetEvent::TxDone(ch)) => self.channels.prefetch(ch),
+            Some(&NetEvent::Arrive(pid)) => {
+                if let Some(p) = self.packets.get(pid.0 as usize) {
+                    prefetch(p);
+                }
+            }
+            _ => {}
         }
-        let pid = match next {
-            Some(&NetEvent::TxDone(ch)) => self
-                .channels
-                .get(ch)
-                .and_then(|c| c.vcs[c.tx_vc as usize].queue.front()),
-            Some(&NetEvent::Arrive(ch)) => self
-                .channels
-                .get(ch)
-                .and_then(|c| c.inflight.front())
-                .map(|f| f.pid),
-            _ => None,
-        };
-        if let Some(p) = pid.and_then(|pid| self.packets.get(pid.0 as usize)) {
-            prefetch(p);
+        match next {
+            Some(&NetEvent::TxDone(ch)) => {
+                let head = self
+                    .channels
+                    .get(ch)
+                    .and_then(|c| c.vcs[c.tx_vc as usize].queue.front());
+                if let Some(p) = head.and_then(|pid| self.packets.get(pid.0 as usize)) {
+                    prefetch(p);
+                }
+            }
+            Some(&NetEvent::Arrive(pid)) => {
+                if let Some(ch) = self.packets.get(pid.0 as usize).and_then(Packet::next_channel) {
+                    self.channels.prefetch(ch);
+                }
+            }
+            _ => {}
         }
     }
 
@@ -815,27 +810,12 @@ impl Network {
             }
             self.audit_check_channel(ch_id, "tx start");
             self.queue.schedule_after(ser, NetEvent::TxDone(ch_id));
-            if exports {
-                // No local arrival: the packet leaves this replica when
-                // its last byte clears the channel (at TxDone).
-                return;
-            }
-            // The arrival joins the channel's in-flight FIFO instead of
-            // the event queue; its sequence number is reserved *here* so
-            // the global event order is exactly as if it had been
-            // scheduled (same program point, same seq). Only the FIFO
-            // head keeps a queue entry.
-            let at = self.queue.now() + ser + extra;
-            let seq = self.queue.reserve_seq();
-            let inflight = &mut self.channels.get_mut(ch_id).inflight;
-            debug_assert!(inflight
-                .back()
-                .is_none_or(|prev| (prev.at, prev.seq) < (at, seq)));
-            let was_empty = inflight.is_empty();
-            inflight.push_back(InFlight { pid, at, seq });
-            if was_empty {
+            // In shard mode a global channel's packet leaves this replica
+            // when its last byte clears the channel (at TxDone): no local
+            // arrival.
+            if !exports {
                 self.queue
-                    .schedule_reserved(at, seq, NetEvent::Arrive(ch_id));
+                    .schedule_after(ser + extra, NetEvent::Arrive(pid));
             }
             return;
         }
@@ -2224,39 +2204,52 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_packets_share_one_queue_entry_per_channel() {
-        // One 1,024-packet message on a cross-group path: 64-byte packets
-        // serialize in a few ns but the global hop takes 1.5 µs, so
-        // hundreds of packets are in flight at once. A channel holds at
-        // most its TxDone plus the Arrive of its in-flight FIFO head, so
-        // the queue stays bounded by the channels on the route (plus the
-        // Inject), not by the packets in flight.
+    fn queue_holds_one_arrival_per_packet_in_flight() {
+        // Cross-group messages of 64-byte packets, some injected later,
+        // and a wakeup: the global hop takes 1.5 µs against a few ns of
+        // serialization, so hundreds of packets are on a wire at once.
+        // Every step, the queue holds exactly one TxDone per busy channel,
+        // one Arrive per packet in flight (the one being transmitted on
+        // each busy channel, and each one the audit puts on a wire), and
+        // the Inject and Wakeup entries not yet fired.
         let topo = Arc::new(Topology::build(TopologyConfig::small_test()));
         let params = NetworkParams {
             packet_size: 64,
+            audit: true,
             ..NetworkParams::default()
         };
         let mut n = Network::new(topo, params, Routing::Minimal, 12345);
-        let last = NodeId(n.topology().config().total_nodes() - 1);
-        n.send(Ns::ZERO, NodeId(0), last, 64 * 1024, 0);
-        let mut peak_in_flight = 0;
-        while n.step() {
-            let in_flight: usize = n.channels.iter().map(|(_, ch)| ch.inflight.len()).sum();
-            peak_in_flight = peak_in_flight.max(in_flight);
+        let last = n.topology().config().total_nodes() - 1;
+        for (k, at) in [0, 0, 500, 2_000].into_iter().enumerate() {
+            let k = k as u32;
+            n.send(Ns(at), NodeId(k), NodeId(last - k), 32 * 1024, 0);
         }
-        assert_eq!(n.drain_deliveries().len(), 1);
-        let route_channels = n.channels.iter().filter(|(_, ch)| ch.traffic > 0).count();
-        let bound = 2 * route_channels + 1;
-        assert!(
-            n.queue.high_water() <= bound,
-            "queue high water {} above {bound} for {route_channels} route channels",
-            n.queue.high_water()
-        );
-        // One entry per in-flight packet would have exceeded the bound.
-        assert!(
-            peak_in_flight > bound,
-            "only {peak_in_flight} packets in flight: the bound proves nothing"
-        );
+        n.schedule_wakeup(Ns(1_000));
+        let mut pending_inject_or_wakeup = 5;
+        let mut peak_on_wire = 0;
+        loop {
+            if let Some(NetEvent::Inject(_) | NetEvent::Wakeup) = n.queue.lookahead()[0] {
+                pending_inject_or_wakeup -= 1;
+            }
+            if !n.step() {
+                break;
+            }
+            let busy = n.channels.iter().filter(|(_, ch)| ch.busy).count();
+            let on_wire = n.audit.as_ref().expect("audit on").packets_on_wire();
+            peak_on_wire = peak_on_wire.max(on_wire);
+            assert_eq!(
+                n.queue.len(),
+                2 * busy + on_wire + pending_inject_or_wakeup,
+                "at {:?}: {busy} busy channels, {on_wire} packets on a wire, \
+                 {pending_inject_or_wakeup} injects or wakeups pending",
+                n.now()
+            );
+        }
+        assert_eq!(n.queue.len(), 0);
+        assert_eq!(n.drain_deliveries().len(), 4);
+        let report = n.audit_report().expect("audit on");
+        assert!(report.is_clean(), "{report}");
+        assert!(peak_on_wire > 100, "only {peak_on_wire} packets on a wire at once");
     }
 
     #[test]

@@ -72,7 +72,10 @@ pub struct EventLoopProfile {
     pub timed: [u64; 4],
     /// Wall-clock nanoseconds accumulated over the *timed* subset only.
     pub wall_ns: [u64; 4],
-    /// Deepest the event queue ever got (pending events).
+    /// Deepest the event queue ever got (pending events). In a network
+    /// run each packet on a wire holds its own `Arrive` entry, so this
+    /// counts one entry per in-flight packet besides one `TxDone` per busy
+    /// channel and the pending injections and wakeups.
     pub queue_high_water: usize,
     /// Wall-clock nanoseconds over all timed events, all kinds.
     pub total_wall_ns: u64,
