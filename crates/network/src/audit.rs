@@ -288,7 +288,10 @@ impl Auditor {
     /// landing).
     #[cfg(test)]
     pub(crate) fn packets_on_wire(&self) -> usize {
-        self.packets.iter().filter(|p| p.loc == Loc::InFlight).count()
+        self.packets
+            .iter()
+            .filter(|p| p.loc == Loc::InFlight)
+            .count()
     }
 
     fn violate(
@@ -883,26 +886,26 @@ impl Auditor {
         context: &str,
     ) {
         let shadow = self.channels[id.index()].clone();
-        for (vc, s) in ch.vcs.iter().enumerate() {
-            if s.occupancy != shadow.occ[vc] {
+        for (vc, &occupancy) in ch.occupancy.iter().enumerate() {
+            if u64::from(occupancy) != shadow.occ[vc] {
                 self.violate(
                     AuditKind::VcOccupancy,
                     Some(id),
                     Some(vc),
                     shadow.occ[vc],
-                    s.occupancy,
+                    u64::from(occupancy),
                     at,
                     context,
                 );
             }
         }
-        if ch.total_occupancy != shadow.total {
+        if u64::from(ch.total_occupancy) != shadow.total {
             self.violate(
                 AuditKind::VcOccupancy,
                 Some(id),
                 None,
                 shadow.total,
-                ch.total_occupancy,
+                u64::from(ch.total_occupancy),
                 at,
                 context,
             );
@@ -919,7 +922,7 @@ impl Auditor {
             );
         }
         let queued_mask = (0..MAX_ROUTE_LEN)
-            .filter(|&vc| ch.vcs[vc].queue.front().is_some())
+            .filter(|&vc| ch.queues[vc].front().is_some())
             .fold(0u16, |m, vc| m | 1 << vc);
         if ch.queued_mask != queued_mask {
             self.violate(
@@ -1025,7 +1028,7 @@ impl Auditor {
             let held = reserved.get(&id).copied().unwrap_or_default();
             for (vc, held) in held.into_iter().enumerate() {
                 let queued = self.walk_list(
-                    &ch.vcs[vc].queue,
+                    &ch.queues[vc],
                     packets,
                     &mut visited,
                     Loc::Queued(id, vc as u8),
@@ -1035,13 +1038,13 @@ impl Auditor {
                     ctx,
                 );
                 let expect = queued + held;
-                if ch.vcs[vc].occupancy != expect {
+                if u64::from(ch.occupancy[vc]) != expect {
                     self.violate(
                         AuditKind::VcOccupancy,
                         Some(id),
                         Some(vc),
                         expect,
-                        ch.vcs[vc].occupancy,
+                        u64::from(ch.occupancy[vc]),
                         at,
                         &format!("{ctx}: occupancy != queued + reserved"),
                     );
@@ -1081,7 +1084,7 @@ impl Auditor {
                         Some(id),
                         None,
                         0,
-                        ch.total_occupancy,
+                        u64::from(ch.total_occupancy),
                         at,
                         "drain: buffer not empty",
                     );
@@ -1287,7 +1290,7 @@ impl Auditor {
             let ci = class_index(ch.class);
             busy[ci] += ch.busy_time.as_nanos();
             saturated[ci] += ch.saturated.as_nanos();
-            occupancy[ci] += ch.total_occupancy;
+            occupancy[ci] += u64::from(ch.total_occupancy);
         }
         let totals = [
             ("busy time", busy, activity.busy_ns),

@@ -107,16 +107,6 @@ impl Iterator for PacketListIter<'_> {
     }
 }
 
-/// One virtual-channel buffer: its queued packets and how many bytes
-/// they (plus inbound reservations) occupy. Whether a reservation was
-/// refused since space last freed lives in the channel's
-/// [`ChannelState::full_mask`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct VcState {
-    pub(crate) queue: PacketList,
-    pub(crate) occupancy: Bytes,
-}
-
 // One bit per VC level in the `u16` masks below.
 const _: () = assert!(MAX_ROUTE_LEN <= 16);
 
@@ -124,20 +114,46 @@ const _: () = assert!(MAX_ROUTE_LEN <= 16);
 /// class wiring) stays in the shared [`Topology`]; the per-class link
 /// constants live in the network's [`LinkTable`]. Records are allocated
 /// lazily by [`ChannelStore`], so only channels near traffic pay for one.
+///
+/// Four aligned cache lines, laid out by what touches them. Line 0 holds
+/// everything arbitration and the downstream reservation read, so a
+/// channel that only checks for space or parks a waiter reads one line.
+/// Line 1 holds the counters and lists a transmission or a wakeup
+/// updates, and the VC queue heads follow.
+#[repr(C, align(64))]
 pub(crate) struct ChannelState {
+    // --- line 0: arbitration and reservation ---
     pub(crate) class: ChannelClass,
-    /// One buffer per VC level; VC index = hop index, so `MAX_ROUTE_LEN`
-    /// covers every reachable level. Fixed-size: no per-channel heap.
-    pub(crate) vcs: [VcState; MAX_ROUTE_LEN],
-    pub(crate) total_occupancy: Bytes,
     pub(crate) busy: bool,
     pub(crate) tx_vc: u8,
     pub(crate) rr_next: u8,
-    /// Bit `v` set exactly when `vcs[v].queue` is non-empty: arbitration
+    /// True while this channel sits on some other channel's `waiters`
+    /// list. A blocked channel registers on at most one blocker at a
+    /// time — any wakeup rescans all VCs — so one bit replaces the
+    /// O(waiters) `contains` scan the arbiter used to do per attempt.
+    pub(crate) in_waitlist: bool,
+    /// Which [`ChannelActivity`] lists hold this channel
+    /// ([`ON_OCCUPIED`], [`ON_OPEN_FULL`] bits).
+    pub(crate) listed: u8,
+    /// Bit `v` set exactly when `queues[v]` is non-empty: arbitration
     /// scans only these VCs (see [`crate::arbiter::rr_queued`]).
     pub(crate) queued_mask: u16,
-    /// Channels whose head packet is waiting for space in our buffers.
-    pub(crate) waiters: Vec<ChannelId>,
+    /// Bit `v` set once a reservation on VC `v` was refused; cleared
+    /// when that VC frees space.
+    pub(crate) full_mask: u16,
+    /// Number of set bits of `full_mask` (the audit recounts it).
+    pub(crate) full_vcs: u16,
+    /// Bytes each VC buffer holds: its queued packets plus inbound
+    /// reservations. VC index = hop index, so `MAX_ROUTE_LEN` covers
+    /// every reachable level. `u32` because
+    /// [`NetworkParams::validate`](crate::NetworkParams::validate) caps
+    /// a VC's capacity so that all of them together fit.
+    pub(crate) occupancy: [u32; MAX_ROUTE_LEN],
+    /// Σ `occupancy`.
+    pub(crate) total_occupancy: u32,
+    // --- line 1: transmission counters, ingress and wait lists ---
+    pub(crate) traffic: Bytes,
+    pub(crate) busy_time: Ns,
     /// Packets waiting outside the buffers for VC space, a head-blocking
     /// FIFO drained as the channel frees space. On a terminal-up channel
     /// (id = node id) it is the source node's NIC queue; on any other
@@ -147,67 +163,59 @@ pub(crate) struct ChannelState {
     /// the NIC costs nothing for nodes that never send. Intrusive like
     /// the VC queues: a waiting packet sits in no other list.
     pub(crate) ingress: PacketList,
-    /// True while this channel sits on some other channel's `waiters`
-    /// list. A blocked channel registers on at most one blocker at a
-    /// time — any wakeup rescans all VCs — so one bit replaces the
-    /// O(waiters) `contains` scan the arbiter used to do per attempt.
-    pub(crate) in_waitlist: bool,
-    /// Which [`ChannelActivity`] lists hold this channel
-    /// ([`ON_OCCUPIED`], [`ON_OPEN_FULL`] bits).
-    pub(crate) listed: u8,
-    // --- metrics ---
-    /// Bit `v` set once a reservation on VC `v` was refused; cleared
-    /// when that VC frees space.
-    pub(crate) full_mask: u16,
-    /// Number of set bits of `full_mask` (the audit recounts it).
-    pub(crate) full_vcs: u16,
+    /// Channels whose head packet is waiting for space in our buffers.
+    pub(crate) waiters: Vec<ChannelId>,
     pub(crate) full_start: Ns,
     pub(crate) saturated: Ns,
-    pub(crate) traffic: Bytes,
-    pub(crate) busy_time: Ns,
+    // --- lines 2 and 3: the VC queues ---
+    /// One packet FIFO per VC level. Fixed-size: no per-channel heap.
+    pub(crate) queues: [PacketList; MAX_ROUTE_LEN],
 }
 
-// The NIC queue rides in the terminal-up record's `ingress` list rather
-// than a field of its own: a record stays within 280 bytes.
+// Four cache lines: the header and counters fill lines 0 and 1, the
+// twelve 8-byte queue heads take 96 bytes of lines 2 and 3. The NIC queue
+// rides in the terminal-up record's `ingress` list rather than a field of
+// its own.
 #[cfg(target_pointer_width = "64")]
-const _: () = assert!(std::mem::size_of::<ChannelState>() <= 280);
+const _: () = assert!(std::mem::size_of::<ChannelState>() == 256);
 
 impl ChannelState {
     /// Fresh state for a channel of `class`.
     pub(crate) fn new(class: ChannelClass) -> ChannelState {
         ChannelState {
             class,
-            vcs: [VcState::default(); MAX_ROUTE_LEN],
-            total_occupancy: 0,
             busy: false,
             tx_vc: 0,
             rr_next: 0,
-            queued_mask: 0,
-            waiters: Vec::new(),
-            ingress: PacketList::default(),
             in_waitlist: false,
             listed: 0,
+            queued_mask: 0,
             full_mask: 0,
             full_vcs: 0,
-            full_start: Ns::ZERO,
-            saturated: Ns::ZERO,
+            occupancy: [0; MAX_ROUTE_LEN],
+            total_occupancy: 0,
             traffic: 0,
             busy_time: Ns::ZERO,
+            ingress: PacketList::default(),
+            waiters: Vec::new(),
+            full_start: Ns::ZERO,
+            saturated: Ns::ZERO,
+            queues: [PacketList::default(); MAX_ROUTE_LEN],
         }
     }
 
     /// Append `pid` to VC `vc`'s queue.
     #[inline]
     pub(crate) fn push_vc(&mut self, packets: &mut [Packet], vc: usize, pid: PacketId) {
-        self.vcs[vc].queue.push_back(packets, pid);
+        self.queues[vc].push_back(packets, pid);
         self.queued_mask |= 1 << vc;
     }
 
     /// Detach VC `vc`'s head packet.
     #[inline]
     pub(crate) fn pop_vc(&mut self, packets: &[Packet], vc: usize) -> Option<PacketId> {
-        let pid = self.vcs[vc].queue.pop_front(packets);
-        if self.vcs[vc].queue.front().is_none() {
+        let pid = self.queues[vc].pop_front(packets);
+        if self.queues[vc].front().is_none() {
             self.queued_mask &= !(1 << vc);
         }
         pid
@@ -373,7 +381,7 @@ impl ChannelStore {
     /// Total queued bytes at a channel (0 if it has no record).
     #[inline]
     pub(crate) fn occupancy(&self, id: ChannelId) -> Bytes {
-        self.get(id).map_or(0, |ch| ch.total_occupancy)
+        self.get(id).map_or(0, |ch| u64::from(ch.total_occupancy))
     }
 
     /// Allocated records, counting every record of every allocated run.
@@ -454,7 +462,7 @@ pub(crate) fn prefetch<T>(value: &T) {
 
 impl Drop for ChannelStore {
     /// Frees the runs and hands their pages back to the OS. Runs are
-    /// 20 KB heap blocks allocated during the run, interleaved with
+    /// 16 KB heap blocks allocated during the run, interleaved with
     /// smaller allocations that outlive the network (results, driver
     /// state); the allocator alone would keep a finished machine's
     /// channel state resident below them.
@@ -497,14 +505,21 @@ pub(crate) struct LinkTable {
     /// latency, plus the downstream router's traversal latency for every
     /// class that ends at a router (all but terminal-down).
     pub(crate) arrival_extra: [Ns; 5],
+    /// The size of a full packet.
+    packet_size: u32,
+    /// Serialization time of a full packet per class: every packet but a
+    /// message's last is full, and the division behind
+    /// [`Bandwidth::serialization_time`] is a 128-bit one.
+    full_packet: [Ns; 5],
 }
 
 impl LinkTable {
-    /// The table for `topo`.
-    pub(crate) fn new(topo: &Topology) -> LinkTable {
+    /// The table for `topo`, with packets of at most `packet_size` bytes.
+    pub(crate) fn new(topo: &Topology, packet_size: u32) -> LinkTable {
         let router_latency = topo.config().router_latency;
+        let bandwidth = CLASSES.map(|c| topo.class_bandwidth(c));
         LinkTable {
-            bandwidth: CLASSES.map(|c| topo.class_bandwidth(c)),
+            bandwidth,
             arrival_extra: CLASSES.map(|c| {
                 topo.class_latency(c)
                     + if c == ChannelClass::TerminalDown {
@@ -513,6 +528,18 @@ impl LinkTable {
                         router_latency
                     }
             }),
+            packet_size,
+            full_packet: bandwidth.map(|bw| bw.serialization_time(u64::from(packet_size))),
+        }
+    }
+
+    /// Time to serialize `size` bytes on a channel of class index `ci`.
+    #[inline]
+    pub(crate) fn serialization_time(&self, ci: usize, size: u32) -> Ns {
+        if size == self.packet_size {
+            self.full_packet[ci]
+        } else {
+            self.bandwidth[ci].serialization_time(u64::from(size))
         }
     }
 }
@@ -554,22 +581,22 @@ pub(crate) struct ChannelActivity {
 impl ChannelActivity {
     /// Reserve or enqueue `size` bytes in VC `vc` of channel `id`.
     #[inline]
-    pub(crate) fn fill(&mut self, id: ChannelId, ch: &mut ChannelState, vc: usize, size: Bytes) {
+    pub(crate) fn fill(&mut self, id: ChannelId, ch: &mut ChannelState, vc: usize, size: u32) {
         if ch.listed & ON_OCCUPIED == 0 {
             ch.listed |= ON_OCCUPIED;
             self.occupied.push(id);
         }
-        ch.vcs[vc].occupancy += size;
+        ch.occupancy[vc] += size;
         ch.total_occupancy += size;
-        self.occupancy[class_index(ch.class)] += size;
+        self.occupancy[class_index(ch.class)] += Bytes::from(size);
     }
 
     /// Release `size` bytes from VC `vc` (the packet's last byte left).
     #[inline]
-    pub(crate) fn drain(&mut self, ch: &mut ChannelState, vc: usize, size: Bytes) {
-        ch.vcs[vc].occupancy -= size;
+    pub(crate) fn drain(&mut self, ch: &mut ChannelState, vc: usize, size: u32) {
+        ch.occupancy[vc] -= size;
         ch.total_occupancy -= size;
-        self.occupancy[class_index(ch.class)] -= size;
+        self.occupancy[class_index(ch.class)] -= Bytes::from(size);
     }
 
     /// Credit `ser` of transmission time to the channel.
@@ -642,18 +669,11 @@ impl ChannelActivity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{MessageId, Route};
+    use crate::packet::MessageId;
 
     fn arena(n: usize) -> Vec<Packet> {
         (0..n)
-            .map(|_| Packet {
-                msg: MessageId(0),
-                size: 1,
-                hop: 0,
-                routed: false,
-                route: Route::from_slice(&[ChannelId(0), ChannelId(1)]),
-                next: NO_PACKET,
-            })
+            .map(|_| Packet::new(MessageId(0), 1, &[ChannelId(0), ChannelId(1)]))
             .collect()
     }
 
@@ -708,13 +728,47 @@ mod tests {
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn channel_record_size_is_pinned() {
-        // 12 VCs x 16 B (queue head/tail + occupancy; the full flags are
-        // `full_mask`), the wait list (24), the ingress list (NIC or
-        // landing queue, 8), five 8-byte counters (40), and 12 bytes of
-        // flags and masks padded to 16. In-flight packets live in their
-        // `Arrive` events, not here.
-        assert_eq!(std::mem::size_of::<VcState>(), 16);
-        assert_eq!(std::mem::size_of::<ChannelState>(), 280);
+        // Line 0: 12 bytes of flags and masks, 12 `u32` VC occupancies
+        // and their `u32` total. Line 1: four 8-byte counters, the
+        // ingress list (NIC or landing queue, 8) and the wait list (24).
+        // Then 12 queue heads (96), padded to the 64-byte alignment.
+        // In-flight packets live in their `Arrive` events, not here.
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!(size_of::<ChannelState>(), 256);
+        assert_eq!(align_of::<ChannelState>(), 64);
+        // Everything arbitration and the downstream reservation read
+        // sits in the first cache line.
+        let header = [
+            (offset_of!(ChannelState, class), 1),
+            (offset_of!(ChannelState, busy), 1),
+            (offset_of!(ChannelState, tx_vc), 1),
+            (offset_of!(ChannelState, rr_next), 1),
+            (offset_of!(ChannelState, in_waitlist), 1),
+            (offset_of!(ChannelState, listed), 1),
+            (offset_of!(ChannelState, queued_mask), 2),
+            (offset_of!(ChannelState, full_mask), 2),
+            (offset_of!(ChannelState, full_vcs), 2),
+            (offset_of!(ChannelState, occupancy), 4 * MAX_ROUTE_LEN),
+            (offset_of!(ChannelState, total_occupancy), 4),
+        ];
+        for (offset, len) in header {
+            assert!(
+                offset + len <= 64,
+                "header field at {offset}..{}",
+                offset + len
+            );
+        }
+        for offset in [
+            offset_of!(ChannelState, traffic),
+            offset_of!(ChannelState, busy_time),
+            offset_of!(ChannelState, ingress),
+            offset_of!(ChannelState, waiters),
+            offset_of!(ChannelState, full_start),
+            offset_of!(ChannelState, saturated),
+        ] {
+            assert!((64..128).contains(&offset), "line-1 field at {offset}");
+        }
+        assert_eq!(offset_of!(ChannelState, queues), 128);
     }
 
     #[test]
@@ -824,7 +878,7 @@ mod tests {
             dfly_topology::TopologyConfig::canonical(2, 8, 4, 17),
         ] {
             let topo = Topology::build(cfg);
-            let links = LinkTable::new(&topo);
+            let links = LinkTable::new(&topo, 4096);
             for (_, info) in topo.channels() {
                 let ci = class_index(info.class);
                 let extra = topo.class_latency(info.class)
@@ -835,6 +889,28 @@ mod tests {
                     };
                 assert_eq!(links.arrival_extra[ci], extra, "{:?}", info.class);
                 assert_eq!(links.bandwidth[ci], topo.class_bandwidth(info.class));
+            }
+        }
+    }
+
+    #[test]
+    fn link_table_caches_full_packet_serialization() {
+        for cfg in [
+            dfly_topology::TopologyConfig::theta(),
+            dfly_topology::TopologyConfig::canonical(2, 8, 4, 17),
+        ] {
+            let topo = Topology::build(cfg);
+            for packet_size in [4096, 1000, 1] {
+                let links = LinkTable::new(&topo, packet_size);
+                for ci in 0..CLASSES.len() {
+                    for size in 1..=packet_size {
+                        assert_eq!(
+                            links.serialization_time(ci, size),
+                            links.bandwidth[ci].serialization_time(u64::from(size)),
+                            "class {ci}, {size} of {packet_size} bytes"
+                        );
+                    }
+                }
             }
         }
     }

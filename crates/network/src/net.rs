@@ -141,7 +141,7 @@ impl Network {
     pub fn new(topo: Arc<Topology>, params: NetworkParams, routing: Routing, seed: u64) -> Network {
         params.validate().expect("invalid network params");
         let router_latency = topo.config().router_latency;
-        let links = LinkTable::new(&topo);
+        let links = LinkTable::new(&topo, params.packet_size);
         let channels = ChannelStore::for_topology(&topo);
         let audit = params
             .audit
@@ -515,13 +515,17 @@ impl Network {
                 let head = self
                     .channels
                     .get(ch)
-                    .and_then(|c| c.vcs[c.tx_vc as usize].queue.front());
+                    .and_then(|c| c.queues[c.tx_vc as usize].front());
                 if let Some(p) = head.and_then(|pid| self.packets.get(pid.0 as usize)) {
                     prefetch(p);
                 }
             }
             Some(&NetEvent::Arrive(pid)) => {
-                if let Some(ch) = self.packets.get(pid.0 as usize).and_then(Packet::next_channel) {
+                if let Some(ch) = self
+                    .packets
+                    .get(pid.0 as usize)
+                    .and_then(Packet::next_channel)
+                {
                     self.channels.prefetch(ch);
                 }
             }
@@ -643,23 +647,21 @@ impl Network {
             a.on_message_injected(msg, bytes, self.queue.now());
         }
         let pkt_size = self.params.packet_size as u64;
-        let mut remaining = bytes.max(1); // zero-byte messages carry a header byte
-                                          // Placeholder route until the source router fixes the real one at
-                                          // the packet's first transmission attempt (per-packet routing with
-                                          // a fresh congestion view).
-        let placeholder =
-            Route::from_slice(&[self.topo.terminal_up(src), self.topo.terminal_down(dst)]);
+        // Zero-byte messages carry a header byte.
+        let mut remaining = bytes.max(1);
+        // Placeholder route until the source router fixes the real one at
+        // the packet's first transmission attempt (per-packet routing with
+        // a fresh congestion view).
+        let placeholder = Packet::new(
+            msg,
+            0,
+            &[self.topo.terminal_up(src), self.topo.terminal_down(dst)],
+        );
         for _ in 0..total_packets {
             let size = remaining.min(pkt_size) as u32;
             remaining = remaining.saturating_sub(pkt_size);
-            let packet = Packet {
-                msg,
-                size,
-                hop: 0,
-                routed: false,
-                route: placeholder,
-                next: crate::packet::NO_PACKET,
-            };
+            let mut packet = placeholder.clone();
+            packet.size = size;
             let pid = match self.free_packets.pop() {
                 Some(pid) => {
                     self.packets[pid.0 as usize] = packet;
@@ -692,10 +694,10 @@ impl Network {
             let Some(pid) = ch.ingress.front() else {
                 return;
             };
-            let size = self.packets[pid.0 as usize].size as u64;
+            let size = self.packets[pid.0 as usize].size;
             let now = self.queue.now();
             let cap = self.params.vc_capacity(ch.class);
-            if ch.vcs[0].occupancy + size > cap {
+            if u64::from(ch.occupancy[0] + size) > cap {
                 // NIC blocked: the injection buffer is full.
                 self.activity.mark_full(ch_id, ch, 0, now);
                 self.audit_check_channel(ch_id, "nic blocked");
@@ -713,14 +715,20 @@ impl Network {
     }
 
     /// Compute a packet's real route (terminal-up, router hops,
-    /// terminal-down) with the current congestion state.
+    /// terminal-down) with the current congestion state. The endpoints
+    /// come from the placeholder route `[terminal-up(src),
+    /// terminal-down(dst)]` the packet already holds.
     fn fix_route(&mut self, pid: PacketId) {
-        let (src, dst) = {
-            let m = &self.messages[self.packets[pid.0 as usize].msg.0 as usize];
-            (m.src, m.dst)
+        let (up, down) = {
+            let route = self.packets[pid.0 as usize].route();
+            (route[0], route[1])
+        };
+        let (src, dst) = match (self.topo.channel(up).src, self.topo.channel(down).dst) {
+            (ChannelEnd::Node(src), ChannelEnd::Node(dst)) => (src, dst),
+            _ => unreachable!("a placeholder route runs terminal-up to terminal-down"),
         };
         self.route_scratch.clear();
-        self.route_scratch.push(self.topo.terminal_up(src));
+        self.route_scratch.push(up);
         {
             // Split borrows: the route computer needs occupancy lookups.
             let channels = &self.channels;
@@ -732,9 +740,9 @@ impl Network {
                 .compute(topo, params, src, dst, |c| channels.occupancy(c), &mut body);
             std::mem::swap(&mut body, &mut self.route_scratch);
         }
-        self.route_scratch.push(self.topo.terminal_down(dst));
+        self.route_scratch.push(down);
         let p = &mut self.packets[pid.0 as usize];
-        p.route = Route::from_slice(&self.route_scratch);
+        p.set_route(&self.route_scratch);
         p.routed = true;
     }
 
@@ -752,7 +760,7 @@ impl Network {
             let pid = self
                 .channels
                 .get(ch_id)
-                .and_then(|ch| ch.vcs[v].queue.front())
+                .and_then(|ch| ch.queues[v].front())
                 .expect("queued_mask bit set on an empty VC queue");
             // Route the packet at its source router, with the congestion
             // state at the moment it first reaches the head of the
@@ -764,7 +772,7 @@ impl Network {
                 let p = &self.packets[pid.0 as usize];
                 debug_assert_eq!(p.current_channel(), ch_id);
                 debug_assert_eq!(Packet::vc_at(p.hop), v);
-                (p.size as u64, p.next_channel(), p.hop as usize + 1)
+                (p.size, p.next_channel(), p.hop as usize + 1)
             };
             // Shard mode: a global channel's far end belongs to another
             // group-replica. No cross-shard credit is reserved (the
@@ -777,7 +785,7 @@ impl Network {
                 let now = self.queue.now();
                 let ncs = self.channels.get_mut(nc);
                 let cap = self.params.vc_capacity(ncs.class);
-                if ncs.vcs[next_vc].occupancy + size > cap {
+                if u64::from(ncs.occupancy[next_vc] + size) > cap {
                     self.activity.mark_full(nc, ncs, next_vc, now);
                     let registered = arbiter::park_waiter(&mut self.channels, nc, ch_id);
                     if let Some(a) = self.audit.as_mut() {
@@ -794,16 +802,16 @@ impl Network {
             }
             // Start transmission.
             let ci = class_index(class);
-            let ser = self.links.bandwidth[ci].serialization_time(size);
+            let ser = self.links.serialization_time(ci, size);
             let extra = self.links.arrival_extra[ci];
             let ch = self.channels.get_mut(ch_id);
             ch.busy = true;
             ch.tx_vc = v as u8;
             ch.rr_next = ((v + 1) % MAX_ROUTE_LEN) as u8;
-            ch.traffic += size;
+            ch.traffic += Bytes::from(size);
             self.activity.add_busy(ch, ser);
             if let Some(tl) = &mut self.traffic_timeline {
-                tl.record(ci, self.queue.now(), size);
+                tl.record(ci, self.queue.now(), Bytes::from(size));
             }
             if let Some(a) = self.audit.as_mut() {
                 a.on_tx_start(pid, ch_id, v, self.queue.now());
@@ -830,7 +838,7 @@ impl Network {
             let pid = ch
                 .pop_vc(&self.packets, v)
                 .expect("tx_vc queue cannot be empty at TxDone");
-            let size = self.packets[pid.0 as usize].size as u64;
+            let size = self.packets[pid.0 as usize].size;
             self.activity.drain(ch, v, size);
             ch.busy = false;
             self.activity.clear_full(ch, v, now);
@@ -866,11 +874,11 @@ impl Network {
         let (at_last, msg) = {
             let p = &mut self.packets[pid.0 as usize];
             let next = p.hop as usize + 1;
-            if next >= p.route.len() {
-                (true, p.msg)
+            if next >= p.route().len() {
+                (true, p.msg())
             } else {
                 p.hop = next as u8;
-                (false, p.msg)
+                (false, p.msg())
             }
         };
         if !at_last {
@@ -892,7 +900,7 @@ impl Network {
         }
         // Final arrival at the destination node.
         self.packets_delivered += 1;
-        let hops = self.packets[pid.0 as usize].route.router_hops() as u64;
+        let hops = u64::from(self.packets[pid.0 as usize].router_hops());
         self.free_packets.push(pid);
         if let Some(a) = self.audit.as_mut() {
             a.on_delivered(pid, msg, self.queue.now());
@@ -1035,14 +1043,9 @@ impl Network {
             from.0 += rec.size as u64;
             from.1 += 1;
         }
-        let packet = Packet {
-            msg,
-            size: rec.size,
-            hop,
-            routed: true,
-            route: rec.route,
-            next: crate::packet::NO_PACKET,
-        };
+        let mut packet = Packet::new(msg, rec.size, rec.route.as_slice());
+        packet.hop = hop;
+        packet.routed = true;
         let pid = match self.free_packets.pop() {
             Some(pid) => {
                 self.packets[pid.0 as usize] = packet;
@@ -1069,12 +1072,12 @@ impl Network {
         let now = self.queue.now();
         let (ch_id, v, size) = {
             let p = &self.packets[pid.0 as usize];
-            (p.current_channel(), Packet::vc_at(p.hop), p.size as u64)
+            (p.current_channel(), Packet::vc_at(p.hop), p.size)
         };
         debug_assert!(self.shard.is_some(), "import outside shard mode");
         let ch = self.channels.get_mut(ch_id);
         let cap = self.params.vc_capacity(ch.class);
-        if ch.vcs[v].occupancy + size > cap {
+        if u64::from(ch.occupancy[v] + size) > cap {
             ch.ingress.push_back(&mut self.packets, pid);
             if let Some(a) = self.audit.as_mut() {
                 a.on_landing(pid, ch_id, now);
@@ -1102,10 +1105,10 @@ impl Network {
             let (v, size) = {
                 let p = &self.packets[pid.0 as usize];
                 debug_assert_eq!(p.current_channel(), ch_id);
-                (Packet::vc_at(p.hop), p.size as u64)
+                (Packet::vc_at(p.hop), p.size)
             };
             let cap = self.params.vc_capacity(ch.class);
-            if ch.vcs[v].occupancy + size > cap {
+            if u64::from(ch.occupancy[v] + size) > cap {
                 return;
             }
             self.activity.fill(ch_id, ch, v, size);
@@ -1123,7 +1126,7 @@ impl Network {
     fn export_packet(&mut self, pid: PacketId, ch_id: ChannelId, now: Ns) {
         let (msg, size, hop, route) = {
             let p = &self.packets[pid.0 as usize];
-            (p.msg, p.size, p.hop, p.route)
+            (p.msg(), p.size, p.hop, Route::from_slice(p.route()))
         };
         let extra = self.links.arrival_extra[class_index(ChannelClass::Global)];
         let (gid, kind, rec) = {
@@ -1874,13 +1877,11 @@ mod tests {
             .find(|(_, ch)| {
                 // Skip the busy head (TxDone would then pop a packet the
                 // engine no longer has) — take a queue with depth >= 2.
-                ch.vcs[0].queue.iter(&n.packets).count() >= 2
+                ch.queues[0].iter(&n.packets).count() >= 2
             })
             .map(|(id, _)| id)
             .expect("some deep VC queue");
-        n.channels.get_mut(victim).vcs[0]
-            .queue
-            .pop_front(&n.packets);
+        n.channels.get_mut(victim).queues[0].pop_front(&n.packets);
         let report = n.audit_report().unwrap();
         assert!(!report.is_clean());
         assert!(
@@ -2249,7 +2250,10 @@ mod tests {
         assert_eq!(n.drain_deliveries().len(), 4);
         let report = n.audit_report().expect("audit on");
         assert!(report.is_clean(), "{report}");
-        assert!(peak_on_wire > 100, "only {peak_on_wire} packets on a wire at once");
+        assert!(
+            peak_on_wire > 100,
+            "only {peak_on_wire} packets on a wire at once"
+        );
     }
 
     #[test]

@@ -280,8 +280,8 @@ impl ObsCollector {
                 return;
             }
             let cap = params.vc_capacity(ch.class) as f64;
-            for vc in ch.vcs.iter().filter(|vc| vc.occupancy > 0) {
-                hist.record(vc.occupancy as f64 / cap);
+            for &occupancy in ch.occupancy.iter().filter(|&&occupancy| occupancy > 0) {
+                hist.record(occupancy as f64 / cap);
                 recorded += 1;
             }
         });
@@ -397,13 +397,13 @@ pub(crate) mod oracle {
                 let ci = class_index(class);
                 busy_ns[ci] += ch.busy_time.as_nanos();
                 stall_ns[ci] += ch.saturated_until(at).as_nanos();
-                queued[ci] += ch.total_occupancy;
+                queued[ci] += u64::from(ch.total_occupancy);
                 if !owns(owner, id) {
                     continue;
                 }
                 let cap = params.vc_capacity(class) as f64;
-                for vc in &ch.vcs {
-                    self.vc_occupancy.record(vc.occupancy as f64 / cap);
+                for &occupancy in &ch.occupancy {
+                    self.vc_occupancy.record(occupancy as f64 / cap);
                 }
             }
             let sample =

@@ -74,45 +74,98 @@ impl Route {
     }
 }
 
-/// In-flight packet state. Kept small (fits in two cache lines) because the
-/// arena holds hundreds of thousands of these.
+/// In-flight packet state: one 64-byte cache line, because the arena
+/// holds hundreds of thousands of these and nearly every event reads one.
+/// The route is stored inline with its length, position and routed flag
+/// packed into the line's last bytes.
 #[derive(Debug, Clone)]
+#[repr(C, align(64))]
 pub struct Packet {
-    /// Owning message.
-    pub msg: MessageId,
+    /// The route's channels, terminal links included; entries from
+    /// `route_len` on are unused.
+    channels: [ChannelId; MAX_ROUTE_LEN],
+    /// Owning message's slot in the message table (slots fit in a `u32`;
+    /// the table checks at allocation).
+    msg: u32,
     /// Payload bytes carried by this packet.
     pub size: u32,
-    /// Position in `route` where the packet currently sits (or is heading).
-    pub hop: u8,
-    /// False until the source router has fixed the route. Until then
-    /// `route` is the placeholder `[terminal-up, terminal-down]`; the real
-    /// route is computed when the packet first reaches the head of the
-    /// injection buffer, using the congestion state of that moment —
-    /// per-packet adaptive routing as on real Aries hardware.
-    pub routed: bool,
-    /// The full route, terminal links included.
-    pub route: Route,
     /// Intrusive link: arena index of the packet behind this one in
     /// whichever FIFO (NIC queue or VC buffer) currently holds it, or
     /// [`NO_PACKET`]. A packet sits in at most one queue at a time, so a
     /// single link suffices and the queues themselves are just
     /// head/tail pairs — no per-VC heap allocation.
     pub(crate) next: u32,
+    /// Position in the route where the packet currently sits (or is
+    /// heading).
+    pub hop: u8,
+    /// False until the source router has fixed the route. Until then the
+    /// route is the placeholder `[terminal-up, terminal-down]`; the real
+    /// route is computed when the packet first reaches the head of the
+    /// injection buffer, using the congestion state of that moment —
+    /// per-packet adaptive routing as on real Aries hardware.
+    pub routed: bool,
+    route_len: u8,
 }
 
 impl Packet {
+    /// A packet of `size` bytes of message `msg` at hop 0 of `route`, not
+    /// yet routed. Panics if the route is longer than [`MAX_ROUTE_LEN`].
+    pub fn new(msg: MessageId, size: u32, route: &[ChannelId]) -> Packet {
+        let mut packet = Packet {
+            channels: [ChannelId(u32::MAX); MAX_ROUTE_LEN],
+            msg: u32::try_from(msg.0).expect("message slots fit in u32"),
+            size,
+            next: NO_PACKET,
+            hop: 0,
+            routed: false,
+            route_len: 0,
+        };
+        packet.set_route(route);
+        packet
+    }
+
+    /// The owning message.
+    #[inline]
+    pub fn msg(&self) -> MessageId {
+        MessageId(u64::from(self.msg))
+    }
+
+    /// The full route, terminal links included.
+    #[inline]
+    pub fn route(&self) -> &[ChannelId] {
+        &self.channels[..self.route_len as usize]
+    }
+
+    /// Replace the route. Panics if longer than [`MAX_ROUTE_LEN`].
+    pub fn set_route(&mut self, route: &[ChannelId]) {
+        assert!(
+            route.len() <= MAX_ROUTE_LEN,
+            "route of {} exceeds MAX_ROUTE_LEN",
+            route.len()
+        );
+        self.channels[..route.len()].copy_from_slice(route);
+        self.route_len = route.len() as u8;
+    }
+
+    /// Router-to-router hops: route channels minus the two terminal links.
+    #[inline]
+    pub fn router_hops(&self) -> u32 {
+        u32::from(self.route_len).saturating_sub(2)
+    }
+
     /// Channel the packet currently occupies.
     #[inline]
     pub fn current_channel(&self) -> ChannelId {
-        self.route.get(self.hop as usize)
+        debug_assert!(self.hop < self.route_len);
+        self.channels[self.hop as usize]
     }
 
     /// Channel after the current one, or `None` at the last hop.
     #[inline]
     pub fn next_channel(&self) -> Option<ChannelId> {
         let next = self.hop as usize + 1;
-        if next < self.route.len() {
-            Some(self.route.get(next))
+        if next < self.route_len as usize {
+            Some(self.channels[next])
         } else {
             None
         }
@@ -219,15 +272,14 @@ mod tests {
 
     #[test]
     fn packet_navigation() {
-        let r = Route::from_slice(&[ChannelId(1), ChannelId(2), ChannelId(3)]);
-        let mut p = Packet {
-            msg: MessageId(0),
-            size: 4096,
-            hop: 0,
-            routed: true,
-            route: r,
-            next: NO_PACKET,
-        };
+        let mut p = Packet::new(
+            MessageId(9),
+            4096,
+            &[ChannelId(1), ChannelId(2), ChannelId(3)],
+        );
+        assert_eq!(p.msg(), MessageId(9));
+        assert_eq!(p.route(), &[ChannelId(1), ChannelId(2), ChannelId(3)]);
+        assert_eq!(p.router_hops(), 1);
         assert_eq!(p.current_channel(), ChannelId(1));
         assert_eq!(p.next_channel(), Some(ChannelId(2)));
         p.hop = 2;
@@ -266,11 +318,28 @@ mod tests {
 
     #[test]
     fn packet_struct_stays_small() {
-        // Guard against accidental growth of the hottest struct.
-        assert!(
-            std::mem::size_of::<Packet>() <= 72,
-            "Packet grew to {} bytes",
-            std::mem::size_of::<Packet>()
-        );
+        // The hottest struct is exactly one aligned cache line: a 12-entry
+        // route (48 B), message slot, size and queue link (12 B), and the
+        // hop, routed flag and route length in the last bytes.
+        assert_eq!(std::mem::size_of::<Packet>(), 64);
+        assert_eq!(std::mem::align_of::<Packet>(), 64);
+    }
+
+    #[test]
+    fn set_route_replaces_the_whole_route() {
+        let mut p = Packet::new(MessageId(0), 1, &[ChannelId(4), ChannelId(5)]);
+        assert_eq!(p.router_hops(), 0);
+        let long = [ChannelId(7); MAX_ROUTE_LEN];
+        p.set_route(&long);
+        assert_eq!(p.route(), &long);
+        p.set_route(&[ChannelId(1), ChannelId(2), ChannelId(3)]);
+        assert_eq!(p.route(), &[ChannelId(1), ChannelId(2), ChannelId(3)]);
+        assert_eq!(p.next_channel(), Some(ChannelId(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_ROUTE_LEN")]
+    fn packet_route_too_long_panics() {
+        let _ = Packet::new(MessageId(0), 1, &[ChannelId(0); MAX_ROUTE_LEN + 1]);
     }
 }

@@ -1,5 +1,6 @@
 //! Network model parameters (Section II of the paper).
 
+use crate::packet::MAX_ROUTE_LEN;
 use dfly_engine::kv::{kv, ToKv};
 use dfly_engine::Bytes;
 use dfly_topology::ChannelClass;
@@ -93,8 +94,14 @@ impl NetworkParams {
         }
     }
 
+    /// The largest VC capacity: a channel counts the bytes of all its
+    /// [`MAX_ROUTE_LEN`] VCs in a `u32`.
+    pub(crate) const MAX_VC_BYTES: Bytes = u32::MAX as Bytes / MAX_ROUTE_LEN as Bytes;
+
     /// Validate: every buffer must hold at least one full packet, or the
-    /// network could never forward a full-size packet.
+    /// network could never forward a full-size packet; and at most
+    /// `u32::MAX / MAX_ROUTE_LEN` bytes, or a channel's `u32` byte
+    /// counters could overflow.
     pub fn validate(&self) -> Result<(), String> {
         if self.packet_size == 0 {
             return Err("packet_size must be positive".into());
@@ -102,15 +109,22 @@ impl NetworkParams {
         if self.obs_stride == 0 {
             return Err("obs_stride must be at least 1 (1 = exhaustive timing)".into());
         }
-        for (name, cap) in [
-            ("terminal", self.terminal_vc_bytes),
-            ("local", self.local_vc_bytes),
-            ("global", self.global_vc_bytes),
+        for (name, field, cap) in [
+            ("terminal", "terminal_vc_bytes", self.terminal_vc_bytes),
+            ("local", "local_vc_bytes", self.local_vc_bytes),
+            ("global", "global_vc_bytes", self.global_vc_bytes),
         ] {
             if cap < self.packet_size as u64 {
                 return Err(format!(
                     "{name} VC capacity {cap} cannot hold one packet of {}",
                     self.packet_size
+                ));
+            }
+            if cap > Self::MAX_VC_BYTES {
+                return Err(format!(
+                    "{field} = {cap} exceeds {}: the {MAX_ROUTE_LEN} VCs of a channel \
+                     count their bytes in a u32",
+                    Self::MAX_VC_BYTES
                 ));
             }
         }
@@ -171,6 +185,28 @@ mod tests {
         let mut p = NetworkParams::default();
         p.packet_size = 0;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_vc_capacities_whose_total_overflows_u32() {
+        let max = NetworkParams::MAX_VC_BYTES;
+        assert!(max * MAX_ROUTE_LEN as u64 <= u32::MAX as u64);
+        assert!((max + 1) * MAX_ROUTE_LEN as u64 > u32::MAX as u64);
+        for field in ["terminal_vc_bytes", "local_vc_bytes", "global_vc_bytes"] {
+            let with = |cap: u64| {
+                let mut p = NetworkParams::default();
+                match field {
+                    "terminal_vc_bytes" => p.terminal_vc_bytes = cap,
+                    "local_vc_bytes" => p.local_vc_bytes = cap,
+                    _ => p.global_vc_bytes = cap,
+                }
+                p.validate()
+            };
+            with(max).unwrap();
+            let err = with(max + 1).unwrap_err();
+            assert!(err.starts_with(field), "{err}");
+            assert!(with(u64::MAX).unwrap_err().starts_with(field));
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use crate::params::NetworkParams;
 use dfly_engine::{Bytes, Xoshiro256};
 use dfly_obs::RouteStats;
-use dfly_topology::paths;
+use dfly_topology::paths::{self, MinimalPlan};
 use dfly_topology::{ChannelClass, ChannelId, RouterId, Topology};
 
 /// A policy's read-only window onto per-channel queue state.
@@ -60,8 +60,8 @@ impl<'a> ChannelView<'a> {
 }
 
 /// Mutable routing state a policy borrows for one decision: the topology,
-/// parameters, the policy RNG stream, the two persistent candidate
-/// buffers (no allocation on the per-packet hot path), and the optional
+/// parameters, the policy RNG stream, the two persistent path buffers
+/// (no allocation on the per-packet hot path), and the optional
 /// UGAL telemetry ledger.
 pub struct RouteCtx<'a> {
     /// The machine.
@@ -70,9 +70,10 @@ pub struct RouteCtx<'a> {
     pub params: &'a NetworkParams,
     /// The routing RNG stream (owned by the `RouteComputer`).
     pub rng: &'a mut Xoshiro256,
-    /// Scratch candidate buffer.
+    /// Scratch path buffer (UGAL-G builds each candidate here to sum
+    /// its queues; PAR builds its diverted path here).
     pub scratch: &'a mut Vec<ChannelId>,
-    /// Best-so-far candidate buffer (swapped with `scratch` on a win).
+    /// Built-winner buffer (PAR builds its stage-one winner here).
     pub best: &'a mut Vec<ChannelId>,
     /// UGAL decision counters, recorded only when telemetry is on.
     pub stats: Option<&'a mut RouteStats>,
@@ -158,12 +159,8 @@ impl PathPolicy for ValiantPolicy {
         // intermediate can make the concatenation exceed the 10-hop
         // bound only in degenerate gateway layouts).
         loop {
-            ctx.scratch.clear();
-            let inter = paths::random_intermediate(ctx.topo, ctx.rng);
-            paths::push_minimal(ctx.topo, src, inter, ctx.rng, ctx.scratch);
-            paths::push_minimal(ctx.topo, inter, dst, ctx.rng, ctx.scratch);
-            if ctx.scratch.len() <= paths::MAX_ROUTER_HOPS {
-                out.extend_from_slice(ctx.scratch);
+            if let Some(detour) = Candidate::detour(ctx.topo, src, dst, ctx.rng) {
+                detour.push(ctx.topo, out);
                 break;
             }
         }
@@ -183,27 +180,95 @@ enum UgalSignal {
     Global,
 }
 
-fn ugal_candidate_score(
-    signal: UgalSignal,
-    candidate: &[ChannelId],
-    bias: u64,
-    view: &ChannelView<'_>,
-) -> u64 {
-    match signal {
-        UgalSignal::Local => {
-            let hops = candidate.len() as u64;
-            let first: u64 = candidate.first().map(|&c| view.occupancy(c)).unwrap_or(0);
-            first.saturating_mul(hops).saturating_add(bias)
+/// A routing candidate, drawn but not built: a minimal path, or a
+/// Valiant detour through a random intermediate router.
+#[derive(Clone, Copy)]
+enum Candidate {
+    Minimal(MinimalPlan),
+    Detour(MinimalPlan, MinimalPlan),
+}
+
+impl Candidate {
+    /// Draw a detour from `src` to `dst` through a random intermediate
+    /// router, or `None` when it exceeds the 10-hop VC budget. Consumes
+    /// the RNG the same way either way.
+    fn detour(
+        topo: &Topology,
+        src: RouterId,
+        dst: RouterId,
+        rng: &mut Xoshiro256,
+    ) -> Option<Candidate> {
+        let inter = paths::random_intermediate(topo, rng);
+        let to = MinimalPlan::draw(topo, src, inter, rng);
+        let from = MinimalPlan::draw(topo, inter, dst, rng);
+        (to.hops() + from.hops() <= paths::MAX_ROUTER_HOPS).then_some(Candidate::Detour(to, from))
+    }
+
+    /// Append the candidate's channels onto `out`.
+    fn push(&self, topo: &Topology, out: &mut Vec<ChannelId>) {
+        match self {
+            Candidate::Minimal(path) => path.push(topo, out),
+            Candidate::Detour(to, from) => {
+                to.push(topo, out);
+                from.push(topo, out);
+            }
         }
-        UgalSignal::Global => view.path_occupancy(candidate).saturating_add(bias),
+    }
+
+    /// The candidate's score under `signal`, `bias` included. UGAL-L
+    /// reads only the hop count and first channel, which the plans hold;
+    /// UGAL-G builds the candidate in `scratch` to sum its queues.
+    fn score(
+        &self,
+        signal: UgalSignal,
+        bias: u64,
+        topo: &Topology,
+        view: &ChannelView<'_>,
+        scratch: &mut Vec<ChannelId>,
+    ) -> u64 {
+        match signal {
+            UgalSignal::Local => {
+                let (hops, first) = match self {
+                    Candidate::Minimal(path) => (path.hops(), path.first(topo)),
+                    Candidate::Detour(to, from) => (
+                        to.hops() + from.hops(),
+                        to.first(topo).or_else(|| from.first(topo)),
+                    ),
+                };
+                let first = first.map_or(0, |c| view.occupancy(c));
+                first.saturating_mul(hops as u64).saturating_add(bias)
+            }
+            UgalSignal::Global => {
+                scratch.clear();
+                self.push(topo, scratch);
+                view.path_occupancy(scratch).saturating_add(bias)
+            }
+        }
+    }
+}
+
+/// The outcome of the UGAL candidate loop: the winner (`None` only if
+/// every score saturated), and the best minimal and best non-minimal
+/// scores for telemetry and PAR.
+struct UgalChoice {
+    winner: Option<Candidate>,
+    best_minimal: u64,
+    best_nonminimal: u64,
+}
+
+impl UgalChoice {
+    /// Append the winner's channels onto `out`.
+    fn push(&self, topo: &Topology, out: &mut Vec<ChannelId>) {
+        if let Some(winner) = &self.winner {
+            winner.push(topo, out);
+        }
     }
 }
 
 /// The UGAL candidate loop shared by UGAL-L, UGAL-G, and PAR's first
 /// stage: two minimal candidates, then two non-minimal candidates through
 /// random intermediates, lowest score wins with ties to the earliest.
-/// Leaves the winner in `ctx.best` and returns
-/// `(best_minimal, best_nonminimal)` scores for telemetry/PAR.
+/// Candidates are scored from their plans; only the caller builds one.
 ///
 /// RNG consumption order is the byte-identity contract: exactly the
 /// pre-trait `compute_adaptive` sequence.
@@ -213,42 +278,37 @@ fn ugal_select(
     src: RouterId,
     dst: RouterId,
     view: &ChannelView<'_>,
-) -> (u64, u64) {
+) -> UgalChoice {
     let mut best_score = u64::MAX;
-    ctx.best.clear();
-
-    let mut best_minimal = u64::MAX;
-    let mut best_nonminimal = u64::MAX;
-
+    let mut choice = UgalChoice {
+        winner: None,
+        best_minimal: u64::MAX,
+        best_nonminimal: u64::MAX,
+    };
     // Two minimal candidates (different random gateway / intermediate
     // choices).
     for _ in 0..2 {
-        ctx.scratch.clear();
-        paths::push_minimal(ctx.topo, src, dst, ctx.rng, ctx.scratch);
-        let score = ugal_candidate_score(signal, ctx.scratch, 0, view);
-        best_minimal = best_minimal.min(score);
+        let candidate = Candidate::Minimal(MinimalPlan::draw(ctx.topo, src, dst, ctx.rng));
+        let score = candidate.score(signal, 0, ctx.topo, view, ctx.scratch);
+        choice.best_minimal = choice.best_minimal.min(score);
         if score < best_score {
             best_score = score;
-            std::mem::swap(ctx.best, ctx.scratch);
+            choice.winner = Some(candidate);
         }
     }
     // Two non-minimal candidates through random intermediate routers.
     for _ in 0..2 {
-        let inter = paths::random_intermediate(ctx.topo, ctx.rng);
-        ctx.scratch.clear();
-        paths::push_minimal(ctx.topo, src, inter, ctx.rng, ctx.scratch);
-        paths::push_minimal(ctx.topo, inter, dst, ctx.rng, ctx.scratch);
-        if ctx.scratch.len() <= paths::MAX_ROUTER_HOPS {
-            let score =
-                ugal_candidate_score(signal, ctx.scratch, ctx.params.adaptive_bias_bytes, view);
-            best_nonminimal = best_nonminimal.min(score);
+        if let Some(candidate) = Candidate::detour(ctx.topo, src, dst, ctx.rng) {
+            let bias = ctx.params.adaptive_bias_bytes;
+            let score = candidate.score(signal, bias, ctx.topo, view, ctx.scratch);
+            choice.best_nonminimal = choice.best_nonminimal.min(score);
             if score < best_score {
                 best_score = score;
-                std::mem::swap(ctx.best, ctx.scratch);
+                choice.winner = Some(candidate);
             }
         }
     }
-    (best_minimal, best_nonminimal)
+    choice
 }
 
 /// Record a UGAL decision on the ledger (shared tie/walkover semantics:
@@ -299,9 +359,9 @@ impl PathPolicy for UgalLocal {
         view: &ChannelView<'_>,
         out: &mut Vec<ChannelId>,
     ) {
-        let (best_min, best_non) = ugal_select(UgalSignal::Local, ctx, src, dst, view);
-        out.extend_from_slice(ctx.best);
-        record_ugal(&mut ctx.stats, best_min, best_non);
+        let choice = ugal_select(UgalSignal::Local, ctx, src, dst, view);
+        choice.push(ctx.topo, out);
+        record_ugal(&mut ctx.stats, choice.best_minimal, choice.best_nonminimal);
     }
 }
 
@@ -338,9 +398,9 @@ impl PathPolicy for UgalGlobal {
         view: &ChannelView<'_>,
         out: &mut Vec<ChannelId>,
     ) {
-        let (best_min, best_non) = ugal_select(UgalSignal::Global, ctx, src, dst, view);
-        out.extend_from_slice(ctx.best);
-        record_ugal(&mut ctx.stats, best_min, best_non);
+        let choice = ugal_select(UgalSignal::Global, ctx, src, dst, view);
+        choice.push(ctx.topo, out);
+        record_ugal(&mut ctx.stats, choice.best_minimal, choice.best_nonminimal);
     }
 }
 
@@ -381,7 +441,10 @@ impl PathPolicy for Progressive {
         out: &mut Vec<ChannelId>,
     ) {
         // Stage 1: UGAL-L at the source.
-        let (best_min, best_non) = ugal_select(UgalSignal::Local, ctx, src, dst, view);
+        let choice = ugal_select(UgalSignal::Local, ctx, src, dst, view);
+        let (best_min, best_non) = (choice.best_minimal, choice.best_nonminimal);
+        ctx.best.clear();
+        choice.push(ctx.topo, ctx.best);
         let took_nonminimal = best_non < best_min;
         let sg = ctx.topo.router_group(src);
         let dg = ctx.topo.router_group(dst);

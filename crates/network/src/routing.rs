@@ -5,7 +5,7 @@
 //! behind the [`PathPolicy`] trait; this module keeps the config-level
 //! [`Routing`] selector (`Copy`/`Eq`/`Hash`, usable in sweep grids and
 //! labels) and the [`RouteComputer`] that owns the per-run policy
-//! instance, RNG stream, candidate buffers, and telemetry ledger.
+//! instance, RNG stream, path buffers, and telemetry ledger.
 
 use crate::params::NetworkParams;
 use crate::policy::{
@@ -81,16 +81,15 @@ impl Routing {
 
 /// Computes routes by delegating to a [`PathPolicy`]. Owns its RNG
 /// stream so routing decisions don't perturb other randomized subsystems,
-/// plus the persistent candidate buffers and the optional telemetry
+/// plus the persistent path buffers and the optional telemetry
 /// ledger the policy borrows per decision.
 pub struct RouteComputer {
     routing: Routing,
     policy: Box<dyn PathPolicy + Send>,
     rng: Xoshiro256,
+    /// Persistent path buffers a policy borrows per decision (see
+    /// [`RouteCtx`]), so the per-packet hot path allocates nothing.
     scratch: Vec<ChannelId>,
-    /// Second persistent buffer holding the best candidate seen so far
-    /// during adaptive selection. Swapped with `scratch` when a candidate
-    /// wins, so the per-packet hot path allocates nothing.
     best: Vec<ChannelId>,
     /// UGAL decision counters, recorded only when telemetry is on
     /// (`None` costs one branch per adaptive decision).
@@ -582,7 +581,9 @@ mod tests {
     fn trait_reimplementation_is_byte_identical_to_legacy_algorithms() {
         // Frozen reimplementation of the pre-trait `RouteComputer` match
         // (minimal / adaptive / valiant exactly as they were written),
-        // run against the trait-based computer with identical seeds. This
+        // plus UGAL-G and PAR as they ran while every candidate was built
+        // in full, run against the trait-based computer with identical
+        // seeds on two machines and two load patterns. This
         // is the in-crate half of the byte-identity contract; the
         // end-to-end half lives in tests/refactor_equivalence.rs.
         struct Legacy {
@@ -667,29 +668,155 @@ mod tests {
                         }
                         out.extend_from_slice(&self.best);
                     }
-                    _ => unreachable!("legacy computer had three policies"),
+                    Routing::UgalG => {
+                        self.ugal(true, topo, params, src_r, dst_r, &occupancy);
+                        out.extend_from_slice(&self.best);
+                    }
+                    Routing::Progressive => {
+                        let (best_min, best_non) =
+                            self.ugal(false, topo, params, src_r, dst_r, &occupancy);
+                        let sg = topo.router_group(src_r);
+                        let dg = topo.router_group(dst_r);
+                        if best_non < best_min || sg == dg {
+                            out.extend_from_slice(&self.best);
+                            return;
+                        }
+                        let global_at = self
+                            .best
+                            .iter()
+                            .position(|&c| {
+                                topo.channel_class(c) == dfly_topology::ChannelClass::Global
+                            })
+                            .unwrap();
+                        let planned = self.best[global_at];
+                        let gateway = topo.channel_owner(planned);
+                        let mut alt: Option<(ChannelId, Bytes)> = None;
+                        for &(ch, dst_group) in topo.router_global_channels(gateway) {
+                            if ch == planned || dst_group == dg || dst_group == sg {
+                                continue;
+                            }
+                            let occ = occupancy(ch);
+                            if alt.is_none_or(|(_, best)| occ < best) {
+                                alt = Some((ch, occ));
+                            }
+                        }
+                        let Some((alt_ch, alt_occ)) = alt else {
+                            out.extend_from_slice(&self.best);
+                            return;
+                        };
+                        let planned_remaining = (self.best.len() - global_at) as u64;
+                        let planned_cost = occupancy(planned).saturating_mul(planned_remaining);
+                        self.scratch.clear();
+                        self.scratch.extend_from_slice(&self.best[..global_at]);
+                        self.scratch.push(alt_ch);
+                        let entry = topo.channel(alt_ch).dst.router().unwrap();
+                        paths::push_minimal(topo, entry, dst_r, &mut self.rng, &mut self.scratch);
+                        let divert_remaining = (self.scratch.len() - global_at) as u64;
+                        let divert_cost = alt_occ
+                            .saturating_mul(divert_remaining)
+                            .saturating_add(params.adaptive_bias_bytes);
+                        if divert_cost < planned_cost
+                            && self.scratch.len() <= paths::MAX_ROUTER_HOPS
+                        {
+                            out.extend_from_slice(&self.scratch);
+                        } else {
+                            out.extend_from_slice(&self.best);
+                        }
+                    }
                 }
+            }
+
+            /// The UGAL candidate loop UGAL-G and PAR ran before their
+            /// candidates were scored from plans: every candidate built
+            /// in full, scored by its first hop x length (UGAL-L) or its
+            /// summed occupancy (UGAL-G). Returns the best minimal and
+            /// best non-minimal scores.
+            fn ugal(
+                &mut self,
+                global: bool,
+                topo: &Topology,
+                params: &NetworkParams,
+                src_r: dfly_topology::RouterId,
+                dst_r: dfly_topology::RouterId,
+                occupancy: &impl Fn(ChannelId) -> Bytes,
+            ) -> (u64, u64) {
+                let score = |candidate: &[ChannelId], bias: u64| -> u64 {
+                    if global {
+                        candidate
+                            .iter()
+                            .fold(0u64, |acc, &c| acc.saturating_add(occupancy(c)))
+                            .saturating_add(bias)
+                    } else {
+                        let hops = candidate.len() as u64;
+                        let first = candidate.first().map(|&c| occupancy(c)).unwrap_or(0);
+                        first.saturating_mul(hops).saturating_add(bias)
+                    }
+                };
+                let mut best_score = u64::MAX;
+                let (mut best_min, mut best_non) = (u64::MAX, u64::MAX);
+                self.best.clear();
+                for _ in 0..2 {
+                    self.scratch.clear();
+                    paths::push_minimal(topo, src_r, dst_r, &mut self.rng, &mut self.scratch);
+                    let s = score(&self.scratch, 0);
+                    best_min = best_min.min(s);
+                    if s < best_score {
+                        best_score = s;
+                        std::mem::swap(&mut self.best, &mut self.scratch);
+                    }
+                }
+                for _ in 0..2 {
+                    let inter = paths::random_intermediate(topo, &mut self.rng);
+                    self.scratch.clear();
+                    paths::push_minimal(topo, src_r, inter, &mut self.rng, &mut self.scratch);
+                    paths::push_minimal(topo, inter, dst_r, &mut self.rng, &mut self.scratch);
+                    if self.scratch.len() <= paths::MAX_ROUTER_HOPS {
+                        let s = score(&self.scratch, params.adaptive_bias_bytes);
+                        best_non = best_non.min(s);
+                        if s < best_score {
+                            best_score = s;
+                            std::mem::swap(&mut self.best, &mut self.scratch);
+                        }
+                    }
+                }
+                (best_min, best_non)
             }
         }
 
-        let t = topo();
         let params = NetworkParams::default();
-        let occ = |c: ChannelId| (c.0 as u64 * 97) % 12_345;
-        for routing in [Routing::Minimal, Routing::Adaptive, Routing::Valiant] {
-            let mut legacy = Legacy {
-                rng: Xoshiro256::seed_from(42),
-                scratch: Vec::new(),
-                best: Vec::new(),
+        for t in [
+            topo(),
+            Topology::build(TopologyConfig::canonical(2, 8, 4, 17)),
+        ] {
+            // A scattered load, and one that congests only global
+            // channels so PAR's gateway stage diverts.
+            let scattered = |c: ChannelId| (c.0 as u64 * 97) % 12_345;
+            let globals = |c: ChannelId| {
+                if t.channel_class(c) == dfly_topology::ChannelClass::Global {
+                    (c.0 as u64 * 7919) % 200_000
+                } else {
+                    (c.0 as u64 * 13) % 700
+                }
             };
-            let mut modern = mk(routing);
-            for i in 0..300u32 {
-                let s = NodeId(i % t.config().total_nodes());
-                let d = NodeId((i * 31 + 5) % t.config().total_nodes());
-                let mut ra = Vec::new();
-                let mut rb = Vec::new();
-                legacy.compute(routing, &t, &params, s, d, occ, &mut ra);
-                modern.compute(&t, &params, s, d, occ, &mut rb);
-                assert_eq!(ra, rb, "{} diverged from legacy", routing.label());
+            let loads: [&dyn Fn(ChannelId) -> Bytes; 2] = [&scattered, &globals];
+            for routing in Routing::ALL {
+                for occ in loads {
+                    let mut legacy = Legacy {
+                        rng: Xoshiro256::seed_from(42),
+                        scratch: Vec::new(),
+                        best: Vec::new(),
+                    };
+                    let mut modern = mk(routing);
+                    for i in 0..300u32 {
+                        let s = NodeId(i % t.config().total_nodes());
+                        let d = NodeId((i * 31 + 5) % t.config().total_nodes());
+                        let mut ra = Vec::new();
+                        let mut rb = Vec::new();
+                        legacy.compute(routing, &t, &params, s, d, occ, &mut ra);
+                        modern.compute(&t, &params, s, d, occ, &mut rb);
+                        assert_eq!(ra, rb, "{} diverged from legacy", routing.label());
+                    }
+                }
             }
         }
     }

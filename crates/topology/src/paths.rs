@@ -44,6 +44,106 @@ impl Path {
     }
 }
 
+/// The shape of an intra-group minimal leg.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Turn {
+    /// Source and destination are the same router: no hop.
+    Stay,
+    /// Same row: one row hop.
+    Row,
+    /// Same column: one column hop.
+    Col,
+    /// Row hop to the destination's column, then column hop.
+    RowFirst,
+    /// Column hop to the destination's row, then row hop.
+    ColFirst,
+}
+
+/// A drawn intra-group minimal leg: its endpoints' coordinates and the
+/// turn it takes. Holds every random draw the leg needs, so it builds
+/// without the RNG.
+#[derive(Debug, Clone, Copy)]
+struct Leg {
+    src: RouterId,
+    group: u32,
+    src_row: u32,
+    src_col: u32,
+    dst_row: u32,
+    dst_col: u32,
+    turn: Turn,
+}
+
+impl Leg {
+    /// Draw the leg from `src` to `dst` (same group), as
+    /// [`push_intra_group`] describes.
+    #[inline]
+    fn draw(topo: &Topology, src: RouterId, dst: RouterId, rng: &mut Xoshiro256) -> Leg {
+        debug_assert_eq!(topo.router_group(src), topo.router_group(dst));
+        let (g, src_row, src_col) = topo.router_coords(src);
+        let (_, dst_row, dst_col) = topo.router_coords(dst);
+        let turn = if src == dst {
+            Turn::Stay
+        } else if src_row == dst_row {
+            Turn::Row
+        } else if src_col == dst_col {
+            Turn::Col
+        } else if rng.chance(0.5) {
+            Turn::RowFirst
+        } else {
+            Turn::ColFirst
+        };
+        Leg {
+            src,
+            group: g.0,
+            src_row,
+            src_col,
+            dst_row,
+            dst_col,
+            turn,
+        }
+    }
+
+    /// Router-to-router hops.
+    #[inline]
+    fn hops(&self) -> usize {
+        match self.turn {
+            Turn::Stay => 0,
+            Turn::Row | Turn::Col => 1,
+            Turn::RowFirst | Turn::ColFirst => 2,
+        }
+    }
+
+    /// The leg's first channel, if it has a hop.
+    #[inline]
+    fn first(&self, topo: &Topology) -> Option<ChannelId> {
+        match self.turn {
+            Turn::Stay => None,
+            Turn::Row | Turn::RowFirst => Some(topo.row_link(self.src, self.src_col, self.dst_col)),
+            Turn::Col | Turn::ColFirst => Some(topo.col_link(self.src, self.src_row, self.dst_row)),
+        }
+    }
+
+    /// Append the leg's channels onto `out`.
+    #[inline]
+    fn push(&self, topo: &Topology, out: &mut Vec<ChannelId>) {
+        out.extend(self.first(topo));
+        let g = crate::GroupId(self.group);
+        match self.turn {
+            Turn::RowFirst => {
+                // (src_row, src_col) -> (src_row, dst_col) -> dst.
+                let mid = topo.router_at(g, self.src_row, self.dst_col);
+                out.push(topo.col_link(mid, self.src_row, self.dst_row));
+            }
+            Turn::ColFirst => {
+                // (src_row, src_col) -> (dst_row, src_col) -> dst.
+                let mid = topo.router_at(g, self.dst_row, self.src_col);
+                out.push(topo.row_link(mid, self.src_col, self.dst_col));
+            }
+            Turn::Stay | Turn::Row | Turn::Col => {}
+        }
+    }
+}
+
 /// Append the (0, 1 or 2 hop) intra-group minimal path from `src` to `dst`
 /// onto `out`. When both a row-first and a column-first two-hop route
 /// exist, one is chosen uniformly at random — this matches hardware
@@ -55,26 +155,75 @@ pub fn push_intra_group(
     rng: &mut Xoshiro256,
     out: &mut Vec<ChannelId>,
 ) {
-    debug_assert_eq!(topo.router_group(src), topo.router_group(dst));
-    if src == dst {
-        return;
+    Leg::draw(topo, src, dst, rng).push(topo, out);
+}
+
+/// A minimal path's random draws, made in [`push_minimal`]'s order, with
+/// what scoring it as an adaptive-routing candidate reads — its hop count
+/// and first channel — available without building it. Building it later
+/// ([`MinimalPlan::push`]) draws nothing, so a caller can plan several
+/// candidates, build only the winner, and consume the RNG exactly as if
+/// it had built them all.
+#[derive(Debug, Clone, Copy)]
+pub struct MinimalPlan {
+    /// The whole path inside one group, or the leg to the gateway.
+    head: Leg,
+    /// Between groups: the drawn global channel and the leg from its far
+    /// end to the destination.
+    tail: Option<(ChannelId, Leg)>,
+}
+
+impl MinimalPlan {
+    /// Draw a minimal path from `src` to `dst` (any groups).
+    #[inline]
+    pub fn draw(
+        topo: &Topology,
+        src: RouterId,
+        dst: RouterId,
+        rng: &mut Xoshiro256,
+    ) -> MinimalPlan {
+        let sg = topo.router_group(src);
+        let dg = topo.router_group(dst);
+        if sg == dg {
+            return MinimalPlan {
+                head: Leg::draw(topo, src, dst, rng),
+                tail: None,
+            };
+        }
+        // Choose a gateway uniformly at random among the parallel links of
+        // the group pair; this is the static load-spreading minimal routing
+        // the CODES dragonfly-custom model applies per packet.
+        let gw = *rng.choose(topo.gateways(sg, dg));
+        let head = Leg::draw(topo, src, gw.router, rng);
+        let tail = Leg::draw(topo, gw.far, dst, rng);
+        MinimalPlan {
+            head,
+            tail: Some((gw.channel, tail)),
+        }
     }
-    let (g, src_row, src_col) = topo.router_coords(src);
-    let (_, dst_row, dst_col) = topo.router_coords(dst);
-    if src_row == dst_row {
-        out.push(topo.row_channel(src, dst));
-    } else if src_col == dst_col {
-        out.push(topo.col_channel(src, dst));
-    } else if rng.chance(0.5) {
-        // Row first: (src_row, src_col) -> (src_row, dst_col) -> dst.
-        let mid = topo.router_at(g, src_row, dst_col);
-        out.push(topo.row_channel(src, mid));
-        out.push(topo.col_channel(mid, dst));
-    } else {
-        // Column first: (src_row, src_col) -> (dst_row, src_col) -> dst.
-        let mid = topo.router_at(g, dst_row, src_col);
-        out.push(topo.col_channel(src, mid));
-        out.push(topo.row_channel(mid, dst));
+
+    /// Router-to-router hops of the path.
+    #[inline]
+    pub fn hops(&self) -> usize {
+        self.head.hops() + self.tail.map_or(0, |(_, leg)| 1 + leg.hops())
+    }
+
+    /// The path's first channel, or `None` for the empty path.
+    #[inline]
+    pub fn first(&self, topo: &Topology) -> Option<ChannelId> {
+        self.head
+            .first(topo)
+            .or_else(|| self.tail.map(|(global, _)| global))
+    }
+
+    /// Append the path's channels onto `out`.
+    #[inline]
+    pub fn push(&self, topo: &Topology, out: &mut Vec<ChannelId>) {
+        self.head.push(topo, out);
+        if let Some((global, leg)) = self.tail {
+            out.push(global);
+            leg.push(topo, out);
+        }
     }
 }
 
@@ -86,19 +235,7 @@ pub fn push_minimal(
     rng: &mut Xoshiro256,
     out: &mut Vec<ChannelId>,
 ) {
-    let sg = topo.router_group(src);
-    let dg = topo.router_group(dst);
-    if sg == dg {
-        push_intra_group(topo, src, dst, rng, out);
-        return;
-    }
-    // Choose a gateway uniformly at random among the parallel links of the
-    // group pair; this is the static load-spreading minimal routing the
-    // CODES dragonfly-custom model applies per packet.
-    let gw = *rng.choose(topo.gateways(sg, dg));
-    push_intra_group(topo, src, gw.router, rng, out);
-    out.push(gw.channel);
-    push_intra_group(topo, gw.far, dst, rng, out);
+    MinimalPlan::draw(topo, src, dst, rng).push(topo, out);
 }
 
 /// A complete minimal path.

@@ -80,6 +80,11 @@ pub struct Topology {
     /// outgoing global channel and the group it lands in, in link order.
     router_globals: Vec<(ChannelId, GroupId)>,
     links_per_pair: u32,
+    /// Exact dividers for the three divisors every router and node query
+    /// divides by: routers per group, `cols` and nodes per router.
+    per_group: Divider,
+    per_row: Divider,
+    per_router: Divider,
     // Channel-id arithmetic bases.
     base_term_down: u32,
     base_row: u32,
@@ -186,6 +191,9 @@ impl Topology {
         }
 
         Topology {
+            per_group: Divider::new(rpg),
+            per_row: Divider::new(cfg.cols),
+            per_router: Divider::new(cfg.nodes_per_router),
             cfg,
             links,
             gateways,
@@ -274,14 +282,14 @@ impl Topology {
             // id = base_row + router*(cols-1) + rank(dst_col).
             let per = self.cfg.cols - 1;
             let (src, rank) = ((i - self.base_row) / per, (i - self.base_row) % per);
-            let (g, row, col) = decompose(&self.cfg, src);
+            let (g, row, col) = self.decompose(src);
             let dst = compose(&self.cfg, g, row, rank + (rank >= col) as u32);
             router_link(ChannelClass::LocalRow, src, dst)
         } else if i < self.base_global {
             // id = base_col + router*(rows-1) + rank(dst_row).
             let per = self.cfg.rows - 1;
             let (src, rank) = ((i - self.base_col) / per, (i - self.base_col) % per);
-            let (g, row, col) = decompose(&self.cfg, src);
+            let (g, row, col) = self.decompose(src);
             let dst = compose(&self.cfg, g, rank + (rank >= row) as u32, col);
             router_link(ChannelClass::LocalCol, src, dst)
         } else {
@@ -330,7 +338,7 @@ impl Topology {
     /// The router a node attaches to.
     #[inline]
     pub fn node_router(&self, node: NodeId) -> RouterId {
-        RouterId(node.0 / self.cfg.nodes_per_router)
+        RouterId(self.per_router.div(node.0))
     }
 
     /// The nodes attached to a router.
@@ -342,7 +350,7 @@ impl Topology {
     /// The group containing a router.
     #[inline]
     pub fn router_group(&self, router: RouterId) -> GroupId {
-        GroupId(router.0 / self.cfg.routers_per_group())
+        GroupId(self.per_group.div(router.0))
     }
 
     /// The group containing a node.
@@ -354,7 +362,7 @@ impl Topology {
     /// (group, row, col) coordinates of a router.
     #[inline]
     pub fn router_coords(&self, router: RouterId) -> (GroupId, u32, u32) {
-        let (g, row, col) = decompose(&self.cfg, router.0);
+        let (g, row, col) = self.decompose(router.0);
         (GroupId(g), row, col)
     }
 
@@ -367,7 +375,7 @@ impl Topology {
     /// The chassis (router row) containing a router.
     #[inline]
     pub fn router_chassis(&self, router: RouterId) -> ChassisId {
-        let (g, row, _) = decompose(&self.cfg, router.0);
+        let (g, row, _) = self.decompose(router.0);
         ChassisId(g * self.cfg.rows + row)
     }
 
@@ -429,8 +437,23 @@ impl Topology {
     /// Panics in debug builds if they aren't row peers.
     #[inline]
     pub fn row_channel(&self, src: RouterId, dst: RouterId) -> ChannelId {
-        let (_, _, src_col) = decompose(&self.cfg, src.0);
-        let (_, _, dst_col) = decompose(&self.cfg, dst.0);
+        let (_, _, src_col) = self.decompose(src.0);
+        let (_, _, dst_col) = self.decompose(dst.0);
+        self.row_link(src, src_col, dst_col)
+    }
+
+    /// The column link between two routers in the same group and column.
+    #[inline]
+    pub fn col_channel(&self, src: RouterId, dst: RouterId) -> ChannelId {
+        let (_, src_row, _) = self.decompose(src.0);
+        let (_, dst_row, _) = self.decompose(dst.0);
+        self.col_link(src, src_row, dst_row)
+    }
+
+    /// [`Topology::row_channel`] from `src` (in column `src_col`) to the
+    /// router of its row in column `dst_col`.
+    #[inline]
+    pub(crate) fn row_link(&self, src: RouterId, src_col: u32, dst_col: u32) -> ChannelId {
         debug_assert_ne!(src_col, dst_col);
         let rank = if dst_col < src_col {
             dst_col
@@ -440,11 +463,10 @@ impl Topology {
         ChannelId(self.base_row + src.0 * (self.cfg.cols - 1) + rank)
     }
 
-    /// The column link between two routers in the same group and column.
+    /// [`Topology::col_channel`] from `src` (in row `src_row`) to the
+    /// router of its column in row `dst_row`.
     #[inline]
-    pub fn col_channel(&self, src: RouterId, dst: RouterId) -> ChannelId {
-        let (_, src_row, _) = decompose(&self.cfg, src.0);
-        let (_, dst_row, _) = decompose(&self.cfg, dst.0);
+    pub(crate) fn col_link(&self, src: RouterId, src_row: u32, dst_row: u32) -> ChannelId {
         debug_assert_ne!(src_row, dst_row);
         let rank = if dst_row < src_row {
             dst_row
@@ -562,12 +584,53 @@ fn router_link(class: ChannelClass, src: u32, dst: u32) -> ChannelInfo {
     }
 }
 
-#[inline]
-fn decompose(cfg: &TopologyConfig, router: u32) -> (u32, u32, u32) {
-    let rpg = cfg.routers_per_group();
-    let g = router / rpg;
-    let local = router % rpg;
-    (g, local / cfg.cols, local % cfg.cols)
+impl Topology {
+    /// (group, row, col) of a raw router id.
+    #[inline]
+    fn decompose(&self, router: u32) -> (u32, u32, u32) {
+        let (g, local) = self.per_group.div_rem(router);
+        let (row, col) = self.per_row.div_rem(local);
+        (g, row, col)
+    }
+}
+
+/// Exact `u32` division by a divisor fixed at construction, as one
+/// multiply: `n / d` is the high 64 bits of `n * ceil(2^64 / d)` for every
+/// `u32` `n` and `d` (Lemire, Kaser and Kurz, "Faster remainder by direct
+/// computation", 2019). A runtime `div` costs tens of cycles; the router
+/// and node queries of the routing hot path make a few per hop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Divider {
+    /// `ceil(2^64 / d)` modulo 2^64: zero exactly when `d` is 1.
+    magic: u64,
+    d: u32,
+}
+
+impl Divider {
+    fn new(d: u32) -> Divider {
+        assert!(d > 0, "division by zero");
+        Divider {
+            magic: (u64::MAX / u64::from(d)).wrapping_add(1),
+            d,
+        }
+    }
+
+    /// `n / d`.
+    #[inline]
+    fn div(self, n: u32) -> u32 {
+        if self.magic == 0 {
+            // d == 1: the multiplier 2^64 does not fit in 64 bits.
+            return n;
+        }
+        ((u128::from(self.magic) * u128::from(n)) >> 64) as u32
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    fn div_rem(self, n: u32) -> (u32, u32) {
+        let q = self.div(n);
+        (q, n - q * self.d)
+    }
 }
 
 #[inline]
@@ -840,6 +903,59 @@ mod tests {
                             assert_eq!(gws.len() as u32, t.config().links_per_group_pair());
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dividers_match_plain_division_on_random_inputs() {
+        let mut rng = dfly_engine::Xoshiro256::seed_from(0xD1F);
+        for d in [1u32, 2, 3, 96, 512, u32::MAX] {
+            let div = Divider::new(d);
+            let edges = [0, 1, d - 1, d, d.wrapping_add(1), u32::MAX - 1, u32::MAX];
+            let random = (0..100_000).map(|_| rng.next_u64() as u32);
+            let multiples = (0..1_000u32).map(|k| k.wrapping_mul(d));
+            for n in edges.into_iter().chain(random).chain(multiples) {
+                assert_eq!(div.div(n), n / d, "{n} / {d}");
+                assert_eq!(div.div_rem(n), (n / d, n % d), "{n} divmod {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn router_and_node_queries_match_plain_division() {
+        for cfg in [
+            TopologyConfig::theta(),
+            TopologyConfig::small_test(),
+            TopologyConfig::canonical(2, 8, 4, 17),
+            TopologyConfig::canonical(16, 32, 16, 257),
+        ] {
+            let t = Topology::build(cfg.clone());
+            let rpg = cfg.routers_per_group();
+            let base_row = 2 * cfg.total_nodes();
+            let base_col = base_row + cfg.total_routers() * (cfg.cols - 1);
+            for n in 0..cfg.total_nodes() {
+                assert_eq!(t.node_router(NodeId(n)), RouterId(n / cfg.nodes_per_router));
+            }
+            for r in 0..cfg.total_routers() {
+                let router = RouterId(r);
+                let (g, row, col) = (r / rpg, r % rpg / cfg.cols, r % rpg % cfg.cols);
+                assert_eq!(
+                    t.router_coords(router),
+                    (GroupId(g), row, col),
+                    "router {r}"
+                );
+                assert_eq!(t.router_group(router), GroupId(g), "router {r}");
+                for c in (0..cfg.cols).filter(|&c| c != col) {
+                    let want = base_row + r * (cfg.cols - 1) + c - (c > col) as u32;
+                    let peer = RouterId(g * rpg + row * cfg.cols + c);
+                    assert_eq!(t.row_channel(router, peer), ChannelId(want));
+                }
+                for w in (0..cfg.rows).filter(|&w| w != row) {
+                    let want = base_col + r * (cfg.rows - 1) + w - (w > row) as u32;
+                    let peer = RouterId(g * rpg + w * cfg.cols + col);
+                    assert_eq!(t.col_channel(router, peer), ChannelId(want));
                 }
             }
         }
